@@ -26,10 +26,9 @@ from .errors import (
     RayGrowthError,
     StripViolationError,
 )
-from .kernels import KernelArgs, ProblemParams
+from .kernels import ProblemParams
 from .mellin import MellinResult, MellinStrip, QuadratureSpec
 from .potential import Atomic, MassModel, Perturbed, PowerLaw, SlowlyVarying, SweepResult
-from .specfun import LegendreArgs
 
 __all__ = [
     "__version__",
@@ -38,8 +37,6 @@ __all__ = [
     "CountMismatchError",
     "DomainError",
     "ExceptionalAngleError",
-    "KernelArgs",
-    "LegendreArgs",
     "MassModel",
     "MellinResult",
     "MellinStrip",

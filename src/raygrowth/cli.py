@@ -29,6 +29,7 @@ from .indicator import (
     indicator_closed,
     indicator_integral,
     indicator_near_pi,
+    order_equation_range,
     order_equation_rhs,
     solve_order,
     zero_set,
@@ -87,9 +88,12 @@ def parse_angle(token: str, params: ProblemParams | None = None) -> float:
     if token.startswith("root"):
         if params is None:
             raise ParseError("root angles need n and rho")
-        idx = int(token[4:]) if len(token) > 4 else 0
+        try:
+            idx = int(token[4:]) if len(token) > 4 else 0
+        except ValueError:
+            raise ParseError(f"bad root index in angle token {token!r}") from None
         roots = zero_set(params).roots
-        if idx >= len(roots):
+        if not 0 <= idx < len(roots):
             raise ParseError(f"root index {idx} out of range (have {len(roots)})")
         return roots[idx]
     try:
@@ -303,11 +307,10 @@ def cmd_solve_order(args) -> int:
     })
     rho = solve_order(args.n, args.delta_bar)  # OutOfRangeError -> exit 3
     residual = abs(order_equation_rhs(args.n, rho) - args.delta_bar)
-    grid = np.linspace(1e-9, 1 - 1e-9, 4001)
-    vals = [order_equation_rhs(args.n, float(x)) for x in grid]
+    lo, hi = order_equation_range(args.n)
     rows = [{
         "n": args.n, "delta_bar": args.delta_bar, "rho": rho, "residual": residual,
-        "admissible_lo": float(min(vals)), "admissible_hi": float(max(vals)),
+        "admissible_lo": lo, "admissible_hi": hi,
     }]
     columns = ["n", "delta_bar", "rho", "residual", "admissible_lo", "admissible_hi"]
     _emit(rows, columns, config, args.format, args.out)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from .errors import (
     CountMismatchError,
@@ -35,13 +35,22 @@ NEG_INFINITY = float("-inf")
 ROOT_SCAN_RESOLUTION = 1e-3
 ROOT_BRACKET_WIDTH = 1e-6
 
+# ends of the open interval (0, 1) on which the order equation is solved
+_ORDER_EDGE = 1e-9
+
+
+def _brent(f, a, b) -> float:
+    """Root of f in a sign-change bracket [a, b], refined to full precision."""
+    return float(optimize.brentq(f, float(a), float(b), xtol=1e-15, rtol=4 * np.finfo(float).eps))
+
 
 @dataclass(frozen=True)
 class ZeroSet:
     """Exceptional angles: zeros of the indicator's angular factor in (0, pi).
 
-    Exactly floor(rho)+1 of them; each was bracketed by a sign change and
-    refined to ~1e-12 rad.  bracket_width is the guard radius used when an
+    Exactly floor(rho)+1 of them; each was bracketed by a sign change of
+    the angular factor and refined by Brent's method to full double
+    precision in theta.  bracket_width is the guard radius used when an
     operation must refuse angles that sit on a root.
     """
 
@@ -217,31 +226,13 @@ def _cached_roots(n: int, rho: float, resolution: float) -> tuple:
     count = int(math.ceil((hi - lo) / resolution)) + 1
     grid = np.linspace(lo, hi, count)
     vals = angular_shape(n, rho, grid)
-    roots = []
     sgn = np.sign(vals)
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa = float(vals[i])
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            fm = float(angular_shape(n, rho, mid))
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        root = 0.5 * (a + b)
-        # one Newton polish with a central-difference derivative
-        h = 1e-7
-        f0 = float(angular_shape(n, rho, root))
-        d = (float(angular_shape(n, rho, root + h)) - float(angular_shape(n, rho, root - h))) / (2 * h)
-        if d != 0.0:
-            step = f0 / d
-            if abs(step) < resolution:
-                root -= step
-        roots.append(root)
+    roots = [
+        _brent(lambda t: angular_shape(n, rho, t), grid[i], grid[i + 1])
+        for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+    ]
     # exact zeros on grid nodes would be missed by the strict sign test
-    for i in np.nonzero(vals == 0.0)[0]:
-        roots.append(float(grid[i]))
+    roots.extend(float(grid[i]) for i in np.nonzero(vals == 0.0)[0])
     return tuple(sorted(roots))
 
 
@@ -249,8 +240,10 @@ def zero_set(params: ProblemParams, resolution: float = ROOT_SCAN_RESOLUTION,
              bracket_width: float = ROOT_BRACKET_WIDTH) -> ZeroSet:
     """All zeros of the indicator's angular factor in (0, pi).
 
-    Sign scan at the given resolution, bisection to ~1e-12, one Newton
-    polish.  The count must equal floor(rho)+1; a different count raises
+    A vectorized sign scan of the angular factor at the given resolution
+    brackets each root; Brent's method refines it to full double precision
+    (a scan node where the factor is exactly zero is a root as it stands).
+    The count must equal floor(rho)+1; a different count raises
     :class:`CountMismatchError` (that would mean either a special-function
     defect or a genuine violation of the zero-count law, and is surfaced
     rather than repaired).
@@ -363,106 +356,64 @@ def ratio_limits(params: ProblemParams, theta1):
 
 
 def order_equation_rhs(n: int, rho: float) -> float:
-    """Right side of the transcendental order equation,
+    """Right side of the transcendental order equation, as printed
 
         Gamma(n-1-rho) / ((n-2)! Gamma(1-rho)) * pi rho / sin(pi rho),
 
-    which also equals Gamma(n-1-rho) Gamma(1+rho) / (n-2)! by reflection.
-    Defined for 0 < rho < 1.
+    evaluated through the reflection formula as the product
+    Gamma(n-1-rho) Gamma(1+rho) / (n-2)!, which keeps full precision
+    next to rho = 1 where sin(pi rho) cancels.  Defined for 0 < rho < 1.
     """
     if n < 3 or int(n) != n:
         raise DomainError(f"dimension n must be an integer >= 3, got {n}")
     if not (0.0 < rho < 1.0):
         raise DomainError(f"order equation is stated for rho in (0, 1), got {rho}")
-    return (
-        gamma(n - 1.0 - rho) / (math.factorial(n - 2) * gamma(1.0 - rho))
-        * math.pi * rho / math.sin(math.pi * rho)
-    )
+    return gamma(n - 1.0 - rho) * gamma(1.0 + rho) / math.factorial(n - 2)
 
 
-_ORDER_GRID_POINTS = 4001
-_ORDER_EDGE = 1e-9
+def _order_branch_end(n: int) -> float:
+    # for n >= 4 the right side is strictly decreasing on all of (0, 1); for
+    # n = 3 it is symmetric about its minimum at rho = 1/2, and the
+    # decreasing half is the branch that solve_order inverts
+    return 0.5 if n == 3 else 1.0 - _ORDER_EDGE
 
 
-def _order_grid(n):
-    rhos = np.linspace(_ORDER_EDGE, 1.0 - _ORDER_EDGE, _ORDER_GRID_POINTS)
-    vals = np.array([order_equation_rhs(n, float(r)) for r in rhos])
-    return rhos, vals
+def order_equation_range(n: int) -> tuple:
+    """Attained interval (lo, hi) of the order equation's right side on
+    [1e-9, 1 - 1e-9], read off its shape: hi at the left end, lo at
+    rho = 1/2 for n = 3 and at the right end for n >= 4.
+    """
+    return (order_equation_rhs(n, _order_branch_end(n)),
+            order_equation_rhs(n, _ORDER_EDGE))
 
 
-def solve_order(n: int, delta_bar: float, residual_tol: float = 1e-10) -> float:
+def solve_order(n: int, delta_bar: float) -> float:
     """Invert the order equation: find rho in (0, 1) with RHS(rho) = delta_bar.
 
-    The right side is probed on a fine grid first.  For n >= 4 it is
-    strictly decreasing on (0, 1) and the root is unique; for n = 3 it is
-    symmetric about rho = 1/2 (minimum pi/4 there), so off-minimum targets
-    have two preimages -- the smaller one is returned, deterministically.
-    Raises :class:`OutOfRangeError` (carrying the numerically attained
-    interval) when delta_bar is outside the range of the right side.
+    For n >= 4 the right side is strictly decreasing on (0, 1) and the root
+    is unique; for n = 3 it is symmetric about rho = 1/2 (minimum pi/4
+    there), so off-minimum targets have two preimages -- the smaller one is
+    returned, deterministically.  The root is refined by Brent's method on
+    the decreasing branch, [1e-9, 1 - 1e-9] for n >= 4 and [1e-9, 1/2] for
+    n = 3; a target up to 1e-9 below the n = 3 minimum is accepted as the
+    tangency rho = 1/2.  Raises :class:`OutOfRangeError` (carrying the
+    interval from :func:`order_equation_range`) when delta_bar is outside
+    the range of the right side.
     """
     if not np.isfinite(delta_bar):
         raise DomainError(f"delta_bar must be finite, got {delta_bar}")
-    rhos, vals = _order_grid(n)
-    f = vals - delta_bar
-    sgn = np.sign(f)
-    brackets = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    roots = []
-    for i in brackets:
-        a, b = float(rhos[i]), float(rhos[i + 1])
-        fa = float(f[i])
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = order_equation_rhs(n, mid) - delta_bar
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-            if b - a < 1e-15:
-                break
-        roots.append(0.5 * (a + b))
-    for i in np.nonzero(f == 0.0)[0]:
-        roots.append(float(rhos[i]))
-    if not roots:
-        # tangency at an interior extremum (n = 3 at the minimum): locate
-        # the stationary point of the right side and accept it if it matches
-        j = int(np.argmin(np.abs(f)))
-        if 0 < j < len(rhos) - 1 and abs(f[j]) < 1e-6:
-            a, b = float(rhos[j - 1]), float(rhos[j + 1])
-            h = 1e-7
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                d = order_equation_rhs(n, mid + h) - order_equation_rhs(n, mid - h)
-                if d > 0:
-                    b = mid
-                else:
-                    a = mid
-                if b - a < 1e-13:
-                    break
-            cand = 0.5 * (a + b)
-            if abs(order_equation_rhs(n, cand) - delta_bar) < 1e-9:
-                roots.append(cand)
-    if not roots:
+    lo, hi = order_equation_range(n)
+    if not (lo <= delta_bar <= hi):
+        if n == 3 and 0.0 < lo - delta_bar < 1e-9:
+            return 0.5
         raise OutOfRangeError(
             f"delta_bar={delta_bar} is outside the attainable range "
-            f"[{vals.min():.12g}, {vals.max():.12g}] of the order equation for n={n}",
-            lo=float(vals.min()),
-            hi=float(vals.max()),
+            f"[{lo:.12g}, {hi:.12g}] of the order equation for n={n}",
+            lo=lo,
+            hi=hi,
         )
-    root = min(roots)
-    # Newton polish
-    h = 1e-7
-    for _ in range(4):
-        f0 = order_equation_rhs(n, root) - delta_bar
-        if abs(f0) <= residual_tol:
-            break
-        d = (order_equation_rhs(n, root + h) - order_equation_rhs(n, root - h)) / (2 * h)
-        if d == 0.0:
-            break
-        step = f0 / d
-        if not (0.0 < root - step < 1.0):
-            break
-        root -= step
-    return float(root)
+    return _brent(lambda rho: order_equation_rhs(n, rho) - delta_bar,
+                  _ORDER_EDGE, _order_branch_end(n))
 
 
 def laplace_strip(n: int, theta1: float) -> MellinStrip:

@@ -59,26 +59,6 @@ class ProblemParams:
         return 0.5 * (self.n - 2)
 
 
-@dataclass(frozen=True)
-class KernelArgs:
-    """Validated argument bundle for the subtracted kernel."""
-
-    lam: float
-    q: int
-    u: float
-    xi: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise DomainError(f"kernel exponent lam must be > 0, got {self.lam}")
-        if self.q < 0 or int(self.q) != self.q:
-            raise DomainError(f"subtraction degree q must be an integer >= 0, got {self.q}")
-        if not (np.isfinite(self.u) and self.u >= 0):
-            raise DomainError(f"radial ratio u must be >= 0, got {self.u}")
-        if not (-1.0 < self.xi <= 1.0):
-            raise DomainError(f"xi must lie in (-1, 1], got {self.xi}")
-
-
 def riesz_k(lam, t, xi):
     """Riesz kernel (1 + t^2 + 2 t xi)^(-lam).
 
@@ -125,18 +105,13 @@ def _h_tail_series(lam, q, u, xi):
     return total
 
 
-def weier_h(args: KernelArgs):
-    """Subtracted kernel h(lam, q, u, xi).
+def h_value(lam, q, u, xi):
+    """Subtracted kernel h(lam, q, u, xi); u scalar or ndarray >= 0.
 
     Difference of the Riesz kernel and its degree-q Gegenbauer polynomial
     section, with the bound |h| <= C min(u^q, u^{q+1}).  For u below 1/2 the
     value is computed from the tail series to avoid cancellation.
     """
-    return h_value(args.lam, args.q, args.u, args.xi)
-
-
-def h_value(lam, q, u, xi):
-    """Vectorized core of :func:`weier_h`; u scalar or ndarray >= 0."""
     if not lam > 0:
         raise DomainError(f"kernel exponent lam must be > 0, got {lam}")
     q = int(q)

@@ -26,18 +26,11 @@ POLE_EXCLUSION_RADIUS = 1e-6
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and layout for improper-integral evaluation.
-
-    truncation_radius is advisory: the canonical integrators map outer
-    pieces to (0, 1] exactly via u -> 1/u, so no truncation error enters;
-    a positive value is only used as a far split point for integrands that
-    benefit from one.
-    """
+    """Tolerances and layout for improper-integral evaluation."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     split_point: float = 1.0
-    truncation_radius: float = 0.0
     max_subdivisions: int = 60
 
     def __post_init__(self):

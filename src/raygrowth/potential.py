@@ -25,7 +25,7 @@ from scipy import integrate
 
 from .errors import ConvergenceError, DomainError, ParseError
 from .indicator import angular_shape
-from .kernels import ProblemParams, h_value
+from .kernels import ProblemParams, h_value, poisson_Pn
 from .mellin import QuadratureSpec
 
 _E = math.e
@@ -348,17 +348,17 @@ def u_poisson(model: MassModel, n: int, r: float, theta1: float,
     Nfun = lambda t: average_N(model, n, t, quad)
 
     def near(t):
-        # t <= r branch, scaled by powers of r
+        # t <= r branch, scaled by powers of r: P_n(r, t) = r^{n+1} P_n(1, t/r)
         u = t / r
-        tri = (n - 1) * c * (1.0 + u * u) + u * (n + (n - 2) * c * c)
-        return u ** (n - 2) * tri * Nfun(t) / (r * (1.0 + 2.0 * u * c + u * u) ** (n / 2.0 + 1.0))
+        pn = poisson_Pn(n, 1.0, u, theta1)
+        return pn * Nfun(t) / (r * (1.0 + 2.0 * u * c + u * u) ** (n / 2.0 + 1.0))
 
     def far(w):
-        # t = r/w >= r branch; integrand * dt with dt = r dw / w^2
+        # t = r/w >= r branch, scaled by powers of t: P_n(r, t) = t^{n+1} P_n(r/t, 1);
+        # integrand * dt with dt = r dw / w^2
         t = r / w
-        v = w  # r/t
-        tri = (n - 1) * c * (1.0 + v * v) + v * (n + (n - 2) * c * c)
-        f_t = v * tri * Nfun(t) / (t * (1.0 + 2.0 * v * c + v * v) ** (n / 2.0 + 1.0))
+        pn = poisson_Pn(n, w, 1.0, theta1)
+        f_t = pn * Nfun(t) / (t * (1.0 + 2.0 * w * c + w * w) ** (n / 2.0 + 1.0))
         return f_t * r / (w * w)
 
     lo = model.t0 if not model.is_atomic else model.atoms[0][0]

@@ -12,8 +12,6 @@ suites downstream assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -182,11 +180,6 @@ def _series_2f1(a, b, c, x, rtol, max_terms):
     )
 
 
-def _log1p_negx(x):
-    # ln(1 - x) for array x < 1
-    return np.log1p(-x)
-
-
 def _2f1_near_one_nonint(a, b, c, x, rtol, max_terms):
     """Connection formula at x -> 1 when c - a - b is not an integer."""
     s = c - a - b
@@ -291,7 +284,7 @@ def hyp2f1(a, b, c, x):
         if np.any(lo):
             xl = x_arr[lo]
             y = xl / (xl - 1.0)
-            pref = np.exp(-a * _log1p_negx(xl))
+            pref = np.exp(-a * np.log1p(-xl))
             out[lo] = pref * _series_2f1(a, c - b, c, y, SERIES_RTOL, SERIES_MAX_TERMS)
         if np.any(hi):
             xh = x_arr[hi]
@@ -303,7 +296,7 @@ def hyp2f1(a, b, c, x):
                     out[hi] = _2f1_near_one_logcase(a, b, m, xh, SERIES_RTOL, SERIES_MAX_TERMS)
                 else:
                     # Euler transformation flips c-a-b to -m > 0
-                    pref = np.exp(s * _log1p_negx(xh))
+                    pref = np.exp(s * np.log1p(-xh))
                     out[hi] = pref * _2f1_near_one_logcase(
                         c - a, c - b, -m, xh, SERIES_RTOL, SERIES_MAX_TERMS
                     )
@@ -316,31 +309,6 @@ def hyp2f1(a, b, c, x):
         val = out[()] if out.ndim == 0 else out[0]
         return _maybe_real(complex(val)) if cplx else float(val)
     return out
-
-
-@dataclass(frozen=True)
-class LegendreArgs:
-    """Validated argument triple for the Legendre function on the cut.
-
-    degree may be complex, order real or complex; the cut argument must lie
-    strictly inside (-1, 1) -- the endpoints are rejected.
-    """
-
-    degree: complex
-    order: complex
-    argument: float
-
-    def __post_init__(self):
-        xi = self.argument
-        if not np.isfinite(xi) or not (-1.0 < xi < 1.0):
-            raise DomainError(f"cut argument must lie in (-1, 1), got {xi}")
-        for name in ("degree", "order"):
-            v = complex(getattr(self, name))
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                raise DomainError(f"non-finite {name}: {v}")
-
-    def evaluate(self):
-        return legendre_p_cut(self.degree, self.order, self.argument)
 
 
 def legendre_p_cut(nu, mu, xi):
@@ -364,6 +332,8 @@ def legendre_p_cut(nu, mu, xi):
     xi_arr = np.atleast_1d(xi_arr)
     if np.any(~np.isfinite(xi_arr)) or np.any(np.abs(xi_arr) >= 1.0):
         raise DomainError("legendre_p_cut requires -1 < xi < 1")
+    if not (np.isfinite(complex(nu)) and np.isfinite(complex(mu))):
+        raise DomainError(f"legendre_p_cut requires finite degree and order, got {nu}, {mu}")
     nu = _maybe_real(nu)
     mu = _maybe_real(mu)
 

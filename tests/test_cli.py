@@ -32,8 +32,14 @@ class TestAngleParsing:
     def test_bad_tokens(self):
         with pytest.raises(ParseError):
             parse_angle("ninety")
-        with pytest.raises(ParseError):
-            parse_angle("root7", ProblemParams(3, 0.5))
+        for token in ("root7", "rootx", "root-1"):
+            with pytest.raises(ParseError):
+                parse_angle(token, ProblemParams(3, 0.5))
+
+    def test_bad_root_index_exit_code(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "indicator", "--theta", "rootx")
+        assert code == 4
+        assert "rootx" in capsys.readouterr().err
 
 
 class TestIndicatorCommand:
@@ -174,6 +180,15 @@ class TestSolveOrderCommand:
         row = [l for l in text.splitlines() if not l.startswith(("#", "n,"))][0]
         assert code == 0
         assert float(row.split(",")[2]) == pytest.approx(0.3, abs=1e-6)
+
+    def test_n4_admissible_interval(self, tmp_path):
+        # the infimum 1/(n-2) = 1/2 is approached at rho = 1 - 1e-9
+        code, text = run_cli(tmp_path, "solve-order", "--n", "4", "--delta-bar", "0.7")
+        assert code == 0
+        lines = [l for l in text.splitlines() if not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(row["admissible_lo"]) == pytest.approx(0.5, abs=1e-12)
+        assert float(row["admissible_hi"]) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestCounterexampleCommand:

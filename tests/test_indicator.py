@@ -20,6 +20,7 @@ from raygrowth.indicator import (
     indicator_value,
     laplace_log_kernel,
     laplace_strip,
+    order_equation_range,
     order_equation_rhs,
     ratio_limits,
     solve_order,
@@ -250,9 +251,14 @@ class TestOrderEquation:
     def test_printed_and_gamma_product_forms_agree(self):
         for n in (3, 4, 5, 6):
             for rho in np.linspace(0.05, 0.95, 10):
-                printed = order_equation_rhs(n, float(rho))
-                product = gamma(n - 1.0 - rho) * gamma(1.0 + rho) / math.factorial(n - 2)
-                assert printed == pytest.approx(product, rel=1e-12)
+                printed = (gamma(n - 1.0 - rho) / (math.factorial(n - 2) * gamma(1.0 - rho))
+                           * math.pi * rho / math.sin(math.pi * rho))
+                assert order_equation_rhs(n, float(rho)) == pytest.approx(printed, rel=1e-12)
+
+    def test_full_precision_next_to_one(self):
+        # Gamma(n-2) Gamma(2) / (n-2)! = 1/(n-2) at rho = 1; the printed
+        # sin(pi rho) form keeps only ~7 digits this close to it
+        assert order_equation_rhs(4, 1.0 - 1e-9) == pytest.approx(0.5, abs=1e-12)
 
     def test_known_point(self):
         assert order_equation_rhs(3, 0.5) == pytest.approx(math.pi / 4, rel=1e-14)
@@ -267,11 +273,11 @@ class TestOrderEquation:
         # n = 3 is symmetric about 1/2 (two preimages above the minimum), so
         # the identity roundtrip is asserted on its decreasing branch only
         for rho in (0.1, 0.2, 0.3, 0.4, 0.5):
-            assert solve_order(3, order_equation_rhs(3, rho)) == pytest.approx(rho, abs=1e-6)
+            assert solve_order(3, order_equation_rhs(3, rho)) == pytest.approx(rho, abs=1e-12)
         for n in (4, 5, 6):
             for rho in np.arange(0.1, 0.95, 0.1):
                 got = solve_order(n, order_equation_rhs(n, float(rho)))
-                assert got == pytest.approx(float(rho), abs=1e-6)
+                assert got == pytest.approx(float(rho), abs=1e-12)
 
     def test_n3_mirror_branch_still_solves(self):
         # above the minimum the smaller preimage is returned; it still
@@ -288,10 +294,30 @@ class TestOrderEquation:
             solve_order(3, 1.0)
 
     def test_out_of_range_reports_interval(self):
-        with pytest.raises(OutOfRangeError) as exc:
-            solve_order(3, 1e6)
-        assert exc.value.lo == pytest.approx(math.pi / 4, rel=1e-6)
-        assert exc.value.hi < 1.0
+        for target in (1.0, 1e6):
+            with pytest.raises(OutOfRangeError) as exc:
+                solve_order(3, target)
+            assert exc.value.lo == pytest.approx(math.pi / 4, abs=1e-12)
+            assert exc.value.hi < 1.0
+
+    def test_n3_tangency_accepted(self):
+        assert solve_order(3, math.pi / 4 - 5e-10) == 0.5
+        with pytest.raises(OutOfRangeError):
+            solve_order(3, math.pi / 4 - 2e-9)
+
+    def test_interval_ends_exact(self):
+        # at rho = 1 - eps the right side is Gamma(n-2+eps) Gamma(2-eps) / (n-2)!
+        #   = (1 + eps (psi(n-2) - psi(2))) / (n-2) + O(eps^2),
+        # with psi(n-2) - psi(2) = 1/2 + ... + 1/(n-3)
+        eps = 1.0 - (1.0 - 1e-9)
+        for n in range(4, 11):
+            lo, hi = order_equation_range(n)
+            want = (1.0 + eps * sum(1.0 / k for k in range(2, n - 2))) / (n - 2)
+            assert lo == pytest.approx(want, rel=1e-12)
+            assert hi == pytest.approx(1.0, rel=1e-8)
+            with pytest.raises(OutOfRangeError) as exc:
+                solve_order(n, 0.5 * lo)
+            assert (exc.value.lo, exc.value.hi) == (lo, hi)
 
 
 class TestLaplaceLogKernel:

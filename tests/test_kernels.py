@@ -6,7 +6,6 @@ from scipy import integrate
 
 from raygrowth.errors import DomainError
 from raygrowth.kernels import (
-    KernelArgs,
     ProblemParams,
     h_n,
     h_value,
@@ -14,7 +13,6 @@ from raygrowth.kernels import (
     log_kernel_signed_ln,
     poisson_Pn,
     riesz_k,
-    weier_h,
     weierstrass_K,
 )
 from raygrowth.specfun import gegenbauer
@@ -31,14 +29,6 @@ class TestProblemParams:
     def test_rejects_bad_params(self, n, rho):
         with pytest.raises(DomainError):
             ProblemParams(n, rho)
-
-    def test_kernel_args_validation(self):
-        with pytest.raises(DomainError):
-            KernelArgs(lam=0.0, q=0, u=1.0, xi=0.5)
-        with pytest.raises(DomainError):
-            KernelArgs(lam=1.0, q=0, u=-1.0, xi=0.5)
-        with pytest.raises(DomainError):
-            KernelArgs(lam=1.0, q=0, u=1.0, xi=-1.0)
 
 
 class TestRieszKernel:
@@ -59,15 +49,23 @@ class TestRieszKernel:
 
 
 class TestSubtractedKernel:
+    def test_argument_validation(self):
+        with pytest.raises(DomainError):
+            h_value(0.0, 0, 1.0, 0.5)
+        with pytest.raises(DomainError):
+            h_value(1.0, 0, -1.0, 0.5)
+        with pytest.raises(DomainError):
+            h_value(1.0, 0, 1.0, -1.0)
+
     def test_zero_at_origin(self):
         for lam in (0.5, 1.0, 2.5):
             for q in (0, 1, 3):
                 for xi in (-0.9, 0.0, 1.0):
-                    assert weier_h(KernelArgs(lam=lam, q=q, u=0.0, xi=xi)) == 0.0
+                    assert h_value(lam, q, 0.0, xi) == 0.0
 
     def test_direct_substitution(self):
         want = 1.0 - 1.0 / math.sqrt(2.0)
-        assert weier_h(KernelArgs(lam=0.5, q=0, u=1.0, xi=0.0)) == pytest.approx(want, rel=1e-14)
+        assert h_value(0.5, 0, 1.0, 0.0) == pytest.approx(want, rel=1e-14)
 
     def test_small_u_taylor_bound(self):
         # |h| <= C u^{q+1} for u < 1, with C fitted from the first few tail

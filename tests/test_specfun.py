@@ -6,7 +6,6 @@ import pytest
 from raygrowth.errors import ConvergenceError, DomainError, PoleError
 from raygrowth.specfun import (
     EULER_GAMMA,
-    LegendreArgs,
     digamma,
     gamma,
     gegenbauer,
@@ -259,16 +258,15 @@ class TestLegendreCut:
             legendre_p_cut(0.5, 0.0, 1.0)
         with pytest.raises(DomainError):
             legendre_p_cut(0.5, 0.0, -1.0)
-        with pytest.raises(DomainError):
-            LegendreArgs(degree=0.5, order=0.0, argument=-1.0)
 
-    def test_args_wrapper_evaluates(self):
-        args = LegendreArgs(degree=0.5, order=0.0, argument=0.0)
-        assert args.evaluate() == pytest.approx(0.53935260118837936, rel=1e-12)
+    def test_half_degree_at_zero(self):
+        assert legendre_p_cut(0.5, 0.0, 0.0) == pytest.approx(0.53935260118837936, rel=1e-12)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            LegendreArgs(degree=complex(np.inf, 0.0), order=0.0, argument=0.5)
+        for nu, mu in ((complex(np.inf, 0.0), 0.0), (math.nan, 0.0), (0.5, math.inf),
+                       (complex(0.5, math.nan), 0.0)):
+            with pytest.raises(DomainError):
+                legendre_p_cut(nu, mu, 0.5)
 
     def test_convergence_cap_near_minus_one(self):
         # extremely close to the cut edge the series machinery must either
