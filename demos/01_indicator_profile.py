@@ -15,7 +15,7 @@ from raygrowth.indicator import indicator_closed, indicator_integral, indicator_
 from raygrowth.kernels import ProblemParams
 from raygrowth.mellin import QuadratureSpec
 
-quad = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=200)
+quad = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_level=12)
 
 for n, rho in ((3, 0.5), (4, 0.5), (5, 2.4)):
     params = ProblemParams(n, rho, delta=1.0)

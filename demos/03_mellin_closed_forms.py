@@ -21,7 +21,7 @@ from raygrowth.mellin import (
 )
 from raygrowth.kernels import ProblemParams
 
-quad = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=200)
+quad = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_level=12)
 
 print("direct quadrature vs closed form (principal strip):")
 print(f"{'lam':>5} {'q':>2} {'s':>6} {'xi':>5} {'numeric':>16} {'closed':>16} {'rel':>9}")

@@ -184,10 +184,13 @@ def cmd_indicator(args) -> int:
             })
             continue
         hc = float(indicator_closed(params, th))
-        hi = float(indicator_integral(params, th, quad))
+        hi, res = indicator_integral(params, th, quad, full_output=True)
         ha = float(indicator_near_pi(params, th)) if th > math.pi - 0.5 else float("nan")
         diff = abs(hc - hi)
         if diff > tol * max(1.0, abs(hc)):
+            failed = True
+        if not res.converged:
+            print(f"raygrowth: quadrature flagged at theta1={_fmt(th)}: {res.message}", file=sys.stderr)
             failed = True
         rows.append({
             "theta1_rad": th, "theta1_deg": math.degrees(th),
@@ -224,7 +227,7 @@ _MELLIN_GRID_XI = (-0.8, -0.3, 0.0, 0.4, 0.9)
 
 def cmd_mellin_verify(args) -> int:
     tol = args.tol if args.tol is not None else 1e-8
-    quad = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=200)
+    quad = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
     config = RunConfig("mellin-verify", {
         "tol": _fmt(tol), "samples": args.samples, "format": args.format, "seed": args.seed,
     })
@@ -274,10 +277,15 @@ def cmd_simulate(args) -> int:
         "grid": f"{_fmt(grid[0])}:{_fmt(grid[1])}:{grid[2]}",
         "tol": _fmt(tol), "ratios": int(ratios), "format": args.format, "seed": args.seed,
     })
+    quad = _quad_from(None)
     rows = []
+    flagged = 0
     for th in thetas:
         probe = ratio_probe if ratios else scaled_limit
-        res = probe(model, params, th, grid, sweep_tol=tol)
+        res = probe(model, params, th, grid, quad=quad, sweep_tol=tol)
+        if res.quadrature_flags:
+            print(f"raygrowth: quadrature flagged at theta1={_fmt(th)}: {res.diagnostics}", file=sys.stderr)
+            flagged += res.quadrature_flags
         oracle = float(indicator_closed(params, th))
         denom = max(1e-300, abs(oracle))
         for s in res.samples:
@@ -297,7 +305,7 @@ def cmd_simulate(args) -> int:
         "indicator", "rel_err_vs_indicator", "converged",
     ]
     _emit(rows, columns, config, args.format, args.out)
-    return EXIT_OK
+    return EXIT_TOLERANCE if flagged else EXIT_OK
 
 
 def cmd_solve_order(args) -> int:

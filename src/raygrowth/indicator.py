@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .errors import (
     CountMismatchError,
@@ -26,7 +26,7 @@ from .errors import (
     StripViolationError,
 )
 from .kernels import ProblemParams, h_value, log_kernel_signed_ln
-from .mellin import MellinResult, MellinStrip, QuadratureSpec, mellin_numeric
+from .mellin import MellinResult, MellinStrip, QuadratureSpec, integrate, mellin_numeric
 from .specfun import EULER_GAMMA, digamma, gamma, hyp2f1, rgamma
 
 NEG_INFINITY = float("-inf")
@@ -460,20 +460,13 @@ def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec | N
 
     def f(t):
         sign, ln_abs = log_kernel_signed_ln(n, theta1, t)
-        return sign * math.exp(-s * t + ln_abs)
+        return sign * np.exp(-s * t + ln_abs)
 
-    total = 0.0
-    err = 0.0
-    msgs = []
-    for a, b in ((-np.inf, 0.0), (0.0, np.inf)):
-        out = integrate.quad(f, a, b, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                             limit=max(quad.max_subdivisions, 60), full_output=1)
-        total += out[0]
-        err += out[1]
-        if len(out) > 3:
-            msgs.append(out[3])
-    message = "; ".join(msgs)
-    converged = not message and err <= 10.0 * max(quad.abs_tol, quad.rel_tol * abs(total))
+    # the two half-lines side by side in one call
+    res = integrate(f, np.array([-np.inf, 0.0]), np.array([0.0, np.inf]), quad)
+    total = float(np.sum(res.value))
+    err = float(np.sum(res.error))
+    converged = res.converged and err <= 10.0 * max(quad.abs_tol, quad.rel_tol * abs(total))
     if full_output:
-        return total, MellinResult(value=total, error=err, converged=converged, message=message)
+        return total, MellinResult(value=total, error=err, converged=converged, message=res.message)
     return total

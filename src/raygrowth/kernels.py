@@ -106,7 +106,7 @@ def _h_tail_series(lam, q, u, xi):
 
 
 def h_value(lam, q, u, xi):
-    """Subtracted kernel h(lam, q, u, xi); u scalar or ndarray >= 0.
+    """Subtracted kernel h(lam, q, u, xi); u scalar or ndarray >= 0, xi in [-1, 1].
 
     Difference of the Riesz kernel and its degree-q Gegenbauer polynomial
     section, with the bound |h| <= C min(u^q, u^{q+1}).  For u below 1/2 the
@@ -117,6 +117,8 @@ def h_value(lam, q, u, xi):
     q = int(q)
     if q < 0:
         raise DomainError(f"subtraction degree q must be >= 0, got {q}")
+    if not np.all(np.abs(xi) <= 1.0):
+        raise DomainError(f"xi = cos(theta1) must lie in [-1, 1], got {xi}")
     u_arr = np.asarray(u, dtype=float)
     scalar = u_arr.ndim == 0
     u_arr = np.atleast_1d(u_arr)

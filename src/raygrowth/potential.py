@@ -21,31 +21,30 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError, ParseError
 from .indicator import angular_shape
 from .kernels import ProblemParams, h_value, poisson_Pn
-from .mellin import QuadratureSpec
+from .mellin import QuadratureSpec, integrate
 
 _E = math.e
 
 # Slowly-varying building blocks: name -> (f, f', default support start).
 # Support starts are chosen so the handle is finite and nonnegative-where-
-# it-matters from the edge on.
-HANDLES: dict[str, tuple[Callable[[float], float], Callable[[float], float], float]] = {
+# it-matters from the edge on.  Each handle maps arrays elementwise.
+HANDLES: dict[str, tuple[Callable, Callable, float]] = {
     "one": (lambda t: 1.0, lambda t: 0.0, 1.0),
-    "log": (lambda t: math.log(t), lambda t: 1.0 / t, 1.0),
-    "loglog": (lambda t: math.log(math.log(t)), lambda t: 1.0 / (t * math.log(t)), _E),
+    "log": (lambda t: np.log(t), lambda t: 1.0 / t, 1.0),
+    "loglog": (lambda t: np.log(np.log(t)), lambda t: 1.0 / (t * np.log(t)), _E),
     "sin_loglog": (
-        lambda t: math.sin(math.log(math.log(t))),
-        lambda t: math.cos(math.log(math.log(t))) / (t * math.log(t)),
+        lambda t: np.sin(np.log(np.log(t))),
+        lambda t: np.cos(np.log(np.log(t))) / (t * np.log(t)),
         _E,
     ),
-    "inv_log": (lambda t: 1.0 / math.log(t), lambda t: -1.0 / (t * math.log(t) ** 2), _E),
+    "inv_log": (lambda t: 1.0 / np.log(t), lambda t: -1.0 / (t * np.log(t) ** 2), _E),
     "inv_loglog": (
-        lambda t: 1.0 / math.log(math.log(t)),
-        lambda t: -1.0 / (t * math.log(t) * math.log(math.log(t)) ** 2),
+        lambda t: 1.0 / np.log(np.log(t)),
+        lambda t: -1.0 / (t * np.log(t) * np.log(np.log(t)) ** 2),
         math.exp(_E),
     ),
 }
@@ -64,16 +63,16 @@ class MassModel:
     """Base class for mass distributions on the negative axis.
 
     Density models implement ``profile`` (the normalized counting function
-    t -> n(t) for t > t0) and ``profile_derivative``; the atomic model
-    overrides the bookkeeping wholesale.
+    t -> n(t) for t > t0) and ``profile_derivative``, both elementwise on
+    arrays of radii; the atomic model overrides the bookkeeping wholesale.
     """
 
     t0: float = 1.0
 
-    def profile(self, t: float) -> float:
+    def profile(self, t):
         raise NotImplementedError
 
-    def profile_derivative(self, t: float) -> float:
+    def profile_derivative(self, t):
         raise NotImplementedError
 
     @property
@@ -222,42 +221,58 @@ def counting_n(model: MassModel, n: int, t):
         np.divide(out, t_arr ** (n - 2), out=out, where=t_arr > 0)
     else:
         live = t_arr > model.t0
-        out[live] = np.array([model.profile(float(x)) for x in t_arr[live]])
+        out[live] = model.profile(t_arr[live])
     return float(out[0]) if scalar else out
 
 
-def average_N(model: MassModel, n: int, r: float, quad: QuadratureSpec | None = None):
+def average_N(model: MassModel, n: int, r, quad: QuadratureSpec | None = None,
+              full_output: bool = False):
     """Averaged counting function N(r) = (n-2) int_0^r t^{1-n} (raw mass in B_t) dt.
 
+    ``r`` is a radius or an array of radii; a scalar gives a scalar.
     Power-law and atomic models use exact antiderivatives (the power law
     picks up the truncation term -(n-2) delta / rho from the mass-free unit
     ball); other density models are integrated numerically as
-    (n-2) int n(t)/t dt.
+    (n-2) int n(t)/t dt = (n-2) int n(t0 e^z) dz with z = log(t/t0), which
+    removes the scale disparity of many-decade ranges.  An array of radii
+    takes one quadrature call that integrates from t0 to every radius side
+    by side.  (A running sum over the gaps between sorted radii would need
+    gaps a few ulps wide where the radii cluster, and tanh-sinh flags or
+    returns nan on those.)  With ``full_output`` returns (N, error
+    estimate, converged); the exact models report (N, 0, True).
     """
     if n < 3 or int(n) != n:
         raise DomainError(f"dimension n must be an integer >= 3, got {n}")
-    r = float(r)
-    if r < 0:
+    r_arr = np.asarray(r, dtype=float)
+    scalar = r_arr.ndim == 0
+    r_arr = np.atleast_1d(r_arr)
+    if np.any(r_arr < 0):
         raise DomainError("radius r must be >= 0")
+    out = np.zeros_like(r_arr)
+    err = np.zeros_like(r_arr)
+    ok = True
     if model.is_atomic:
-        total = 0.0
-        for ti, mi in model.atoms:
-            if ti < r:
-                total += mi * (ti ** (2 - n) - r ** (2 - n))
-        return total
-    if r <= model.t0:
-        return 0.0
-    if isinstance(model, PowerLaw):
-        return (n - 2) * model.delta * (r ** model.rho - model.t0 ** model.rho) / model.rho
-    if quad is None:
-        quad = QuadratureSpec()
-    # integrate in log radius: int n(t)/t dt = int n(e^y) dy, which removes
-    # the scale disparity of many-decade ranges
-    val, _ = integrate.quad(
-        lambda y: model.profile(math.exp(y)), math.log(model.t0), math.log(r),
-        epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=max(quad.max_subdivisions, 100),
-    )
-    return (n - 2) * val
+        # sum of mass_i (t_i^{2-n} - r^{2-n}) over the k atoms with t_i < r
+        t_at, m_at = np.array(model.atoms).T
+        k = np.searchsorted(t_at, r_arr)
+        mass = np.concatenate(([0.0], np.cumsum(m_at)))
+        moment = np.concatenate(([0.0], np.cumsum(m_at * t_at ** (2 - n))))
+        live = k > 0
+        out[live] = moment[k[live]] - mass[k[live]] * r_arr[live] ** (2 - n)
+    else:
+        live = r_arr > model.t0
+        if isinstance(model, PowerLaw):
+            out[live] = (n - 2) * model.delta * (r_arr[live] ** model.rho - model.t0 ** model.rho) / model.rho
+        elif np.any(live):
+            t0 = model.t0
+            res = integrate(lambda z: model.profile(t0 * np.exp(z)), 0.0,
+                            np.log(r_arr[live] / t0), quad or QuadratureSpec())
+            out[live] = (n - 2) * res.value
+            err[live] = (n - 2) * res.error
+            ok = res.converged
+    if scalar:
+        out, err = float(out[0]), float(err[0])
+    return (out, err, ok) if full_output else out
 
 
 def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float,
@@ -269,8 +284,11 @@ def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float
     Atomic models sum mass_i times the canonical kernel exactly (through the
     numerically robust t^{2-n} h_n(r/t) form of it).  Density models add the
     boundary-atom term n(t0+) h_n(r/t0) and integrate the density
-    d/dt[t^{n-2} n(t)]; the piece beyond max(t0, r) is mapped to a finite
-    interval by u = r/t, so no truncation is involved.
+    d/dt[t^{n-2} n(t)]: over (t0, r] in log(t/t0), and beyond max(t0, r)
+    as u = r/t over a finite interval, so no truncation is involved.  Near
+    u = 0 that piece behaves like u^{q-rho} for a model of order rho, and is
+    integrated with the power substitution k = 1/min(1, q+1-rho).  With
+    ``full_output`` returns (u, error estimate, converged).
     """
     theta1 = float(theta1)
     if not (0.0 <= theta1 < math.pi):
@@ -295,43 +313,40 @@ def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float
         return (total, 0.0, True) if full_output else total
 
     t0 = model.t0
-    total = model.profile(t0) * h(r / t0)  # boundary atom, raw mass t0^{n-2} n(t0+)
-    err = 0.0
-    ok = True
+    total = float(model.profile(t0) * h(r / t0))  # boundary atom, raw mass t0^{n-2} n(t0+)
 
     def qw(t):
         return (n - 2) * model.profile(t) + t * model.profile_derivative(t)
 
+    pieces = []
     if r > t0:
-        out = integrate.quad(
-            lambda t: h(r / t) * qw(t) / t, t0, r,
-            epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-            limit=max(quad.max_subdivisions, 100), full_output=1,
-        )
-        total += out[0]
-        err += out[1]
-        ok = ok and len(out) <= 3
-    u_hi = min(1.0, r / t0)
-    out = integrate.quad(
-        lambda u: h(u) * qw(r / u) / u, 0.0, u_hi,
-        epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-        limit=max(quad.max_subdivisions, 100), full_output=1,
-    )
-    total += out[0]
-    err += out[1]
-    ok = ok and len(out) <= 3
+        # t = t0 e^z, dt/t = dz
+        pieces.append(integrate(lambda z: h(r / t0 * np.exp(-z)) * qw(t0 * np.exp(z)),
+                                0.0, math.log(r / t0), quad))
+    d = q + 1.0 - model.order
+    pieces.append(integrate(lambda u: h(u) * qw(r / u) / u, 0.0, min(1.0, r / t0), quad,
+                            power=1.0 / min(1.0, d) if d > 0 else 1.0))
+    total += sum(p.value for p in pieces)
+    err = sum(p.error for p in pieces)
+    ok = all(p.converged for p in pieces)
     return (total, err, ok) if full_output else total
 
 
 def u_poisson(model: MassModel, n: int, r: float, theta1: float,
-              quad: QuadratureSpec | None = None):
+              quad: QuadratureSpec | None = None, full_output: bool = False):
     """Potential through the Poisson-type representation
 
     u = int_0^inf P_n(r, t, theta1) N(t) dt / (r^2 + 2 r t cos(theta1) + t^2)^{n/2+1},
 
     valid for masses of order below 1 and 0 <= theta1 <= pi/2.  Uses the
     same averaged counting function as :func:`average_N`, so agreement with
-    :func:`u_canonical` is a genuine two-representation cross-check.
+    :func:`u_canonical` is a genuine two-representation cross-check.  Each
+    evaluation of the integrand takes N at all its nodes in one array call.
+    The piece t >= r is integrated in w = r/t, where it behaves like
+    w^{-rho} for a model of order rho (power substitution k = 1/(1-rho)).
+    With ``full_output`` returns (u, error estimate, converged); the
+    estimate adds N's own error estimates carried through the same
+    representation.
     """
     theta1 = float(theta1)
     if not (0.0 <= theta1 <= math.pi / 2):
@@ -341,39 +356,53 @@ def u_poisson(model: MassModel, n: int, r: float, theta1: float,
         raise DomainError(f"Poisson representation needs order < 1, got {ordr}")
     r = float(r)
     if r <= 0:
-        return 0.0
+        return (0.0, 0.0, True) if full_output else 0.0
     if quad is None:
         quad = QuadratureSpec()
     c = math.cos(theta1)
-    Nfun = lambda t: average_N(model, n, t, quad)
-
-    def near(t):
-        # t <= r branch, scaled by powers of r: P_n(r, t) = r^{n+1} P_n(1, t/r)
-        u = t / r
-        pn = poisson_Pn(n, 1.0, u, theta1)
-        return pn * Nfun(t) / (r * (1.0 + 2.0 * u * c + u * u) ** (n / 2.0 + 1.0))
-
-    def far(w):
-        # t = r/w >= r branch, scaled by powers of t: P_n(r, t) = t^{n+1} P_n(r/t, 1);
-        # integrand * dt with dt = r dw / w^2
-        t = r / w
-        pn = poisson_Pn(n, w, 1.0, theta1)
-        f_t = pn * Nfun(t) / (t * (1.0 + 2.0 * w * c + w * w) ** (n / 2.0 + 1.0))
-        return f_t * r / (w * w)
-
     lo = model.t0 if not model.is_atomic else model.atoms[0][0]
-    total = 0.0
-    if lo < r:
-        val, _ = integrate.quad(near, lo, r, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                                limit=max(quad.max_subdivisions, 100))
-        total += val
-        w_hi = 1.0
-    else:
-        w_hi = r / lo
-    val, _ = integrate.quad(far, 0.0, w_hi, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                            limit=max(quad.max_subdivisions, 100))
-    total += val
-    return total
+    inner_ok = []
+
+    def averaged(t, part):
+        # part 0 is N(t), part 1 its error estimate.  t = r/w overflows to inf
+        # where w underflows; the value is left nan there, and the quadrature
+        # takes the value at the nearest finite node
+        out = np.full(t.shape, np.nan)
+        fin = np.isfinite(t)
+        res = average_N(model, n, t[fin], quad, full_output=True)
+        out[fin] = res[part]
+        inner_ok.append(res[2])
+        return out
+
+    def integrals(part):
+        def near(z):
+            # t = lo e^z <= r, scaled by powers of r: P_n(r, t) = r^{n+1} P_n(1, t/r);
+            # dt = t dz
+            t = lo * np.exp(z)
+            u = t / r
+            pn = poisson_Pn(n, 1.0, u, theta1)
+            return pn * averaged(t, part) * u / (1.0 + 2.0 * u * c + u * u) ** (n / 2.0 + 1.0)
+
+        def far(w):
+            # t = r/w >= r branch, scaled by powers of t: P_n(r, t) = t^{n+1} P_n(r/t, 1);
+            # integrand * dt with dt = r dw / w^2
+            t = r / w
+            pn = poisson_Pn(n, w, 1.0, theta1)
+            f_t = pn * averaged(t, part) / (t * (1.0 + 2.0 * w * c + w * w) ** (n / 2.0 + 1.0))
+            return f_t * r / (w * w)
+
+        out = [integrate(far, 0.0, min(1.0, r / lo), quad,
+                         power=1.0 / (1.0 - ordr) if ordr is not None else 1.0)]
+        if lo < r:
+            out.append(integrate(near, 0.0, math.log(r / lo), quad))
+        return out
+
+    pieces = integrals(0)
+    total = float(sum(p.value for p in pieces))
+    if not full_output:
+        return total
+    err = sum(p.error for p in pieces) + abs(sum(p.value for p in integrals(1)))
+    return total, err, all(p.converged for p in pieces) and all(inner_ok)
 
 
 class SweepSample(NamedTuple):
@@ -392,7 +421,9 @@ class SweepResult:
     ``extrapolated_limit`` refers to the scaled column u r^{-rho};
     ``extrapolated_un`` / ``extrapolated_uN`` to the mass-ratio columns.
     The convergence flag is set only when the last three scaled values agree
-    pairwise within the sweep tolerance.
+    pairwise within the sweep tolerance.  ``quadrature_flags`` counts the
+    calls of :func:`u_canonical` and :func:`average_N` whose quadrature did
+    not meet its tolerance.
     """
 
     samples: tuple
@@ -401,6 +432,7 @@ class SweepResult:
     extrapolated_uN: float
     convergence_flag: bool
     diagnostics: str
+    quadrature_flags: int
 
 
 def _aitken(values):
@@ -439,14 +471,13 @@ def _sweep(model, params, theta1, r_grid, quad, sweep_tol):
     grid = _resolve_grid(r_grid)
     if quad is None:
         quad = QuadratureSpec()
+    N_grid, _, ok_N = average_N(model, params.n, grid, quad, full_output=True)
     rows = []
-    flagged = 0
-    for r in grid:
-        u, err, ok = u_canonical(model, params, float(r), theta1, quad, full_output=True)
-        if not ok:
-            flagged += 1
+    flagged = int(not ok_N)
+    for r, Nr in zip(grid, N_grid.tolist()):
+        u, _, ok = u_canonical(model, params, float(r), theta1, quad, full_output=True)
+        flagged += not ok
         nr = counting_n(model, params.n, float(r))
-        Nr = average_N(model, params.n, float(r), quad)
         rows.append(SweepSample(
             r=float(r), theta1=float(theta1), u=u,
             scaled=u * r ** (-params.rho),
@@ -474,6 +505,7 @@ def _sweep(model, params, theta1, r_grid, quad, sweep_tol):
         extrapolated_uN=_aitken(uN) if uN else math.nan,
         convergence_flag=converged,
         diagnostics=diag,
+        quadrature_flags=flagged,
     )
 
 

@@ -77,7 +77,7 @@ def test_criterion_02_zero_count_law():
 
 def test_criterion_03_mellin_identity():
     start = time.monotonic()
-    quad = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=200)
+    quad = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_level=12)
     worst = 0.0
     for lam in (0.5, 1.0, 1.5, 2.5):
         for q in (0, 1, 2):
@@ -94,7 +94,7 @@ def test_criterion_03_mellin_identity():
 
 
 def test_criterion_04_indicator_oracle_agreement():
-    quad = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=200)
+    quad = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=12)
     worst_rel = 0.0
     ratios = []
     for n in (3, 4, 5):

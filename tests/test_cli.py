@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+from raygrowth import cli
 from raygrowth.cli import main, parse_angle
 from raygrowth.errors import ParseError
 from raygrowth.kernels import ProblemParams
+from raygrowth.mellin import QuadratureSpec
 
 
 def run_cli(tmp_path, *argv):
@@ -74,6 +76,14 @@ class TestIndicatorCommand:
         code, _ = run_cli(tmp_path, "indicator", "--n", "3", "--rho", "0.5",
                           "--theta", "0.7", "--tol", "1e-16")
         assert code == 2
+
+    def test_quadrature_flag_exit_code(self, tmp_path, monkeypatch, capsys):
+        # two refinement levels cannot reach 1e-10: the flag alone fails the run
+        monkeypatch.setattr(cli, "_quad_from", lambda tol: QuadratureSpec(max_level=2))
+        code, text = run_cli(tmp_path, "indicator", "--n", "3", "--rho", "0.5", "--theta", "1.0")
+        assert code == 2
+        assert "quadrature flagged" in capsys.readouterr().err
+        assert "H_integral" in text
 
     def test_provenance_header(self, tmp_path):
         _, text = run_cli(tmp_path, "indicator", "--theta", "0.3")
@@ -146,6 +156,17 @@ class TestSimulateCommand:
         first = [l for l in text.splitlines() if not l.startswith(("#", "theta"))][0]
         row = dict(zip(header, first.split(",")))
         assert float(row["u"]) == pytest.approx(0.5 * (1 - 1.25 ** -0.5), rel=1e-10)
+
+    def test_quadrature_flag_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_quad_from", lambda tol: QuadratureSpec(max_level=2))
+        model = tmp_path / "model.txt"
+        model.write_text("perturbed delta=1.0 rho=0.5 eps=inv_log\n")
+        code, text = run_cli(tmp_path, "simulate", "--model", str(model),
+                             "--n", "3", "--rho", "0.5", "--theta", "1.0",
+                             "--grid", "1e2:1e4:5")
+        assert code == 2
+        assert "quadrature flags" in capsys.readouterr().err
+        assert "extrapolated" in text
 
     def test_parse_error_exit(self, tmp_path):
         model = tmp_path / "bad.txt"

@@ -34,7 +34,7 @@ from raygrowth.mellin import QuadratureSpec
 from raygrowth.specfun import gamma
 
 P35 = ProblemParams(3, 0.5)
-TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=200)
+TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=12)
 
 
 class TestIndicatorClosed:
@@ -87,6 +87,27 @@ class TestIndicatorIntegral:
         val, res = indicator_integral(P35, 1.0, TIGHT, full_output=True)
         assert res.converged
         assert val == res.value
+
+    def test_formerly_flagged_angle(self):
+        # QUADPACK called this angle "probably divergent" although its value
+        # was right to 15 digits
+        p = ProblemParams(5, 0.6339010361591668)
+        th = 1.6930914226326501
+        val, res = indicator_integral(p, th, full_output=True)
+        assert res.converged
+        assert val == pytest.approx(indicator_closed(p, th), rel=1e-12)
+
+    @pytest.mark.parametrize("q", range(5))
+    def test_orders_next_to_integers(self, q):
+        # Re s = -rho sits 0.02 from an edge of the strip: a millionth of
+        # the integral lies at u below 1e-300 or above 1e300
+        n = 3 + q
+        for rho in (q + 0.02, q + 0.98):
+            p = ProblemParams(n, rho)
+            for th in (0.3, 1.3, 2.3):
+                val, res = indicator_integral(p, th, full_output=True)
+                assert res.converged
+                assert val == pytest.approx(indicator_closed(p, th), rel=1e-10)
 
 
 class TestNearPiAsymptotics:

@@ -56,6 +56,9 @@ class TestSubtractedKernel:
             h_value(1.0, 0, -1.0, 0.5)
         with pytest.raises(DomainError):
             h_value(1.0, 0, 1.0, -1.0)
+        for xi in (-3.0, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                h_value(1.0, 1, 0.3, xi)
 
     def test_zero_at_origin(self):
         for lam in (0.5, 1.0, 2.5):

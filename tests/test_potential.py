@@ -73,6 +73,17 @@ class TestCountingFunctions:
         want = (n - 2) * (r**rho * (rho * math.log(r) - 1.0) + 1.0) / rho**2
         assert average_N(sv, n, r) == pytest.approx(want, rel=1e-10)
 
+    def test_average_array_matches_scalar(self):
+        # one call on an array of radii gives the scalar calls' values;
+        # radii inside the support edge give 0
+        sv = SlowlyVarying(rho=0.5, psi1="log", t0=1.0)
+        radii = np.array([0.5, 50.0, 3.0, 1e4, 3.0])
+        vals, err, ok = average_N(sv, 4, radii, full_output=True)
+        assert ok and vals.shape == radii.shape and np.all(err >= 0)
+        for r, v in zip(radii, vals):
+            assert v == pytest.approx(average_N(sv, 4, float(r)), rel=1e-12)
+        assert isinstance(average_N(sv, 4, 50.0), float)
+
     def test_model_validation(self):
         with pytest.raises(DomainError):
             PowerLaw(delta=-1.0, rho=0.5)
@@ -119,6 +130,13 @@ class TestPoissonRepresentation:
         uc = u_canonical(PW, p, r, theta)
         up = u_poisson(PW, n, r, theta)
         assert abs(uc - up) <= 1e-4 * abs(up)
+
+    def test_full_output(self):
+        pert = Perturbed(delta=1.0, rho=0.5, eps="inv_log")
+        p = ProblemParams(3, 0.5)
+        up, err, ok = u_poisson(pert, 3, 200.0, 0.6, full_output=True)
+        assert ok and 0.0 < err <= 1e-8 * abs(up)
+        assert up == pytest.approx(u_canonical(pert, p, 200.0, 0.6), rel=1e-8)
 
     def test_zero_model(self):
         z = PowerLaw(delta=0.0, rho=0.5)
