@@ -207,13 +207,13 @@ def cmd_zeros(args) -> int:
         "n": args.n, "rho": _fmt(args.rho), "format": args.format, "seed": args.seed,
     })
     zset = zero_set(params)  # raises CountMismatchError -> exit 2
+    residuals = np.abs(angular_shape(args.n, args.rho, np.array(zset.roots))).tolist()
     rows = []
-    for i, beta in enumerate(zset.roots):
+    for i, (beta, residual) in enumerate(zip(zset.roots, residuals)):
         rows.append({
             "n": args.n, "rho": args.rho, "root_index": i,
             "beta_deg": math.degrees(beta), "beta_rad": beta,
-            "residual": abs(float(angular_shape(args.n, args.rho, beta))),
-            "count": len(zset.roots),
+            "residual": residual, "count": len(zset.roots),
         })
     columns = ["n", "rho", "root_index", "beta_deg", "beta_rad", "residual", "count"]
     _emit(rows, columns, config, args.format, args.out)

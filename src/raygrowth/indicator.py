@@ -16,9 +16,10 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
+from scipy.optimize import elementwise
 
 from .errors import (
+    ConvergenceError,
     CountMismatchError,
     DomainError,
     ExceptionalAngleError,
@@ -39,9 +40,21 @@ ROOT_BRACKET_WIDTH = 1e-6
 _ORDER_EDGE = 1e-9
 
 
-def _brent(f, a, b) -> float:
-    """Root of f in a sign-change bracket [a, b], refined to full precision."""
-    return float(optimize.brentq(f, float(a), float(b), xtol=1e-15, rtol=4 * np.finfo(float).eps))
+# stopping tolerances of every root refinement: bracket width below
+# 1e-15 + 4 eps |x|, or an exact zero
+_ROOT_TOLERANCES = {"xatol": 1e-15, "xrtol": 4 * np.finfo(float).eps, "fatol": 0.0}
+
+
+def _refine_roots(f, a, b):
+    """Roots of the elementwise function f in the sign-change brackets
+    [a, b] (arrays, or scalars for one root), all refined together by
+    Chandrupatla's method: each iteration makes one call of f on the array
+    of roots still open.
+    """
+    res = elementwise.find_root(f, (a, b), tolerances=_ROOT_TOLERANCES)
+    if not np.all(res.success):
+        raise ConvergenceError(f"root refinement failed with status {np.unique(res.status)}")
+    return res.x
 
 
 @dataclass(frozen=True)
@@ -49,7 +62,7 @@ class ZeroSet:
     """Exceptional angles: zeros of the indicator's angular factor in (0, pi).
 
     Exactly floor(rho)+1 of them; each was bracketed by a sign change of
-    the angular factor and refined by Brent's method to full double
+    the angular factor and refined by Chandrupatla's method to full double
     precision in theta.  bracket_width is the guard radius used when an
     operation must refuse angles that sit on a root.
     """
@@ -227,10 +240,8 @@ def _cached_roots(n: int, rho: float, resolution: float) -> tuple:
     grid = np.linspace(lo, hi, count)
     vals = angular_shape(n, rho, grid)
     sgn = np.sign(vals)
-    roots = [
-        _brent(lambda t: angular_shape(n, rho, t), grid[i], grid[i + 1])
-        for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    ]
+    left = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+    roots = _refine_roots(lambda t: angular_shape(n, rho, t), grid[left], grid[left + 1]).tolist()
     # exact zeros on grid nodes would be missed by the strict sign test
     roots.extend(float(grid[i]) for i in np.nonzero(vals == 0.0)[0])
     return tuple(sorted(roots))
@@ -241,8 +252,10 @@ def zero_set(params: ProblemParams, resolution: float = ROOT_SCAN_RESOLUTION,
     """All zeros of the indicator's angular factor in (0, pi).
 
     A vectorized sign scan of the angular factor at the given resolution
-    brackets each root; Brent's method refines it to full double precision
-    (a scan node where the factor is exactly zero is a root as it stands).
+    brackets each root; one bracketed solve (Chandrupatla's method, one
+    array evaluation of the factor per iteration) refines all of them
+    together to full double precision (a scan node where the factor is
+    exactly zero is a root as it stands).
     The count must equal floor(rho)+1; a different count raises
     :class:`CountMismatchError` (that would mean either a special-function
     defect or a genuine violation of the zero-count law, and is surfaced
@@ -393,10 +406,10 @@ def solve_order(n: int, delta_bar: float) -> float:
     For n >= 4 the right side is strictly decreasing on (0, 1) and the root
     is unique; for n = 3 it is symmetric about rho = 1/2 (minimum pi/4
     there), so off-minimum targets have two preimages -- the smaller one is
-    returned, deterministically.  The root is refined by Brent's method on
-    the decreasing branch, [1e-9, 1 - 1e-9] for n >= 4 and [1e-9, 1/2] for
-    n = 3; a target up to 1e-9 below the n = 3 minimum is accepted as the
-    tangency rho = 1/2.  Raises :class:`OutOfRangeError` (carrying the
+    returned, deterministically.  The root is refined by Chandrupatla's
+    method on the decreasing branch, [1e-9, 1 - 1e-9] for n >= 4 and
+    [1e-9, 1/2] for n = 3; a target up to 1e-9 below the n = 3 minimum is
+    accepted as the tangency rho = 1/2.  Raises :class:`OutOfRangeError` (carrying the
     interval from :func:`order_equation_range`) when delta_bar is outside
     the range of the right side.
     """
@@ -412,8 +425,9 @@ def solve_order(n: int, delta_bar: float) -> float:
             lo=lo,
             hi=hi,
         )
-    return _brent(lambda rho: order_equation_rhs(n, rho) - delta_bar,
-                  _ORDER_EDGE, _order_branch_end(n))
+    # find_root passes arrays; the right side takes one rho at a time
+    rhs = np.vectorize(order_equation_rhs, otypes=[float])
+    return float(_refine_roots(lambda rho: rhs(n, rho) - delta_bar, _ORDER_EDGE, _order_branch_end(n)))
 
 
 def laplace_strip(n: int, theta1: float) -> MellinStrip:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .specfun import gegenbauer
+from .specfun import gegenbauer, series_converged
 
 # Below this radial ratio the subtracted kernel is evaluated through its
 # polynomial tail series instead of the direct difference, which would lose
@@ -83,25 +83,17 @@ def _h_tail_series(lam, q, u, xi):
     gm2 = np.ones_like(xi_b)
     gm1 = 2.0 * lam * xi_b
     pw = -u  # (-u)^j starting at j=1
-    if q == 0:
-        total = -pw * gm1
-        start = 2
-    else:
-        total = np.zeros_like(u)
-        start = 2
-    small_runs = np.zeros(u.shape, dtype=int)
-    j = start
-    while j < _TAIL_MAX_TERMS:
+    term = -pw * gm1
+    total = term.copy() if q == 0 else np.zeros_like(u)
+    for j in range(2, _TAIL_MAX_TERMS):
         gm2, gm1 = gm1, (2.0 * (j + lam - 1.0) * xi_b * gm1 - (j + 2.0 * lam - 2.0) * gm2) / j
         pw = pw * (-u)
         if j > q:
-            term = -pw * gm1
+            prev, term = term, -pw * gm1
             total += term
-            small = np.abs(term) <= _TAIL_RTOL * np.maximum(np.abs(total), 1e-300)
-            small_runs = np.where(small, small_runs + 1, 0)
-            if np.all(small_runs >= 2):
+            # the last two terms are both in the tail once j > q + 1
+            if j > q + 1 and series_converged(j, prev, term, total, _TAIL_RTOL):
                 break
-        j += 1
     return total
 
 

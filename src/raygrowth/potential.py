@@ -17,7 +17,7 @@ by an O(1) amount that the cross-representation check at 1e-4 would see).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -179,9 +179,15 @@ class SlowlyVarying(MassModel):
 
 @dataclass(frozen=True)
 class Atomic(MassModel):
-    """Finitely many point masses (t_i > 1, mass_i > 0), stored sorted."""
+    """Finitely many point masses (t_i > 1, mass_i > 0), stored sorted.
+
+    ``radii`` and ``masses`` hold the same atoms as arrays, in the same
+    order, built once.
+    """
 
     atoms: tuple
+    radii: np.ndarray = field(init=False, repr=False, compare=False)
+    masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cleaned = tuple(sorted((float(t), float(m)) for t, m in self.atoms))
@@ -192,7 +198,10 @@ class Atomic(MassModel):
                 raise DomainError(f"atom radius must be > 1, got {t}")
             if m <= 0.0:
                 raise DomainError(f"atom mass must be > 0, got {m}")
+        radii, masses = np.array(cleaned).T
         object.__setattr__(self, "atoms", cleaned)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "t0", cleaned[0][0])
 
     @property
@@ -205,7 +214,8 @@ def counting_n(model: MassModel, n: int, t):
 
     Zero through the mass-free region t <= t0.  For density models the
     profile is the counting function itself (dimension-independent); for the
-    atomic model the raw masses are summed and scaled by t^{2-n}.
+    atomic model the raw mass of the atoms with t_i <= t, a prefix sum of
+    the sorted masses, is scaled by t^{2-n}.
     """
     if n < 3 or int(n) != n:
         raise DomainError(f"dimension n must be an integer >= 3, got {n}")
@@ -214,12 +224,12 @@ def counting_n(model: MassModel, n: int, t):
     t_arr = np.atleast_1d(t_arr)
     if np.any(t_arr < 0):
         raise DomainError("radius t must be >= 0")
-    out = np.zeros_like(t_arr)
     if model.is_atomic:
-        for ti, mi in model.atoms:
-            out += np.where(t_arr >= ti, mi, 0.0)
+        mass = np.concatenate(([0.0], np.cumsum(model.masses)))
+        out = mass[np.searchsorted(model.radii, t_arr, side="right")]
         np.divide(out, t_arr ** (n - 2), out=out, where=t_arr > 0)
     else:
+        out = np.zeros_like(t_arr)
         live = t_arr > model.t0
         out[live] = model.profile(t_arr[live])
     return float(out[0]) if scalar else out
@@ -253,7 +263,7 @@ def average_N(model: MassModel, n: int, r, quad: QuadratureSpec | None = None,
     ok = True
     if model.is_atomic:
         # sum of mass_i (t_i^{2-n} - r^{2-n}) over the k atoms with t_i < r
-        t_at, m_at = np.array(model.atoms).T
+        t_at, m_at = model.radii, model.masses
         k = np.searchsorted(t_at, r_arr)
         mass = np.concatenate(([0.0], np.cumsum(m_at)))
         moment = np.concatenate(([0.0], np.cumsum(m_at * t_at ** (2 - n))))
@@ -307,9 +317,8 @@ def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float
         return h_value(lam, q, u, xi)
 
     if model.is_atomic:
-        t_arr = np.array([a[0] for a in model.atoms])
-        m_arr = np.array([a[1] for a in model.atoms])
-        total = float(np.sum(m_arr * t_arr ** (2 - n) * h(r / t_arr)))
+        t_arr = model.radii
+        total = float(np.sum(model.masses * t_arr ** (2 - n) * h(r / t_arr)))
         return (total, 0.0, True) if full_output else total
 
     t0 = model.t0
@@ -360,7 +369,7 @@ def u_poisson(model: MassModel, n: int, r: float, theta1: float,
     if quad is None:
         quad = QuadratureSpec()
     c = math.cos(theta1)
-    lo = model.t0 if not model.is_atomic else model.atoms[0][0]
+    lo = model.t0
     inner_ok = []
 
     def averaged(t, part):
@@ -472,12 +481,12 @@ def _sweep(model, params, theta1, r_grid, quad, sweep_tol):
     if quad is None:
         quad = QuadratureSpec()
     N_grid, _, ok_N = average_N(model, params.n, grid, quad, full_output=True)
+    n_grid = counting_n(model, params.n, grid)
     rows = []
     flagged = int(not ok_N)
-    for r, Nr in zip(grid, N_grid.tolist()):
+    for r, Nr, nr in zip(grid, N_grid.tolist(), n_grid.tolist()):
         u, _, ok = u_canonical(model, params, float(r), theta1, quad, full_output=True)
         flagged += not ok
-        nr = counting_n(model, params.n, float(r))
         rows.append(SweepSample(
             r=float(r), theta1=float(theta1), u=u,
             scaled=u * r ** (-params.rho),

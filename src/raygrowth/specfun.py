@@ -22,6 +22,10 @@ EULER_GAMMA = 0.57721566490153286061
 SERIES_RTOL = 1e-13
 SERIES_MAX_TERMS = 10**6
 
+# Every series in the package tests for convergence on every eighth term
+# only: the test costs several array operations, a term only a few.
+SERIES_CHECK_STRIDE = 8
+
 # Lanczos rational approximation, g = 607/128, 15 terms (Godfrey's
 # coefficient set).  Gives ~15 significant digits on the real axis.
 _LANCZOS_G = 607.0 / 128.0
@@ -76,7 +80,9 @@ def gamma(z):
     """Gamma function for real or complex argument.
 
     Uses the fixed-coefficient Lanczos approximation with reflection for
-    Re z < 0.5.  Raises :class:`PoleError` at non-positive integers.
+    Re z < 0.5.  Raises :class:`PoleError` at non-positive integers and
+    :class:`DomainError` where the Lanczos power t^(z-1/2) overflows, from
+    about z = 143 on the real axis.
     """
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z={z}")
@@ -90,7 +96,10 @@ def gamma(z):
     for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
         acc += c / (w + i)
     t = w + _LANCZOS_G + 0.5
-    val = _SQRT_TWO_PI * t ** (w + 0.5) * np.exp(-t) * acc
+    try:
+        val = _SQRT_TWO_PI * t ** (w + 0.5) * np.exp(-t) * acc
+    except OverflowError:
+        raise DomainError(f"gamma({z}) overflows the Lanczos evaluation in double precision") from None
     return _as_input_kind(val, z)
 
 
@@ -158,6 +167,20 @@ def gegenbauer(lam, j, xi):
     return float(out) if scalar else out
 
 
+def series_converged(k, prev, term, total, rtol) -> bool:
+    """Stopping rule shared by every series in the package.
+
+    True when ``k`` is a multiple of :data:`SERIES_CHECK_STRIDE` and the
+    last two terms ``prev`` and ``term`` are at most ``rtol * |total|`` at
+    every point.  A series thus stops at most ``SERIES_CHECK_STRIDE - 1``
+    terms after the first index where both terms are small.
+    """
+    if k % SERIES_CHECK_STRIDE:
+        return False
+    bound = rtol * np.maximum(np.abs(total), 1e-300)
+    return bool(np.all((np.abs(prev) <= bound) & (np.abs(term) <= bound)))
+
+
 def _series_2f1(a, b, c, x, rtol, max_terms):
     """Plain power series for 2F1 at argument array x (|x| < 1)."""
     x = np.asarray(x)
@@ -165,14 +188,11 @@ def _series_2f1(a, b, c, x, rtol, max_terms):
     dtype = complex if cplx else float
     term = np.ones(x.shape, dtype=dtype)
     total = np.ones(x.shape, dtype=dtype)
-    small_runs = np.zeros(x.shape, dtype=int)
     for k in range(max_terms):
-        ratio = (a + k) * (b + k) / ((c + k) * (1.0 + k))
-        term = term * ratio * x
+        prev = term
+        term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k))) * x
         total += term
-        small = np.abs(term) <= rtol * np.maximum(np.abs(total), 1e-300)
-        small_runs = np.where(small, small_runs + 1, 0)
-        if np.all(small_runs >= 2):
+        if series_converged(k + 1, prev, term, total, rtol):
             return total
     raise ConvergenceError(
         f"2F1 series did not converge within {max_terms} terms "
@@ -227,14 +247,12 @@ def _2f1_near_one_logcase(a, b, m, x, rtol, max_terms):
     psi_b = digamma(b + m)
     psi_k1 = -EULER_GAMMA          # psi(1)
     psi_km1 = digamma(m + 1.0)
-    small_runs = np.zeros(w.shape, dtype=int)
+    term = np.zeros(w.shape, dtype=dtype)
     for k in range(max_terms):
-        bracket = lnw - psi_k1 - psi_km1 + psi_a + psi_b
-        term = coef * wk * bracket
+        prev = term
+        term = coef * wk * (lnw - psi_k1 - psi_km1 + psi_a + psi_b)
         total = total + term
-        small = np.abs(term) <= rtol * np.maximum(np.abs(total), 1e-300)
-        small_runs = np.where(small, small_runs + 1, 0)
-        if np.all(small_runs >= 2):
+        if k and series_converged(k, prev, term, total, rtol):
             break
         coef *= (a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))
         wk = wk * w

@@ -72,10 +72,22 @@ class TestIndicatorCommand:
         data_line = [l for l in text.splitlines() if not l.startswith(("#", "theta"))][0]
         assert abs(float(data_line.split(",")[2])) < 1e-6
 
-    def test_tolerance_failure_exit_code(self, tmp_path):
-        code, _ = run_cli(tmp_path, "indicator", "--n", "3", "--rho", "0.5",
-                          "--theta", "0.7", "--tol", "1e-16")
+    def test_tolerance_failure_exit_code(self, tmp_path, monkeypatch):
+        # an integral that misses the closed form by 1e-6 relative fails a
+        # tolerance of 1e-8 and passes one of 1e-4
+        exact = cli.indicator_integral
+
+        def skewed(params, theta1, quad=None, full_output=False):
+            value, res = exact(params, theta1, quad, full_output=True)
+            return value * (1.0 + 1e-6), res
+
+        monkeypatch.setattr(cli, "indicator_integral", skewed)
+        argv = ("indicator", "--n", "3", "--rho", "0.5", "--theta", "0.7")
+        code, text = run_cli(tmp_path, *argv, "--tol", "1e-8")
         assert code == 2
+        assert "H_integral" in text
+        code, _ = run_cli(tmp_path, *argv, "--tol", "1e-4")
+        assert code == 0
 
     def test_quadrature_flag_exit_code(self, tmp_path, monkeypatch, capsys):
         # two refinement levels cannot reach 1e-10: the flag alone fails the run
@@ -113,6 +125,12 @@ class TestZerosCommand:
         assert code == 0 and len(rows) == 3
         for row in rows:
             assert float(row.split(",")[5]) < 1e-10
+
+    def test_gamma_overflow_exit_code(self, tmp_path, capsys):
+        # Gamma((n-1)/2) = Gamma(199.5) overflows: a domain error, no traceback
+        code, _ = run_cli(tmp_path, "zeros", "--n", "400")
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
 
 
 class TestMellinVerifyCommand:
@@ -192,6 +210,12 @@ class TestSolveOrderCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "admissible interval" in err
+
+    def test_gamma_overflow_exit_code(self, tmp_path, capsys):
+        # Gamma(n-1-rho) overflows at n = 200: a domain error, no traceback
+        code, _ = run_cli(tmp_path, "solve-order", "--n", "200", "--delta-bar", "0.5")
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
 
     def test_n4_forward_inverse(self, tmp_path):
         from raygrowth.indicator import order_equation_rhs

@@ -185,6 +185,44 @@ class TestZeroSet:
         for i in range(len(signs) - 1):
             assert signs[i] == -signs[i + 1]
 
+    @pytest.mark.parametrize("n,rho", [(10, 7.3), (4, 9.5), (7, 11.4), (6, 12.7)])
+    def test_roots_against_mpmath_at_high_order(self, n, rho):
+        # every root brackets a sign change of S in 30-digit arithmetic and
+        # sits within 1e-7 relative of the root refined there
+        mp = pytest.importorskip("mpmath")
+        z = zero_set(ProblemParams(n, rho))
+        assert len(z.roots) == math.floor(rho) + 1
+        with mp.workdps(30):
+            mu = mp.mpf(3 - n) / 2
+            nu = mp.mpf(rho) + mp.mpf(n - 3) / 2
+
+            def shape(theta):
+                x = mp.sin(theta / 2) ** 2
+                return (1 + mp.cos(theta)) ** mu * mp.hyp2f1(-nu, nu + 1, 1 - mu, x,
+                                                             zeroprec=4 * mp.mp.prec)
+
+            for beta in z.roots:
+                # Illinois rule on [beta - 1e-6, beta + 1e-6]
+                a, b = mp.mpf(beta) - mp.mpf("1e-6"), mp.mpf(beta) + mp.mpf("1e-6")
+                fa, fb = shape(a), shape(b)
+                assert fa * fb < 0
+                for _ in range(100):
+                    c = b - fb * (b - a) / (fb - fa)
+                    fc = shape(c)
+                    if fc == 0 or abs(c - b) < mp.mpf("1e-25") * abs(c):
+                        break
+                    if fc * fb < 0:
+                        a, fa = b, fb
+                    else:
+                        fa /= 2
+                    b, fb = c, fc
+                assert abs(beta - c) <= 1e-7 * abs(c)
+
+    def test_gamma_overflow_is_domain_error(self):
+        # S carries 1/Gamma((n-1)/2), and Gamma(199.5) overflows
+        with pytest.raises(DomainError, match="overflows"):
+            zero_set(ProblemParams(400, 0.5))
+
 
 class TestTauberianConstant:
     def test_axis_value(self):
@@ -325,6 +363,11 @@ class TestOrderEquation:
         assert solve_order(3, math.pi / 4 - 5e-10) == 0.5
         with pytest.raises(OutOfRangeError):
             solve_order(3, math.pi / 4 - 2e-9)
+
+    def test_gamma_overflow_is_domain_error(self):
+        # the right side carries Gamma(n-1-rho), which overflows at n = 200
+        with pytest.raises(DomainError, match="overflows"):
+            solve_order(200, 0.5)
 
     def test_interval_ends_exact(self):
         # at rho = 1 - eps the right side is Gamma(n-2+eps) Gamma(2-eps) / (n-2)!

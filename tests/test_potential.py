@@ -52,6 +52,24 @@ class TestCountingFunctions:
         assert counting_n(at, 3, 5.0) == pytest.approx(0.6, rel=1e-14)
         assert counting_n(at, 3, 1.5) == 0.0
 
+    def test_atomic_prefix_sum_matches_direct_sum(self):
+        # radii below the first atom, on atoms, between atoms, above the
+        # last atom and 0, unsorted; an atom at radius t_i counts from t_i on
+        at = Atomic(atoms=((7.5, 0.25), (2.0, 3.0), (3.25, 1.5), (40.0, 2.75), (3.5, 0.125)))
+        radii = np.array([1.5, 2.0, 2.5, 3.25, 3.4, 3.5, 7.5, 10.0, 40.0, 1e3, 0.0, 1.99])
+        for n in (3, 4, 7):
+            got = counting_n(at, n, radii)
+            for r, g in zip(radii, got):
+                raw = sum(m for t, m in at.atoms if t <= r)
+                want = raw / r ** (n - 2) if r > 0 else 0.0
+                assert g == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    def test_atomic_scalar_radius_gives_float(self):
+        at = Atomic(atoms=((2.0, 3.0), (5.0, 1.0)))
+        value = counting_n(at, 4, 5.0)
+        assert type(value) is float
+        assert value == pytest.approx(4.0 / 25.0, rel=1e-14)
+
     def test_average_power_law_closed_form(self):
         # (n-2) delta (r^rho - 1)/rho: includes the truncation correction
         # -(n-2) delta / rho from the mass-free unit ball

@@ -6,11 +6,13 @@ import pytest
 from raygrowth.errors import ConvergenceError, DomainError, PoleError
 from raygrowth.specfun import (
     EULER_GAMMA,
+    SERIES_CHECK_STRIDE,
     digamma,
     gamma,
     gegenbauer,
     hyp2f1,
     legendre_p_cut,
+    series_converged,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -58,6 +60,28 @@ class TestGamma:
     def test_pole_error(self, z):
         with pytest.raises(PoleError):
             gamma(z)
+
+    def test_lanczos_overflow_is_domain_error(self):
+        # the Lanczos power t^(z-1/2) overflows from about z = 143 on
+        with pytest.raises(DomainError, match="overflows"):
+            gamma(171.5)
+        assert gamma(140.0) == pytest.approx(math.gamma(140.0), rel=1e-13)
+
+
+class TestSeriesStoppingRule:
+    def test_checked_on_stride_only(self):
+        tiny, total = np.array([1e-20]), np.array([1.0])
+        assert series_converged(SERIES_CHECK_STRIDE, tiny, tiny, total, 1e-13)
+        for k in range(1, SERIES_CHECK_STRIDE):
+            assert not series_converged(k, tiny, tiny, total, 1e-13)
+
+    def test_needs_both_terms_small_at_every_point(self):
+        total = np.array([1.0, 2.0])
+        small, mixed = np.array([1e-20, 1e-20]), np.array([1e-20, 1e-3])
+        k = 2 * SERIES_CHECK_STRIDE
+        assert series_converged(k, small, small, total, 1e-13)
+        assert not series_converged(k, mixed, small, total, 1e-13)
+        assert not series_converged(k, small, mixed, total, 1e-13)
 
 
 class TestDigamma:
