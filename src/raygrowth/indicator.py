@@ -28,9 +28,7 @@ from .errors import (
 )
 from .kernels import ProblemParams, h_value, log_kernel_signed_ln
 from .mellin import MellinResult, MellinStrip, QuadratureSpec, integrate, mellin_numeric
-from .specfun import EULER_GAMMA, digamma, gamma, hyp2f1, rgamma
-
-NEG_INFINITY = float("-inf")
+from .specfun import EULER_GAMMA, digamma, gamma, legendre_weighted
 
 # scan step (radians) for root bracketing and the guard band around each root
 ROOT_SCAN_RESOLUTION = 1e-3
@@ -63,40 +61,26 @@ class ZeroSet:
 
     Exactly floor(rho)+1 of them; each was bracketed by a sign change of
     the angular factor and refined by Chandrupatla's method to full double
-    precision in theta.  bracket_width is the guard radius used when an
-    operation must refuse angles that sit on a root.
+    precision in theta.
     """
 
     n: int
     rho: float
     roots: tuple
-    bracket_width: float = ROOT_BRACKET_WIDTH
-
-    def nearest_distance(self, angle: float) -> float:
-        return min(abs(angle - b) for b in self.roots) if self.roots else math.inf
 
     def contains(self, angle: float) -> bool:
-        return self.nearest_distance(angle) <= self.bracket_width
-
-
-@dataclass(frozen=True)
-class IndicatorValue:
-    """Indicator sample tagged with how it was produced.
-
-    value is -inf (an explicit sentinel, never used in arithmetic) at
-    theta1 = pi, where the indicator diverges.
-    """
-
-    value: float
-    theta1: float
-    source: str  # closed_form | integral_form | asymptotic
+        """True when angle lies within ROOT_BRACKET_WIDTH of a root, the
+        guard band of every operation that must refuse angles on a root."""
+        return any(abs(angle - b) <= ROOT_BRACKET_WIDTH for b in self.roots)
 
 
 def angular_shape(n, rho, theta):
     """Latitude factor S(theta) = (sin theta)^mu P^mu_nu(cos theta) with
     mu = (3-n)/2 and nu = rho + (n-3)/2, in a form stable on all of [0, pi).
 
-    The sine power and the Legendre prefactor cancel analytically:
+    This is :func:`~raygrowth.specfun.legendre_weighted` at
+    x = sin^2(theta/2), where the sine power and the Legendre prefactor
+    cancel analytically:
 
         S(theta) = (1 + cos theta)^mu / Gamma(1-mu)
                    * 2F1(-nu, nu+1; 1-mu; sin^2(theta/2)),
@@ -107,18 +91,10 @@ def angular_shape(n, rho, theta):
     """
     if n < 2 or int(n) != n:
         raise DomainError(f"dimension n must be an integer >= 2, got {n}")
-    theta_arr = np.asarray(theta, dtype=float)
-    scalar = theta_arr.ndim == 0
-    theta_arr = np.atleast_1d(theta_arr)
-    if np.any(theta_arr < 0.0) or np.any(theta_arr >= np.pi):
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < 0.0) or np.any(theta >= np.pi):
         raise DomainError("theta must lie in [0, pi)")
-    mu = (3.0 - n) / 2.0
-    nu = rho + (n - 3.0) / 2.0
-    half = 0.5 * theta_arr
-    x = np.sin(half) ** 2
-    f = hyp2f1(-nu, nu + 1.0, 1.0 - mu, x)
-    out = rgamma(1.0 - mu) * (1.0 + np.cos(theta_arr)) ** mu * f
-    return float(out[0]) if scalar else out
+    return legendre_weighted(rho + (n - 3.0) / 2.0, (3.0 - n) / 2.0, np.sin(0.5 * theta) ** 2)
 
 
 def _indicator_coefficient(params: ProblemParams) -> float:
@@ -139,9 +115,9 @@ def indicator_closed(params: ProblemParams, theta1):
         / ((n-3)! sin(pi rho)) * S(theta1)
 
     with S the stable latitude factor.  Defined on [0, pi); the value
-    diverges to -inf as theta1 -> pi (use indicator_near_pi there, or the
-    -inf sentinel of IndicatorValue at the endpoint itself).  Accepts a
-    scalar or an array of angles.
+    diverges to -inf as theta1 -> pi (use indicator_near_pi on the approach
+    to pi; the endpoint itself is not a value).  Accepts a scalar or an
+    array of angles.
     """
     return _indicator_coefficient(params) * angular_shape(params.n, params.rho, theta1)
 
@@ -215,23 +191,6 @@ def indicator_near_pi(params: ProblemParams, theta1):
     )
 
 
-def indicator_value(params: ProblemParams, theta1, quad: QuadratureSpec | None = None,
-                    source: str = "closed_form") -> IndicatorValue:
-    """Tagged indicator sample; theta1 = pi yields the -inf sentinel."""
-    theta1 = float(theta1)
-    if theta1 == math.pi:
-        return IndicatorValue(value=NEG_INFINITY, theta1=theta1, source="asymptotic")
-    if source == "closed_form":
-        v = indicator_closed(params, theta1)
-    elif source == "integral_form":
-        v = indicator_integral(params, theta1, quad)
-    elif source == "asymptotic":
-        v = indicator_near_pi(params, theta1)
-    else:
-        raise DomainError(f"unknown indicator source {source!r}")
-    return IndicatorValue(value=float(v), theta1=theta1, source=source)
-
-
 @lru_cache(maxsize=128)
 def _cached_roots(n: int, rho: float, resolution: float) -> tuple:
     lo = resolution
@@ -247,8 +206,7 @@ def _cached_roots(n: int, rho: float, resolution: float) -> tuple:
     return tuple(sorted(roots))
 
 
-def zero_set(params: ProblemParams, resolution: float = ROOT_SCAN_RESOLUTION,
-             bracket_width: float = ROOT_BRACKET_WIDTH) -> ZeroSet:
+def zero_set(params: ProblemParams, resolution: float = ROOT_SCAN_RESOLUTION) -> ZeroSet:
     """All zeros of the indicator's angular factor in (0, pi).
 
     A vectorized sign scan of the angular factor at the given resolution
@@ -268,10 +226,10 @@ def zero_set(params: ProblemParams, resolution: float = ROOT_SCAN_RESOLUTION,
             f"found {len(roots)} angular roots for n={params.n}, rho={params.rho}; "
             f"expected floor(rho)+1 = {expected}"
         )
-    return ZeroSet(n=params.n, rho=params.rho, roots=roots, bracket_width=bracket_width)
+    return ZeroSet(n=params.n, rho=params.rho, roots=roots)
 
 
-def tauberian_constant(params: ProblemParams, phi, bracket_width: float = ROOT_BRACKET_WIDTH):
+def tauberian_constant(params: ProblemParams, phi):
     """Growth-transfer constant M(g; 0) for a non-exceptional direction phi.
 
     As printed:
@@ -283,17 +241,17 @@ def tauberian_constant(params: ProblemParams, phi, bracket_width: float = ROOT_B
     Composing this constant with the closed-form indicator yields
     (rho+n-2) Delta rather than Delta -- see :func:`tauberian_audit`, which
     reports exactly that product so the discrepancy stays visible.  Raises
-    :class:`ExceptionalAngleError` when phi is within ``bracket_width`` of a
+    :class:`ExceptionalAngleError` when phi is within ROOT_BRACKET_WIDTH of a
     root of the angular factor (there the constant is infinite and the
     transfer genuinely fails).
     """
     phi = float(phi)
     if not (0.0 <= phi < math.pi):
         raise DomainError(f"phi must lie in [0, pi), got {phi}")
-    zset = zero_set(params, bracket_width=bracket_width)
+    zset = zero_set(params)
     if zset.contains(phi):
         raise ExceptionalAngleError(
-            f"phi={phi} is within {bracket_width} rad of an exceptional root "
+            f"phi={phi} is within {ROOT_BRACKET_WIDTH} rad of an exceptional root "
             f"(roots: {', '.join(f'{b:.6f}' for b in zset.roots)})"
         )
     n, rho = params.n, params.rho
@@ -319,8 +277,7 @@ def tauberian_audit(params: ProblemParams, phi) -> float:
     return tauberian_constant(params, phi) * indicator_closed(unit, phi)
 
 
-def transfer_indicator(params: ProblemParams, phi, H_phi, theta1,
-                       bracket_width: float = ROOT_BRACKET_WIDTH):
+def transfer_indicator(params: ProblemParams, phi, H_phi, theta1):
     """Transfer an indicator value from direction phi to direction theta1.
 
         H(theta1) = (sin phi / sin theta1)^{(n-3)/2}
@@ -335,8 +292,7 @@ def transfer_indicator(params: ProblemParams, phi, H_phi, theta1,
     theta1 = float(theta1)
     if not (0.0 <= phi < math.pi) or not (0.0 <= theta1 < math.pi):
         raise DomainError("phi and theta1 must lie in [0, pi)")
-    zset = zero_set(params, bracket_width=bracket_width)
-    if zset.contains(phi):
+    if zero_set(params).contains(phi):
         raise ExceptionalAngleError(f"source angle phi={phi} is exceptional")
     return H_phi * angular_shape(params.n, params.rho, theta1) / angular_shape(
         params.n, params.rho, phi

@@ -20,7 +20,7 @@ from scipy.integrate import tanhsinh
 
 from .errors import DomainError, PoleError, StripViolationError
 from .kernels import ProblemParams
-from .specfun import gamma, legendre_p_cut
+from .specfun import gamma, legendre_weighted
 
 # poles of the continued transforms are excluded within this radius
 POLE_EXCLUSION_RADIUS = 1e-6
@@ -52,14 +52,11 @@ class QuadratureSpec:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    split_point: float = 1.0
     max_level: int = 10
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainError("quadrature tolerances must be positive")
-        if not self.split_point > 0:
-            raise DomainError("split_point must be positive")
         if self.max_level < 2:
             raise DomainError("max_level must be >= 2 (no error estimate below level 2)")
 
@@ -161,11 +158,11 @@ def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0) -> MellinResult
 def mellin_numeric(integrand, s, quad: QuadratureSpec, strip: MellinStrip) -> MellinResult:
     """Numeric Mellin transform int_0^inf f(u) u^{s-1} du.
 
-    The integral is split at ``quad.split_point`` and the outer piece is
-    mapped back to (0, 1/split] by the substitution u -> 1/u, so both pieces
-    are proper up to integrable endpoint behavior.  Inside the strip the
-    integrand behaves like u^{d-1} at each end, with d the distance from
-    Re s to that strip edge; each piece is integrated with the power
+    The integral is split at u = 1 and the outer piece is mapped back to
+    (0, 1] by the substitution u -> 1/u, so both pieces are proper up to
+    integrable endpoint behavior.  Inside the strip the integrand behaves
+    like u^{d-1} at each end, with d the distance from Re s to that strip
+    edge; each piece is integrated with the power
     substitution k = 1/min(1, d) of :func:`integrate`, so that behavior is
     bounded even for Re s next to an edge.  ``integrand`` takes and returns
     ndarrays.  ``s`` may be complex; the real and imaginary parts of u^{s-1}
@@ -179,7 +176,6 @@ def mellin_numeric(integrand, s, quad: QuadratureSpec, strip: MellinStrip) -> Me
         raise StripViolationError(
             f"Re s = {s.real} outside declared strip ({strip.lower}, {strip.upper})"
         )
-    a = quad.split_point
     sigma, tau = s.real, s.imag
     k_in = 1.0 / min(1.0, sigma - strip.lower)
     k_out = 1.0 / min(1.0, strip.upper - sigma)
@@ -188,14 +184,14 @@ def mellin_numeric(integrand, s, quad: QuadratureSpec, strip: MellinStrip) -> Me
         def f(u):
             base = integrand(u) * u ** (sigma - 1.0)
             return base * trig(tau * np.log(u)) if tau != 0.0 else base
-        return integrate(f, 0.0, a, quad, power=k_in)
+        return integrate(f, 0.0, 1.0, quad, power=k_in)
 
     def outer(trig):
         # u = 1/w, du = -dw/w^2:  f(1/w) w^{-s-1}
         def f(w):
             base = integrand(1.0 / w) * w ** (-sigma - 1.0)
             return base * trig(-tau * np.log(w)) if tau != 0.0 else base
-        return integrate(f, 0.0, 1.0 / a, quad, power=k_out)
+        return integrate(f, 0.0, 1.0, quad, power=k_out)
 
     pieces = [inner(np.cos), outer(np.cos)]
     value = pieces[0].value + pieces[1].value
@@ -231,23 +227,19 @@ def mellin_h_closed(lam, q, s, xi):
                   * (1 - xi^2)^{(1-2 lam)/4} * P^{1/2-lam}_{s-lam-1/2}(xi)
 
     Valid on the principal strip -q-1 < Re s < -q and, by meromorphic
-    continuation, for all s away from the poles of the gamma factors.
-    At xi = 1 the formula degenerates to -Gamma(s) Gamma(2 lam - s) /
-    Gamma(2 lam), which is returned directly.
+    continuation, for all s away from the poles of the gamma factors.  The
+    weighted Legendre factor is finite at xi = 1, where the formula reduces
+    to -Gamma(s) Gamma(2 lam - s) / Gamma(2 lam).
     """
     if not lam > 0:
         raise DomainError(f"lam must be > 0, got {lam}")
     q = int(q)
     _check_not_pole(s, q, lam)
     s = s if isinstance(s, complex) else float(s)
-    if xi == 1.0:
-        return -gamma(s) * gamma(2.0 * lam - s) / gamma(2.0 * lam)
     coef = -math.sqrt(math.pi) * gamma(s) * gamma(2.0 * lam - s) / (
         2.0 ** (lam - 0.5) * gamma(lam)
     )
-    return coef * ((1.0 - xi) * (1.0 + xi)) ** ((1.0 - 2.0 * lam) / 4.0) * legendre_p_cut(
-        s - lam - 0.5, 0.5 - lam, xi
-    )
+    return coef * legendre_weighted(s - lam - 0.5, 0.5 - lam, (1.0 - xi) / 2.0)
 
 
 def mellin_k_closed(lam, s, xi):
@@ -264,14 +256,12 @@ def mellin_k_closed(lam, s, xi):
         raise StripViolationError(
             f"Re s = {sc.real} outside the convergence strip (0, {2.0 * lam})"
         )
-    if xi == 1.0:
-        return gamma(s) * gamma(2.0 * lam - s) / gamma(2.0 * lam)
     mu = 0.5 - lam
     nu = (s if isinstance(s, complex) else float(s)) - lam - 0.5
     coef = gamma(1.0 - mu) * gamma(nu - mu + 1.0) * gamma(-mu - nu) / (
         2.0 ** mu * gamma(1.0 - 2.0 * mu)
     )
-    return coef * ((1.0 - xi) * (1.0 + xi)) ** (mu / 2.0) * legendre_p_cut(nu, mu, xi)
+    return coef * legendre_weighted(nu, mu, (1.0 - xi) / 2.0)
 
 
 class HnMellinForms(NamedTuple):
@@ -295,16 +285,10 @@ def mellin_hn_at_order(params: ProblemParams, xi) -> HnMellinForms:
     here so the shapes agree).
     """
     n, rho = params.n, params.rho
-    lam = params.lam
     prod = 1.0
     for k in range(1, n - 2):
         prod *= rho + k
-    if xi == 1.0:
-        legendre_factor = 2.0 ** ((3.0 - n) / 2.0) / gamma((n - 1.0) / 2.0)
-    else:
-        legendre_factor = ((1.0 - xi) * (1.0 + xi)) ** ((3.0 - n) / 4.0) * legendre_p_cut(
-            -rho - (n - 1.0) / 2.0, (3.0 - n) / 2.0, xi
-        )
+    legendre_factor = legendre_weighted(-rho - (n - 1.0) / 2.0, (3.0 - n) / 2.0, (1.0 - xi) / 2.0)
     sin_pi_rho = math.sin(math.pi * rho)
     gamma_form = (
         math.pi * math.sqrt(math.pi) * 2.0 ** ((3.0 - n) / 2.0) * prod

@@ -29,6 +29,9 @@ from .mellin import QuadratureSpec, integrate
 
 _E = math.e
 
+# relative radial step and latitude step of the finite-difference Laplacian
+_LAPLACIAN_STEP = 1e-4
+
 # Slowly-varying building blocks: name -> (f, f', default support start).
 # Support starts are chosen so the handle is finite and nonnegative-where-
 # it-matters from the edge on.  Each handle maps arrays elementwise.
@@ -476,7 +479,17 @@ def _resolve_grid(r_grid):
     return grid
 
 
-def _sweep(model, params, theta1, r_grid, quad, sweep_tol):
+def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
+                 quad: QuadratureSpec | None = None, sweep_tol: float = 0.05) -> SweepResult:
+    """Sweep of r^{-rho} u(r, theta1) over a geometric radial grid.
+
+    The scaled values converge to the directional indicator when the model's
+    counting function is asymptotically delta t^rho; the returned
+    extrapolated limit applies one Aitken delta-squared step to the tail
+    (errors decay geometrically on a geometric grid, which is exactly
+    Aitken's model).  ``r_grid`` is either an increasing array or a
+    (lo, hi, num) tuple.
+    """
     grid = _resolve_grid(r_grid)
     if quad is None:
         quad = QuadratureSpec()
@@ -518,20 +531,6 @@ def _sweep(model, params, theta1, r_grid, quad, sweep_tol):
     )
 
 
-def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
-                 quad: QuadratureSpec | None = None, sweep_tol: float = 0.05) -> SweepResult:
-    """Sweep of r^{-rho} u(r, theta1) over a geometric radial grid.
-
-    The scaled values converge to the directional indicator when the model's
-    counting function is asymptotically delta t^rho; the returned
-    extrapolated limit applies one Aitken delta-squared step to the tail
-    (errors decay geometrically on a geometric grid, which is exactly
-    Aitken's model).  ``r_grid`` is either an increasing array or a
-    (lo, hi, num) tuple.
-    """
-    return _sweep(model, params, theta1, r_grid, quad, sweep_tol)
-
-
 def ratio_probe(model: MassModel, params: ProblemParams, theta1, r_grid,
                 quad: QuadratureSpec | None = None, sweep_tol: float = 0.05) -> SweepResult:
     """Sweep of u/n(r) and u/N(r) along a direction.
@@ -544,7 +543,7 @@ def ratio_probe(model: MassModel, params: ProblemParams, theta1, r_grid,
     grid = _resolve_grid(r_grid)
     if counting_n(model, params.n, float(grid[0])) <= 0.0:
         raise DomainError("ratio probe needs a model with mass inside the smallest grid radius")
-    return _sweep(model, params, theta1, r_grid, quad, sweep_tol)
+    return scaled_limit(model, params, theta1, grid, quad, sweep_tol)
 
 
 def counterexample_u0(rho: float, r, theta1: float):
@@ -571,15 +570,14 @@ def counterexample_u0(rho: float, r, theta1: float):
     return float(out[0]) if scalar else out
 
 
-def laplacian_u0(rho: float, r: float, theta1: float,
-                 h_r_scale: float = 1e-4, h_theta: float = 1e-4):
+def laplacian_u0(rho: float, r: float, theta1: float):
     """Second-difference Laplacian of the oscillating potential (dimension 3).
 
     Radial-latitudinal spherical form
 
         lap u = u_rr + (2/r) u_r + (u_tt + cot(theta) u_t) / r^2,
 
-    with steps h_r = r * h_r_scale and h_theta; on the axis the angular part
+    with steps h_r = 1e-4 r and h_theta = 1e-4; on the axis the angular part
     is replaced by its regularized limit 2 u_tt.  The analytic leading terms
     are r^{rho-2} [rho (rho+1) + (2 rho + 1) cos(ln ln r) P_rho / ln r + ...],
     so the estimate must come out positive at large radii; a step-size
@@ -590,12 +588,12 @@ def laplacian_u0(rho: float, r: float, theta1: float,
     if r < _E:
         raise DomainError("counterexample needs r >= e")
     theta1 = float(theta1)
-    hr = r * h_r_scale
+    hr = r * _LAPLACIAN_STEP
     u = lambda rr, th: counterexample_u0(rho, rr, th)
     u00 = u(r, theta1)
     u_r = (u(r + hr, theta1) - u(r - hr, theta1)) / (2 * hr)
     u_rr = (u(r + hr, theta1) - 2 * u00 + u(r - hr, theta1)) / (hr * hr)
-    ht = h_theta
+    ht = _LAPLACIAN_STEP
     if theta1 < ht:
         # axis limit: u_t vanishes by symmetry and the angular part tends to
         # 2 u_tt, with u_tt = 2 (u(h) - u(0)) / h^2 from the even reflection

@@ -2,7 +2,8 @@
 
 Provides the gamma and digamma functions, Gegenbauer polynomials, the Gauss
 hypergeometric series 2F1, and associated Legendre functions of the first
-kind on the cut -1 < x < 1 for general (possibly complex) degree and order.
+kind on the cut -1 < x < 1 for general (possibly complex) degree and order,
+with their sine-weighted form that every closed form of the package uses.
 
 Everything here is deterministic: fixed-coefficient approximations and plain
 series with explicit tolerances, no table interpolation.  Target accuracy is
@@ -11,6 +12,8 @@ suites downstream assume.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -80,9 +83,11 @@ def gamma(z):
     """Gamma function for real or complex argument.
 
     Uses the fixed-coefficient Lanczos approximation with reflection for
-    Re z < 0.5.  Raises :class:`PoleError` at non-positive integers and
-    :class:`DomainError` where the Lanczos power t^(z-1/2) overflows, from
-    about z = 143 on the real axis.
+    Re z < 0.5.  The power t^(z-1/2) e^(-t) is taken as p e^(-t) p with
+    p = t^((z-1/2)/2), so no factor overflows while the product is finite.
+    Raises :class:`PoleError` at non-positive integers and
+    :class:`DomainError` where the value overflows the double range, from
+    about z = 171.6 on the real axis.
     """
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z={z}")
@@ -97,9 +102,13 @@ def gamma(z):
         acc += c / (w + i)
     t = w + _LANCZOS_G + 0.5
     try:
-        val = _SQRT_TWO_PI * t ** (w + 0.5) * np.exp(-t) * acc
+        p = t ** ((w + 0.5) / 2.0)
     except OverflowError:
-        raise DomainError(f"gamma({z}) overflows the Lanczos evaluation in double precision") from None
+        p = math.inf  # from z = 256 on; the product is infinite too
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = _SQRT_TWO_PI * acc * p * np.exp(-t) * p
+    if not np.isfinite(val):
+        raise DomainError(f"gamma({z}) overflows the double range")
     return _as_input_kind(val, z)
 
 
@@ -329,6 +338,29 @@ def hyp2f1(a, b, c, x):
     return out
 
 
+def legendre_weighted(nu, mu, x):
+    """Weighted Ferrers function (1 - xi^2)^(mu/2) P^mu_nu(xi) at the
+    half-angle variable x = (1 - xi)/2 = sin^2(theta/2), 0 <= x < 1.
+
+    The weight cancels the prefactor of P^mu_nu analytically:
+
+        (1 - xi^2)^(mu/2) P^mu_nu(xi) = (2 (1 - x))^mu / Gamma(1 - mu)
+                                         * 2F1(-nu, nu+1; 1-mu; x),
+
+    so the axis x = 0 gives 2^mu / Gamma(1 - mu) with no 0 * inf limit.
+    Taking x rather than xi keeps the precision of a caller that has
+    sin^2(theta/2) directly.  Every closed form of the package goes through
+    this function.  A positive integer mu is a pole of the 2F1 here;
+    :func:`legendre_p_cut` recurs in the order for those.  ``x`` may be a
+    scalar or ndarray.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x < 1.0)):
+        raise DomainError("legendre_weighted requires 0 <= x < 1")
+    out = rgamma(1.0 - mu) * (2.0 * (1.0 - x)) ** mu * hyp2f1(-nu, nu + 1.0, 1.0 - mu, x)
+    return out if out.ndim else out.item()
+
+
 def legendre_p_cut(nu, mu, xi):
     """Associated Legendre function of the first kind P^mu_nu(xi) on the cut.
 
@@ -337,7 +369,8 @@ def legendre_p_cut(nu, mu, xi):
         P^mu_nu(xi) = ((1+xi)/(1-xi))^(mu/2) / Gamma(1-mu)
                       * 2F1(-nu, nu+1; 1-mu; (1-xi)/2),
 
-    valid for -1 < xi < 1.  When 1-mu is a non-positive integer (mu a
+    valid for -1 < xi < 1, evaluated as (1 - xi^2)^(-mu/2) times
+    :func:`legendre_weighted`.  When 1-mu is a non-positive integer (mu a
     positive integer) the prefactor degenerates and the value is obtained
     instead through the order-raising recurrence from mu-1, which avoids the
     0/0 limit.  Degree symmetry P^mu_nu = P^mu_{-nu-1} is inherited from the
@@ -364,9 +397,8 @@ def legendre_p_cut(nu, mu, xi):
         p_same = legendre_p_cut(nu, m - 1.0, xi_arr)
         out = ((nu - m + 2.0) * p_up - (nu + m) * xi_arr * p_same) / np.sqrt(1.0 - xi_arr**2)
     else:
-        f = hyp2f1(-nu, nu + 1.0, 1.0 - mu, (1.0 - xi_arr) / 2.0)
-        half_log = 0.5 * (np.log1p(xi_arr) - np.log1p(-xi_arr))
-        out = rgamma(1.0 - mu) * np.exp(mu * half_log) * f
+        weight = ((1.0 - xi_arr) * (1.0 + xi_arr)) ** (-mu / 2.0)
+        out = weight * legendre_weighted(nu, mu, (1.0 - xi_arr) / 2.0)
 
     if not np.all(np.isfinite(np.atleast_1d(out))):
         raise ConvergenceError("legendre_p_cut produced a non-finite value")

@@ -11,13 +11,10 @@ from raygrowth.errors import (
     StripViolationError,
 )
 from raygrowth.indicator import (
-    NEG_INFINITY,
-    IndicatorValue,
     angular_shape,
     indicator_closed,
     indicator_integral,
     indicator_near_pi,
-    indicator_value,
     laplace_log_kernel,
     laplace_strip,
     order_equation_range,
@@ -139,19 +136,6 @@ class TestNearPiAsymptotics:
             indicator_near_pi(P35, 1.0)
 
 
-class TestIndicatorValue:
-    def test_sentinel_at_pi(self):
-        v = indicator_value(P35, math.pi)
-        assert v.value == NEG_INFINITY
-        assert v.source == "asymptotic"
-
-    def test_sources_cross_check(self):
-        vc = indicator_value(P35, 1.0, source="closed_form")
-        vi = indicator_value(P35, 1.0, TIGHT, source="integral_form")
-        assert vc.value == pytest.approx(vi.value, rel=1e-8)
-        assert isinstance(vc, IndicatorValue)
-
-
 class TestZeroSet:
     def test_single_root_n3(self):
         z = zero_set(P35)
@@ -233,9 +217,20 @@ class TestTauberianConstant:
         beta = zero_set(P35).roots[0]
         with pytest.raises(ExceptionalAngleError):
             tauberian_constant(P35, beta)
-        # a wider guard band catches the nearby quoted angle too
-        with pytest.raises(ExceptionalAngleError):
-            tauberian_constant(P35, math.radians(130.0), bracket_width=0.05)
+
+    @pytest.mark.parametrize("p", [P35, ProblemParams(4, 1.5)])
+    def test_fixed_guard_band(self, p):
+        # angles within ROOT_BRACKET_WIDTH = 1e-6 of a root are refused,
+        # angles 1e-3 away are ordinary
+        for beta in zero_set(p).roots:
+            for off in (-5e-7, 5e-7):
+                with pytest.raises(ExceptionalAngleError):
+                    tauberian_constant(p, beta + off)
+                with pytest.raises(ExceptionalAngleError):
+                    transfer_indicator(p, beta + off, 1.0, 0.5)
+            for off in (-1e-3, 1e-3):
+                assert np.isfinite(tauberian_constant(p, beta + off))
+                assert np.isfinite(transfer_indicator(p, beta + off, 1.0, 0.5))
 
     def test_audit_product_reports_offset_factor(self):
         # printed constant times printed indicator / delta = rho + n - 2,

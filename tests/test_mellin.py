@@ -27,14 +27,11 @@ def h_integrand(lam, q, xi):
 class TestQuadratureSpec:
     def test_defaults(self):
         q = QuadratureSpec()
-        assert q.split_point == 1.0
         assert q.max_level == 10
 
     def test_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(split_point=-1.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_level=1)
 
@@ -133,6 +130,15 @@ class TestClosedForms:
                              MellinStrip(0.0, 2.0 * lam))
         assert complex(res.value).real == pytest.approx(mellin_k_closed(lam, s, xi), rel=1e-9)
 
+    @pytest.mark.parametrize("lam,s", [(0.5, 0.3), (1.0, 1.0), (1.5, 2.2), (2.5, 0.7 + 0.4j)])
+    def test_k_closed_axis_is_beta(self, lam, s):
+        # at xi = 1 the kernel is (1+t)^(-2 lam), whose transform is
+        # Gamma(s) Gamma(2 lam - s) / Gamma(2 lam)
+        from scipy.special import gamma as sp_gamma
+
+        want = sp_gamma(s) * sp_gamma(2.0 * lam - s) / sp_gamma(2.0 * lam)
+        assert abs(mellin_k_closed(lam, s, 1.0) - want) <= 1e-13 * abs(want)
+
     def test_k_closed_strip_violation(self):
         with pytest.raises(StripViolationError):
             mellin_k_closed(1.0, 2.5, 0.0)
@@ -171,6 +177,18 @@ class TestOrderPointForms:
         res = mellin_numeric(h_integrand(p.lam, p.q, -0.5), -p.rho, QUAD,
                              MellinStrip.principal_for_h(p.q))
         assert complex(res.value).real == pytest.approx(forms.factorial_form, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_axis_limit(self, n):
+        # the weighted Legendre factor is continuous into xi = 1, where it
+        # equals 2^((3-n)/2) / Gamma((n-1)/2); both printed shapes follow
+        p = ProblemParams(n, 1.4)
+        axis = mellin_hn_at_order(p, 1.0)
+        near = mellin_hn_at_order(p, 1.0 - 1e-9)
+        assert axis.gamma_form == pytest.approx(axis.factorial_form, rel=1e-12)
+        assert near.factorial_form == pytest.approx(axis.factorial_form, rel=1e-7)
+        want = -math.gamma(-p.rho) * math.gamma(2.0 * p.lam + p.rho) / math.gamma(2.0 * p.lam)
+        assert axis.factorial_form == pytest.approx(want, rel=1e-12)
 
     def test_sign_on_axis(self):
         # for 0 < rho < 1 the axis integrand 1 - (1+u)^{-2 lam} is positive,

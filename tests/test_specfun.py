@@ -12,6 +12,7 @@ from raygrowth.specfun import (
     gegenbauer,
     hyp2f1,
     legendre_p_cut,
+    legendre_weighted,
     series_converged,
 )
 
@@ -62,10 +63,16 @@ class TestGamma:
             gamma(z)
 
     def test_lanczos_overflow_is_domain_error(self):
-        # the Lanczos power t^(z-1/2) overflows from about z = 143 on
+        # Gamma(z) exceeds the double range from about z = 171.6 on
         with pytest.raises(DomainError, match="overflows"):
-            gamma(171.5)
+            gamma(172.0)
         assert gamma(140.0) == pytest.approx(math.gamma(140.0), rel=1e-13)
+
+    @pytest.mark.parametrize("z", [150.0, 171.5])
+    def test_large_argument_against_mpmath(self, z):
+        # finite although t^(z-1/2) alone overflows the double range
+        mp = pytest.importorskip("mpmath")
+        assert gamma(z) == pytest.approx(float(mp.gamma(z)), rel=1e-13)
 
 
 class TestSeriesStoppingRule:
@@ -297,6 +304,33 @@ class TestLegendreCut:
         # deliver a finite value or raise the explicit failure, never hang
         val = legendre_p_cut(0.5, 0.0, -1.0 + 1e-14)
         assert np.isfinite(val)
+
+
+class TestLegendreWeighted:
+    def test_against_mpmath(self):
+        # (1 - xi^2)^(mu/2) P^mu_nu(xi) at x = (1 - xi)/2, the axis x = 0 included
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for nu in (-2.6, -0.3, 0.5, 1.7, 4.2):
+                for mu in (-2.5, -1.0, -0.5, 0.0, 0.5):
+                    for x in (0.0, 1e-9, 0.1, 0.37, 0.6, 0.9):
+                        if x == 0.0:
+                            ref = mp.mpf(2) ** mu * mp.rgamma(1 - mu)
+                        else:
+                            xi = 1 - 2 * mp.mpf(x)
+                            ref = (1 - xi**2) ** (mp.mpf(mu) / 2) * mp.legenp(nu, mu, xi, type=2)
+                        got = legendre_weighted(nu, mu, x)
+                        assert abs(got - float(ref)) <= 1e-12 * max(1.0, abs(float(ref)))
+
+    def test_array_matches_scalar(self):
+        x = np.array([0.0, 0.2, 0.8])
+        vec = legendre_weighted(1.3, -0.5, x)
+        assert [legendre_weighted(1.3, -0.5, float(v)) for v in x] == pytest.approx(vec, rel=1e-15)
+
+    def test_domain(self):
+        for x in (-0.1, 1.0, math.nan):
+            with pytest.raises(DomainError):
+                legendre_weighted(0.5, -0.5, x)
 
 
 def test_no_nan_escapes():
