@@ -223,11 +223,12 @@ def cmd_zeros(args) -> int:
 _MELLIN_GRID_LAM = (0.5, 1.0, 1.5, 2.5)
 _MELLIN_GRID_Q = (0, 1, 2)
 _MELLIN_GRID_XI = (-0.8, -0.3, 0.0, 0.4, 0.9)
+_MELLIN_VERIFY_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
 
 
 def cmd_mellin_verify(args) -> int:
     tol = args.tol if args.tol is not None else 1e-8
-    quad = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
+    quad = _MELLIN_VERIFY_QUAD
     config = RunConfig("mellin-verify", {
         "tol": _fmt(tol), "samples": args.samples, "format": args.format, "seed": args.seed,
     })
@@ -252,6 +253,10 @@ def cmd_mellin_verify(args) -> int:
         closed = complex(mellin_h_closed(lam, q, s, xi)).real
         rel = abs(complex(num.value).real - closed) / max(1e-300, abs(closed))
         if rel > tol:
+            failed = True
+        if not num.converged:
+            print(f"raygrowth: quadrature flagged at lam={_fmt(lam)} q={q} s={_fmt(s)} "
+                  f"xi={_fmt(xi)}: {num.message}", file=sys.stderr)
             failed = True
         rows.append({
             "lam": lam, "q": q, "s": s, "xi": xi,

@@ -152,6 +152,7 @@ def indicator_integral(params: ProblemParams, theta1, quad: QuadratureSpec | Non
             error=(params.rho + params.n - 2.0) * params.delta * res.error,
             converged=res.converged,
             message=res.message,
+            evaluations=res.evaluations,
         )
         return value, scaled
     return value
@@ -438,5 +439,6 @@ def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec | N
     err = float(np.sum(res.error))
     converged = res.converged and err <= 10.0 * max(quad.abs_tol, quad.rel_tol * abs(total))
     if full_output:
-        return total, MellinResult(value=total, error=err, converged=converged, message=res.message)
+        return total, MellinResult(value=total, error=err, converged=converged, message=res.message,
+                                   evaluations=res.evaluations)
     return total

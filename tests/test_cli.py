@@ -148,6 +148,14 @@ class TestMellinVerifyCommand:
         _, c = run_cli(tmp_path, "mellin-verify", "--samples", "3", "--seed", "43")
         assert a != c
 
+    def test_quadrature_flag_exit_code(self, tmp_path, monkeypatch, capsys):
+        # two refinement levels cannot reach 1e-10: the flag alone fails the run
+        monkeypatch.setattr(cli, "_MELLIN_VERIFY_QUAD", QuadratureSpec(max_level=2))
+        code, text = run_cli(tmp_path, "mellin-verify", "--tol", "1.0")
+        assert code == 2
+        assert "quadrature flagged" in capsys.readouterr().err
+        assert "rel_err" in text
+
 
 class TestSimulateCommand:
     def test_power_law_sweep(self, tmp_path):

@@ -83,6 +83,14 @@ class TestMellinNumeric:
         res = mellin_numeric(lambda u: np.exp(-u), s, QUAD, MellinStrip(0.0, 50.0))
         assert abs(res.value - gamma(s)) <= 1e-9 * abs(gamma(s))
 
+    def test_evaluations_sum_over_pieces(self):
+        # a complex s takes four integrals, each at least its first pass of
+        # 16 * 2^4 + 2 nodes; the count reaches the caller
+        res = mellin_numeric(lambda u: np.exp(-u), 2.0 + 0.7j, QUAD, MellinStrip(0.0, 50.0))
+        assert res.evaluations >= 4 * 258
+        real = mellin_numeric(lambda u: np.exp(-u), 2.0, QUAD, MellinStrip(0.0, 50.0))
+        assert 2 * 258 <= real.evaluations < res.evaluations
+
     def test_tolerance_flag_reported(self):
         # a hostile oscillatory integrand with a tiny refinement budget must
         # come back flagged, not silently wrong

@@ -1,0 +1,118 @@
+"""The tanh-sinh rule behind ``mellin.integrate``, held against scipy's.
+
+``scipy.integrate.tanhsinh`` runs the same rule, so at the same tolerances
+and levels both must find the same status, the same values to a few ulp and
+the same error estimates to a factor of 2.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.integrate import tanhsinh
+
+import raygrowth
+from raygrowth.mellin import QuadratureSpec, _level_nodes, _nodes_through, integrate
+
+INF = np.inf
+
+CASES = {
+    "exp": (np.exp, 0.0, 1.0),
+    "inverse_sqrt": (lambda x: x ** -0.5, 0.0, 1.0),
+    "log": (np.log, 0.0, 1.0),
+    "cauchy_half_line": (lambda x: 1.0 / (1.0 + x * x), 0.0, INF),
+    "exp_left_half_line": (np.exp, -INF, 0.0),
+    "gauss_whole_line": (lambda x: np.exp(-x * x), -INF, INF),
+    "mixed_limits": (lambda x: np.exp(-x * x),
+                     np.array([0.0, -INF, 1.0, -INF, 2.0, 3.0]),
+                     np.array([1.0, 0.0, INF, INF, 5.0, 2.0])),
+    # rows converge at different levels and leave the loop one by one
+    "rows_leave_at_different_levels": (np.cos, np.zeros(4), np.array([1.0, 10.0, 40.0, 1e3])),
+    "nan_near_limit": (lambda x: np.where(x > 1.0 - 1e-9, np.nan, np.sqrt(1.0 - x)), 0.0, 1.0),
+    "nan_in_tails": (lambda x: np.where(np.abs(x) > 30.0, np.nan, np.exp(-x * x)), -INF, INF),
+    "equal_limits": (np.exp, 1.0, 1.0),
+}
+
+
+def reference(f, a, b, quad):
+    with np.errstate(all="ignore"):
+        return tanhsinh(f, a, b, atol=quad.abs_tol, rtol=quad.rel_tol,
+                        minlevel=min(4, quad.max_level), maxlevel=quad.max_level)
+
+
+def assert_same_as_scipy(f, a, b, quad):
+    res = integrate(f, a, b, quad)
+    ref = reference(f, a, b, quad)
+    value, error = np.asarray(res.value), np.asarray(res.error)
+    assert value.shape == np.shape(ref.integral)
+    assert np.all((np.abs(value - ref.integral) <= 4 * np.spacing(np.abs(ref.integral)))
+                  | (np.isnan(value) & np.isnan(ref.integral)))
+    both_zero = (error == 0.0) & (ref.error == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = error / ref.error
+    assert np.all(both_zero | ((ratio >= 0.5) & (ratio <= 2.0))
+                  | (np.isnan(error) & np.isnan(ref.error)))
+    status = np.atleast_1d(ref.status)
+    assert res.converged == bool(np.all(status == 0))
+    assert ("maximum level reached" in res.message) == bool(np.any(status == -2))
+    assert ("non-finite" in res.message) == bool(np.any(status == -3))
+    return res, ref
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_scipy(name):
+    f, a, b = CASES[name]
+    res, _ = assert_same_as_scipy(f, a, b, QuadratureSpec())
+    assert res.converged
+
+
+def test_max_level_flag_matches_scipy():
+    # two levels cannot resolve 25 periods
+    quad = QuadratureSpec(max_level=2)
+    res, ref = assert_same_as_scipy(lambda x: np.cos(50.0 * x), 0.0, 1.0, quad)
+    assert ref.status == -2
+    assert not res.converged
+    assert "maximum level reached" in res.message
+
+
+def test_non_finite_flag_matches_scipy():
+    res, ref = assert_same_as_scipy(lambda x: np.full(x.shape, np.nan), 0.0, 1.0, QuadratureSpec())
+    assert ref.status == -3
+    assert not res.converged
+
+
+def test_levels_nest():
+    for k in range(1, 8):
+        coarse, fine = _nodes_through(k - 1)[0], _nodes_through(k)[0]
+        assert set(coarse) <= set(fine)
+        assert set(_level_nodes(k)[0]).isdisjoint(coarse)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+def test_node_count_per_level(level):
+    # a divergent integral runs every level up to the cap
+    res = integrate(lambda x: 1.0 / x, 0.0, 1.0, QuadratureSpec(max_level=level))
+    assert not res.converged
+    assert res.evaluations == 16 * 2 ** level + 2
+    assert _nodes_through(level)[0].size == 8 * 2 ** level + 1
+
+
+def test_evaluations_add_over_rows():
+    one = integrate(np.exp, 0.0, 1.0, QuadratureSpec())
+    three = integrate(np.exp, np.zeros(3), np.ones(3), QuadratureSpec())
+    assert one.evaluations > 0
+    assert three.evaluations == 3 * one.evaluations
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(raygrowth.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, raygrowth.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
