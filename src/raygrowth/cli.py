@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: indicator, zeros, mellin-verify, simulate, solve-order,
-counterexample.  Every table carries a provenance header echoing the full
-resolved configuration and the library version; re-running from that echoed
+counterexample.  Each subparser in :func:`build_parser` is the one place that
+knows its command's options: a ``--config`` file is parsed by the same
+subparser, and every table carries a provenance header echoing the parsed
+options and the library version, so re-running from that echoed
 configuration reproduces the output byte for byte.  Exit codes: 0 success,
-2 tolerance/verification failure, 3 domain or strip error, 4 parse error.
+2 tolerance/verification failure, 3 domain or strip error, 4 parse or usage
+error.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,22 +68,6 @@ def _json_safe(x):
     return x
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: command plus every knob, all serializable."""
-
-    command: str
-    options: dict
-
-    def echo_lines(self):
-        yield f"command={self.command}"
-        for k in sorted(self.options):
-            v = self.options[k]
-            if v is None:
-                continue
-            yield f"{k}={v}"
-
-
 def parse_angle(token: str, params: ProblemParams | None = None) -> float:
     """Angle token to radians: '1.2', '1.2rad', '130deg', or 'root'/'rootK'."""
     token = token.strip()
@@ -117,7 +103,7 @@ def _parse_grid(token: str):
 
 
 def read_config_file(path: str) -> dict:
-    """key=value per line, '#' comments; keys mirror the long option names."""
+    """key=value per line, '#' comments; keys are the long option names."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -131,10 +117,21 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def _emit(rows, columns, config: RunConfig, fmt: str, out_path: str | None):
-    if fmt == "csv":
+# parsed attributes the header leaves out: the command is echoed first, func
+# dispatches, and config and out name files that do not change the table
+_NOT_ECHOED = ("command", "func", "config", "out")
+
+
+def _emit(rows, columns, args):
+    """Write the table with a header echoing ``command`` and every parsed option."""
+    config = {"command": args.command}
+    config.update(sorted(
+        (key.replace("_", "-"), _fmt(value)) for key, value in vars(args).items()
+        if key not in _NOT_ECHOED and value is not None
+    ))
+    if args.format == "csv":
         lines = [f"# raygrowth {__version__}"]
-        lines.extend(f"# {eline}" for eline in config.echo_lines())
+        lines.extend(f"# {key}={value}" for key, value in config.items())
         lines.append(",".join(columns))
         for row in rows:
             lines.append(",".join(_fmt(row[c]) for c in columns))
@@ -142,16 +139,23 @@ def _emit(rows, columns, config: RunConfig, fmt: str, out_path: str | None):
     else:
         payload = {
             "version": __version__,
-            "config": dict(line.split("=", 1) for line in config.echo_lines()),
+            "config": config,
             "columns": list(columns),
             "rows": [{c: _json_safe(row[c]) for c in columns} for row in rows],
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _thetas(args, params: ProblemParams) -> list:
+    """The --theta angles in radians, written back so that the header echoes them."""
+    thetas = [parse_angle(tok, params) for tok in args.theta.split(",")]
+    args.theta = ",".join(_fmt(t) + "rad" for t in thetas)
+    return thetas
 
 
 def _quad_from(tol: float | None) -> QuadratureSpec:
@@ -166,13 +170,8 @@ def _quad_from(tol: float | None) -> QuadratureSpec:
 def cmd_indicator(args) -> int:
     params = ProblemParams(args.n, args.rho, args.delta)
     tol = args.tol if args.tol is not None else 1e-6
-    thetas = [parse_angle(tok, params) for tok in args.theta.split(",")]
+    thetas = _thetas(args, params)
     quad = _quad_from(args.tol)
-    config = RunConfig("indicator", {
-        "n": args.n, "rho": _fmt(args.rho), "delta": _fmt(args.delta),
-        "theta": ",".join(_fmt(t) + "rad" for t in thetas),
-        "tol": _fmt(tol), "format": args.format, "seed": args.seed,
-    })
     rows = []
     failed = False
     for th in thetas:
@@ -197,16 +196,12 @@ def cmd_indicator(args) -> int:
             "H_closed": hc, "H_integral": hi, "H_asymptotic": ha, "abs_diff": diff,
         })
     columns = ["theta1_rad", "theta1_deg", "H_closed", "H_integral", "H_asymptotic", "abs_diff"]
-    _emit(rows, columns, config, args.format, args.out)
+    _emit(rows, columns, args)
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 
 def cmd_zeros(args) -> int:
-    params = ProblemParams(args.n, args.rho, args.delta)
-    config = RunConfig("zeros", {
-        "n": args.n, "rho": _fmt(args.rho), "format": args.format, "seed": args.seed,
-    })
-    zset = zero_set(params)  # raises CountMismatchError -> exit 2
+    zset = zero_set(ProblemParams(args.n, args.rho))  # raises CountMismatchError -> exit 2
     residuals = np.abs(angular_shape(args.n, args.rho, np.array(zset.roots))).tolist()
     rows = []
     for i, (beta, residual) in enumerate(zip(zset.roots, residuals)):
@@ -216,7 +211,7 @@ def cmd_zeros(args) -> int:
             "residual": residual, "count": len(zset.roots),
         })
     columns = ["n", "rho", "root_index", "beta_deg", "beta_rad", "residual", "count"]
-    _emit(rows, columns, config, args.format, args.out)
+    _emit(rows, columns, args)
     return EXIT_OK
 
 
@@ -227,11 +222,7 @@ _MELLIN_VERIFY_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
 
 
 def cmd_mellin_verify(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-8
     quad = _MELLIN_VERIFY_QUAD
-    config = RunConfig("mellin-verify", {
-        "tol": _fmt(tol), "samples": args.samples, "format": args.format, "seed": args.seed,
-    })
     cases = [
         (lam, q, -q - 0.5, xi)
         for lam in _MELLIN_GRID_LAM for q in _MELLIN_GRID_Q for xi in _MELLIN_GRID_XI
@@ -252,7 +243,7 @@ def cmd_mellin_verify(args) -> int:
         )
         closed = complex(mellin_h_closed(lam, q, s, xi)).real
         rel = abs(complex(num.value).real - closed) / max(1e-300, abs(closed))
-        if rel > tol:
+        if rel > args.tol:
             failed = True
         if not num.converged:
             print(f"raygrowth: quadrature flagged at lam={_fmt(lam)} q={q} s={_fmt(s)} "
@@ -263,7 +254,7 @@ def cmd_mellin_verify(args) -> int:
             "numeric": complex(num.value).real, "closed": closed, "rel_err": rel,
         })
     columns = ["lam", "q", "s", "xi", "numeric", "closed", "rel_err"]
-    _emit(rows, columns, config, args.format, args.out)
+    _emit(rows, columns, args)
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 
@@ -271,23 +262,15 @@ def cmd_simulate(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = parse_mass_model(fh.read())
     params = ProblemParams(args.n, args.rho, args.delta)
-    thetas = [parse_angle(tok, params) for tok in args.theta.split(",")]
-    grid = _parse_grid(args.grid) if args.grid else (1e2, 1e6, 9)
-    tol = args.tol if args.tol is not None else 0.05
-    ratios = bool(args.ratios)
-    config = RunConfig("simulate", {
-        "n": args.n, "rho": _fmt(args.rho), "delta": _fmt(args.delta),
-        "model": args.model,
-        "theta": ",".join(_fmt(t) + "rad" for t in thetas),
-        "grid": f"{_fmt(grid[0])}:{_fmt(grid[1])}:{grid[2]}",
-        "tol": _fmt(tol), "ratios": int(ratios), "format": args.format, "seed": args.seed,
-    })
+    thetas = _thetas(args, params)
+    grid = _parse_grid(args.grid)
+    args.grid = f"{_fmt(grid[0])}:{_fmt(grid[1])}:{grid[2]}"
     quad = _quad_from(None)
+    probe = ratio_probe if args.ratios else scaled_limit
     rows = []
     flagged = 0
     for th in thetas:
-        probe = ratio_probe if ratios else scaled_limit
-        res = probe(model, params, th, grid, quad=quad, sweep_tol=tol)
+        res = probe(model, params, th, grid, quad=quad, sweep_tol=args.tol)
         if res.quadrature_flags:
             print(f"raygrowth: quadrature flagged at theta1={_fmt(th)}: {res.diagnostics}", file=sys.stderr)
             flagged += res.quadrature_flags
@@ -309,15 +292,11 @@ def cmd_simulate(args) -> int:
         "extrapolated", "extrapolated_un", "extrapolated_uN",
         "indicator", "rel_err_vs_indicator", "converged",
     ]
-    _emit(rows, columns, config, args.format, args.out)
+    _emit(rows, columns, args)
     return EXIT_TOLERANCE if flagged else EXIT_OK
 
 
 def cmd_solve_order(args) -> int:
-    config = RunConfig("solve-order", {
-        "n": args.n, "delta-bar": _fmt(args.delta_bar), "format": args.format,
-        "seed": args.seed,
-    })
     rho = solve_order(args.n, args.delta_bar)  # OutOfRangeError -> exit 3
     residual = abs(order_equation_rhs(args.n, rho) - args.delta_bar)
     lo, hi = order_equation_range(args.n)
@@ -326,21 +305,14 @@ def cmd_solve_order(args) -> int:
         "admissible_lo": lo, "admissible_hi": hi,
     }]
     columns = ["n", "delta_bar", "rho", "residual", "admissible_lo", "admissible_hi"]
-    _emit(rows, columns, config, args.format, args.out)
+    _emit(rows, columns, args)
     return EXIT_OK
 
 
 def cmd_counterexample(args) -> int:
     rho = args.rho
-    params = ProblemParams(3, rho)
-    thetas = [parse_angle(tok, params) for tok in args.theta.split(",")]
-    num = args.points
-    config = RunConfig("counterexample", {
-        "rho": _fmt(rho),
-        "theta": ",".join(_fmt(t) + "rad" for t in thetas),
-        "points": num, "format": args.format, "seed": args.seed,
-    })
-    ts = np.linspace(0.0, 2.0 * math.pi, num)
+    thetas = _thetas(args, ProblemParams(3, rho))
+    ts = np.linspace(0.0, 2.0 * math.pi, args.points)
     rows = []
     for th in thetas:
         rs = np.exp(np.exp(ts))
@@ -353,14 +325,35 @@ def cmd_counterexample(args) -> int:
                 "range": rng_span,
             })
     columns = ["theta1_rad", "t", "r", "scaled_u0", "range_min", "range_max", "range"]
-    _emit(rows, columns, config, args.format, args.out)
+    _emit(rows, columns, args)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 4) instead of exiting with status 2."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _at_least(lo: int):
+    """Option type: an integer no smaller than lo."""
+    def count(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return count
+
+
+_THETA_HELP = "comma list: radians, 'Xdeg', or 'rootK'"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser; each subparser declares exactly the options its command reads."""
+    parser = _Parser(
         prog="raygrowth",
         description="Growth indicators, kernels and Mellin transforms for "
                     "potentials with masses on a ray.",
@@ -368,85 +361,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"raygrowth {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_params=True):
-        if need_params:
-            p.add_argument("--n", type=int, default=3, help="space dimension (>= 3)")
-            p.add_argument("--rho", type=float, default=0.5, help="non-integer growth order")
-            p.add_argument("--delta", type=float, default=1.0, help="type constant")
-        p.add_argument("--tol", type=float, default=None, help="cross-check tolerance")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+        p.add_argument("--config", default=None,
+                       help="key=value config file; options on the command line win")
+        return p
 
-    p = sub.add_parser("indicator", help="closed vs integral indicator table")
-    common(p)
-    p.add_argument("--theta", default="0.0", help="comma list: radians, 'Xdeg', or 'rootK'")
-    p.set_defaults(func=cmd_indicator)
+    def params(p, delta=True):
+        p.add_argument("--n", type=int, default=3, help="space dimension (>= 3)")
+        p.add_argument("--rho", type=float, default=0.5, help="non-integer growth order")
+        if delta:
+            p.add_argument("--delta", type=float, default=1.0, help="type constant")
 
-    p = sub.add_parser("zeros", help="exceptional angles of the indicator")
-    common(p)
-    p.set_defaults(func=cmd_zeros)
+    p = command("indicator", cmd_indicator, "closed vs integral indicator table")
+    params(p)
+    p.add_argument("--theta", default="0.0", help=_THETA_HELP)
+    p.add_argument("--tol", type=float, default=None,
+                   help="cross-check tolerance (default 1e-6); also tightens the quadrature")
 
-    p = sub.add_parser("mellin-verify", help="numeric vs closed transform of the kernel")
-    common(p, need_params=False)
-    p.add_argument("--samples", type=int, default=0, help="extra random cases")
-    p.set_defaults(func=cmd_mellin_verify)
+    p = command("zeros", cmd_zeros, "exceptional angles of the indicator")
+    params(p, delta=False)
 
-    p = sub.add_parser("simulate", help="radial sweep of a mass-model potential")
-    common(p)
+    p = command("mellin-verify", cmd_mellin_verify, "numeric vs closed transform of the kernel")
+    p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance")
+    p.add_argument("--samples", type=_at_least(0), default=0, help="extra random cases")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random cases")
+
+    p = command("simulate", cmd_simulate, "radial sweep of a mass-model potential")
+    params(p)
     p.add_argument("--model", required=True, help="mass-model file")
-    p.add_argument("--theta", default="0.0")
-    p.add_argument("--grid", default=None, help="lo:hi:num geometric radial grid")
-    p.add_argument("--ratios", action="store_true", help="probe u/n and u/N instead")
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--theta", default="0.0", help=_THETA_HELP)
+    p.add_argument("--grid", default="1e2:1e6:9", help="lo:hi:num geometric radial grid")
+    p.add_argument("--tol", type=float, default=0.05, help="sweep tolerance")
+    p.add_argument("--ratios", type=int, nargs="?", const=1, default=0, choices=(0, 1),
+                   help="1 (or bare --ratios): probe u/n and u/N instead")
 
-    p = sub.add_parser("solve-order", help="invert the transcendental order equation")
-    common(p, need_params=False)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--delta-bar", dest="delta_bar", type=float, required=True)
-    p.set_defaults(func=cmd_solve_order)
+    p = command("solve-order", cmd_solve_order, "invert the transcendental order equation")
+    p.add_argument("--n", type=int, default=3, help="space dimension (>= 3)")
+    p.add_argument("--delta-bar", type=float, required=True)
 
-    p = sub.add_parser("counterexample", help="oscillating potential over a log-log grid")
-    common(p, need_params=False)
+    p = command("counterexample", cmd_counterexample, "oscillating potential over a log-log grid")
     p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--theta", default="0.0")
-    p.add_argument("--points", type=int, default=65)
-    p.set_defaults(func=cmd_counterexample)
+    p.add_argument("--theta", default="0.0", help=_THETA_HELP)
+    p.add_argument("--points", type=_at_least(1), default=65)
     return parser
 
 
-def _apply_config_file(args, argv):
-    if not getattr(args, "config", None):
-        return args
-    overrides = read_config_file(args.config)
-    explicit = {a.split("=", 1)[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for key, value in overrides.items():
-        if key == "command":
-            continue
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ParseError(f"unknown config key {key!r}")
-        if attr in explicit:
-            continue  # command line wins
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            setattr(args, attr, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, attr, int(value))
-        elif isinstance(current, float):
-            setattr(args, attr, float(value))
-        else:
-            setattr(args, attr, value)
-    return args
+def _config_tokens(argv) -> list:
+    """The lines of the --config file named in argv as --key=value tokens."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    return [f"--{k}={v}" for k, v in read_config_file(path).items() if k != "command"]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config_file(args, argv)
+        # the file's options go between the command and the command line's
+        # options, so the subparser reads both and the command line wins
+        args = build_parser().parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
         return args.func(args)
     except ParseError as exc:
         print(f"raygrowth: parse error: {exc}", file=sys.stderr)

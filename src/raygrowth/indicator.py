@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import elementwise
 
 from .errors import (
     ConvergenceError,
@@ -49,6 +48,10 @@ def _refine_roots(f, a, b):
     Chandrupatla's method: each iteration makes one call of f on the array
     of roots still open.
     """
+    # imported here, not at module level: scipy.optimize takes most of a
+    # second to import, and CLI runs with no root problem never need it
+    from scipy.optimize import elementwise
+
     res = elementwise.find_root(f, (a, b), tolerances=_ROOT_TOLERANCES)
     if not np.all(res.success):
         raise ConvergenceError(f"root refinement failed with status {np.unique(res.status)}")

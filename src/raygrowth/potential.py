@@ -101,8 +101,8 @@ class PowerLaw(MassModel):
             raise DomainError(f"delta must be >= 0, got {self.delta}")
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise DomainError(f"rho must be > 0, got {self.rho}")
-        if self.t0 < 1.0:
-            raise DomainError("mass support must start at radius >= 1")
+        if not (np.isfinite(self.t0) and self.t0 >= 1.0):
+            raise DomainError(f"mass support must start at a finite radius >= 1, got {self.t0}")
 
     def profile(self, t):
         return self.delta * t ** self.rho
@@ -128,8 +128,8 @@ class Perturbed(MassModel):
         f, df, default_t0 = _resolve_handle(self.eps)
         if self.t0 == 0.0:
             object.__setattr__(self, "t0", default_t0)
-        if self.t0 < 1.0:
-            raise DomainError("mass support must start at radius >= 1")
+        if not (np.isfinite(self.t0) and self.t0 >= 1.0):
+            raise DomainError(f"mass support must start at a finite radius >= 1, got {self.t0}")
         if not (np.isfinite(self.delta) and self.delta >= 0):
             raise DomainError(f"delta must be >= 0, got {self.delta}")
         if not (np.isfinite(self.rho) and self.rho > 0):
@@ -162,8 +162,8 @@ class SlowlyVarying(MassModel):
         f, df, default_t0 = _resolve_handle(self.psi1)
         if self.t0 == 0.0:
             object.__setattr__(self, "t0", default_t0)
-        if self.t0 < 1.0:
-            raise DomainError("mass support must start at radius >= 1")
+        if not (np.isfinite(self.t0) and self.t0 >= 1.0):
+            raise DomainError(f"mass support must start at a finite radius >= 1, got {self.t0}")
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise DomainError(f"rho must be > 0, got {self.rho}")
 
@@ -197,10 +197,10 @@ class Atomic(MassModel):
         if not cleaned:
             raise DomainError("atomic model needs at least one atom")
         for t, m in cleaned:
-            if t <= 1.0:
-                raise DomainError(f"atom radius must be > 1, got {t}")
-            if m <= 0.0:
-                raise DomainError(f"atom mass must be > 0, got {m}")
+            if not (np.isfinite(t) and t > 1.0):
+                raise DomainError(f"atom radius must be finite and > 1, got {t}")
+            if not (np.isfinite(m) and m > 0.0):
+                raise DomainError(f"atom mass must be finite and > 0, got {m}")
         radii, masses = np.array(cleaned).T
         object.__setattr__(self, "atoms", cleaned)
         object.__setattr__(self, "radii", radii)
@@ -469,6 +469,10 @@ def _aitken(values):
 def _resolve_grid(r_grid):
     if isinstance(r_grid, tuple) and len(r_grid) == 3:
         lo, hi, num = r_grid
+        if not 0.0 < lo < hi < math.inf:
+            raise DomainError(f"radial grid needs 0 < lo < hi < inf, got lo={lo}, hi={hi}")
+        if num < 5:
+            raise DomainError("radial grid needs at least 5 points")
         grid = np.geomspace(lo, hi, int(num))
     else:
         grid = np.asarray(r_grid, dtype=float)

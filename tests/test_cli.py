@@ -194,6 +194,21 @@ class TestSimulateCommand:
         assert "quadrature flags" in capsys.readouterr().err
         assert "extrapolated" in text
 
+    @pytest.mark.parametrize("grid", ["0:1e6:9", "1e2:1e6:-9"])
+    def test_out_of_range_grid_exit_code(self, tmp_path, capsys, grid):
+        model = tmp_path / "model.txt"
+        model.write_text("powerlaw delta=1.0 rho=0.5\n")
+        code, _ = run_cli(tmp_path, "simulate", "--model", str(model), "--grid", grid)
+        assert code == 3
+        assert "radial grid" in capsys.readouterr().err
+
+    def test_non_finite_model_exit_code(self, tmp_path):
+        model = tmp_path / "model.txt"
+        model.write_text("powerlaw delta=1 rho=0.5 t0=nan\n")
+        code, text = run_cli(tmp_path, "simulate", "--model", str(model))
+        assert code == 4
+        assert text == ""
+
     def test_parse_error_exit(self, tmp_path):
         model = tmp_path / "bad.txt"
         model.write_text("powerlaw delta=oops\n")
@@ -259,28 +274,100 @@ class TestCounterexampleCommand:
         assert float(rows[0].split(",")[-1]) <= 1e-12
 
 
+def _usage_error(capsys, *argv):
+    """Exit status and the single stderr line of a run that must fail to parse."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    return code, err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("zeros", "--n", "abc"),
+        ("zeros", "--tol", "1"),
+        ("zeros", "--seed", "1"),
+        ("zeros", "--delta", "1"),
+        ("indicator", "--seed", "1"),
+        ("solve-order", "--tol", "1", "--delta-bar", "0.7"),
+        ("counterexample", "--points", "0"),
+        ("counterexample", "--points", "-1"),
+        ("mellin-verify", "--samples", "-2"),
+        ("simulate", "--model", "m.txt", "--ratios", "2"),
+        ("solve-order",),
+        (),
+    ], ids=lambda argv: " ".join(argv) or "no command")
+    def test_exit_code(self, capsys, argv):
+        code, err = _usage_error(capsys, *argv)
+        assert code == 4
+        assert err.startswith("raygrowth: parse error: ")
+
+    def test_bad_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=abc\n")
+        code, err = _usage_error(capsys, "zeros", "--config", str(cfg))
+        assert code == 4
+        assert "'abc'" in err
+
+    def test_bad_config_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n 5\n")
+        code, err = _usage_error(capsys, "zeros", "--config", str(cfg))
+        assert code == 4
+        assert "line 1" in err
+
+
+# one run per subcommand; the model file, if any, is written by the test
+ROUND_TRIPS = {
+    "indicator": ["--n", "4", "--rho", "1.5", "--theta", "0.4,100deg,root", "--tol", "1e-7"],
+    "zeros": ["--n", "5", "--rho", "2.7"],
+    "mellin-verify": ["--samples", "2", "--seed", "7"],
+    "simulate": ["--theta", "90deg", "--grid", "1e2:1e4:5", "--ratios"],
+    "solve-order": ["--n", "4", "--delta-bar", "0.7"],
+    "counterexample": ["--rho", "0.5", "--theta", "0.0,root", "--points", "9"],
+}
+
+
 class TestReproducibility:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(ROUND_TRIPS))
+    def test_config_file_roundtrip(self, tmp_path, capsys, command, fmt):
+        argv = [command, *ROUND_TRIPS[command], "--format", fmt]
+        if command == "simulate":
+            model = tmp_path / "model.txt"
+            model.write_text("powerlaw delta=1.0 rho=0.5\n")
+            argv += ["--model", str(model)]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        if fmt == "csv":
+            cfg_lines = [l[2:] for l in text.splitlines()[1:] if l.startswith("# ")]
+        else:
+            cfg_lines = [f"{k}={v}" for k, v in json.loads(text)["config"].items()]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(cfg_lines) + "\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == text
+
+    def test_unset_indicator_tol_not_echoed(self, tmp_path):
+        # an explicit tol also tightens the quadrature, so the default is left unset
+        _, text = run_cli(tmp_path, "indicator", "--theta", "0.3")
+        assert not any(l.startswith("# tol=") for l in text.splitlines())
+
+    @pytest.mark.parametrize("option", ["--rho", "--rh"])
+    def test_config_file_overridden_by_cli(self, tmp_path, option):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rho=2.7\nn=5\n")
+        code, text = run_cli(tmp_path, "zeros", "--config", str(cfg), option, "0.5")
+        assert code == 0
+        rows = [l for l in text.splitlines() if not l.startswith(("#", "n,"))]
+        assert len(rows) == 1  # rho=0.5 has one root, rho=2.7 would have three
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ("indicator", "--n", "4", "--rho", "1.5", "--theta", "0.4,1.9")
         _, a = run_cli(tmp_path, *args)
         _, b = run_cli(tmp_path, *args)
         assert a == b
-
-    def test_config_file_roundtrip(self, tmp_path):
-        _, text = run_cli(tmp_path, "zeros", "--n", "5", "--rho", "2.7")
-        cfg_lines = [l[2:] for l in text.splitlines() if l.startswith("# ") and "=" in l]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("\n".join(cfg_lines) + "\n")
-        _, again = run_cli(tmp_path, "zeros", "--config", str(cfg))
-        assert again == text
-
-    def test_config_file_overridden_by_cli(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("rho=2.7\nn=5\n")
-        code, text = run_cli(tmp_path, "zeros", "--config", str(cfg), "--rho", "0.5")
-        assert code == 0
-        rows = [l for l in text.splitlines() if not l.startswith(("#", "n,"))]
-        assert len(rows) == 1  # rho=0.5 has one root, rho=2.7 would have three
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"

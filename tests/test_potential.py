@@ -8,6 +8,7 @@ from raygrowth.indicator import indicator_closed, ratio_limits, zero_set
 from raygrowth.kernels import ProblemParams
 from raygrowth.mellin import QuadratureSpec
 from raygrowth.potential import (
+    HANDLES,
     Atomic,
     Perturbed,
     PowerLaw,
@@ -214,6 +215,11 @@ class TestSweeps:
         with pytest.raises(DomainError):
             scaled_limit(PW, P35, 0.3, np.array([1.0, 1.0, 2.0, 3.0, 4.0]))
 
+    @pytest.mark.parametrize("grid", [(0.0, 1e6, 9), (1e2, 1e6, -9), (1e2, math.inf, 9), (1e2, -1.0, 9)])
+    def test_grid_out_of_range(self, grid):
+        with pytest.raises(DomainError, match="radial grid"):
+            scaled_limit(PW, P35, 0.3, grid)
+
 
 class TestRatioProbe:
     def test_power_law_ratios(self):
@@ -317,6 +323,31 @@ class TestSerialization:
         m = parse_mass_model("atom t=2.0 mass=3.0\natom t=5 mass=1\n")
         assert isinstance(m, Atomic)
         assert parse_mass_model(format_mass_model(m)) == m
+
+    @pytest.mark.parametrize("t0", [None, 20.0])
+    @pytest.mark.parametrize("handle", sorted(HANDLES))
+    @pytest.mark.parametrize("kind", ["perturbed delta=1.5 rho=0.5 eps", "slowlyvarying rho=0.5 psi"])
+    def test_handle_roundtrip(self, kind, handle, t0):
+        text = f"{kind}={handle}" + ("" if t0 is None else f" t0={t0!r}") + "\n"
+        m = parse_mass_model(text)
+        if t0 is not None:
+            assert m.t0 == t0
+        assert parse_mass_model(format_mass_model(m)) == m
+
+    @pytest.mark.parametrize("text", [
+        "atom t=nan mass=1",
+        "atom t=2 mass=nan",
+        "atom t=inf mass=1",
+        "atom t=2 mass=inf",
+        *(f"{decl} t0={bad}" for bad in ("nan", "inf") for decl in (
+            "powerlaw delta=1 rho=0.5",
+            "perturbed delta=1 rho=0.5 eps=inv_log",
+            "slowlyvarying rho=0.5 psi=log",
+        )),
+    ])
+    def test_non_finite_values_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_mass_model(text + "\n")
 
     def test_comments_and_blanks(self):
         m = parse_mass_model("# comment\n\nperturbed delta=1 rho=0.5 eps=inv_log\n")
