@@ -103,12 +103,16 @@ def _parse_grid(token: str):
 
 
 def read_config_file(path: str) -> dict:
-    """key=value per line, '#' comments; keys are the long option names."""
+    """key=value per line; keys are the long option names.
+
+    A line whose first non-blank character is '#' is a comment; a '#' later
+    in a line belongs to the value, as in a file name.
+    """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ParseError(f"expected key=value, got {line!r}", line=lineno)
@@ -348,6 +352,14 @@ def _at_least(lo: int):
     return count
 
 
+def _positive(text):
+    """Option type: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 _THETA_HELP = "comma list: radians, 'Xdeg', or 'rootK'"
 
 
@@ -379,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("indicator", cmd_indicator, "closed vs integral indicator table")
     params(p)
     p.add_argument("--theta", default="0.0", help=_THETA_HELP)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_positive, default=None,
                    help="cross-check tolerance (default 1e-6); also tightens the quadrature")
 
     p = command("zeros", cmd_zeros, "exceptional angles of the indicator")
     params(p, delta=False)
 
     p = command("mellin-verify", cmd_mellin_verify, "numeric vs closed transform of the kernel")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance")
+    p.add_argument("--tol", type=_positive, default=1e-8, help="relative tolerance")
     p.add_argument("--samples", type=_at_least(0), default=0, help="extra random cases")
     p.add_argument("--seed", type=int, default=0, help="seed of the random cases")
 
@@ -395,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="mass-model file")
     p.add_argument("--theta", default="0.0", help=_THETA_HELP)
     p.add_argument("--grid", default="1e2:1e6:9", help="lo:hi:num geometric radial grid")
-    p.add_argument("--tol", type=float, default=0.05, help="sweep tolerance")
+    p.add_argument("--tol", type=_positive, default=0.05, help="sweep tolerance")
     p.add_argument("--ratios", type=int, nargs="?", const=1, default=0, choices=(0, 1),
-                   help="1 (or bare --ratios): probe u/n and u/N instead")
+                   help="1 (or bare --ratios): also require mass inside the smallest radius")
 
     p = command("solve-order", cmd_solve_order, "invert the transcendental order equation")
     p.add_argument("--n", type=int, default=3, help="space dimension (>= 3)")

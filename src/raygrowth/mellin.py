@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, PoleError, StripViolationError
+from .errors import ConvergenceError, DomainError, PoleError, StripViolationError
 from .kernels import ProblemParams
 from .specfun import gamma, legendre_weighted
 
@@ -111,7 +111,7 @@ class MellinResult:
     def require(self):
         """Return the value, or raise if the tolerance was not met."""
         if not self.converged:
-            raise ArithmeticError(f"quadrature tolerance not met: {self.message}")
+            raise ConvergenceError(f"quadrature tolerance not met: {self.message}")
         return self.value
 
 

@@ -17,7 +17,7 @@ by an O(1) amount that the cross-representation check at 1e-4 would see).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,27 +65,38 @@ def _resolve_handle(name: str):
 class MassModel:
     """Base class for mass distributions on the negative axis.
 
-    Density models implement ``profile`` (the normalized counting function
+    The density models define ``profile`` (the normalized counting function
     t -> n(t) for t > t0) and ``profile_derivative``, both elementwise on
-    arrays of radii; the atomic model overrides the bookkeeping wholesale.
+    arrays of radii, and have the growth order ``rho``; :class:`Atomic`
+    carries point masses instead.  A density model's init fields are the
+    keys of its declaration in the mass-model text format.
     """
 
     t0: float = 1.0
 
-    def profile(self, t):
-        raise NotImplementedError
 
-    def profile_derivative(self, t):
-        raise NotImplementedError
+def _check_density(model, delta: float = 0.0, handle: str | None = None):
+    """Checks shared by the density models, run from their ``__post_init__``.
 
-    @property
-    def is_atomic(self) -> bool:
-        return False
-
-    @property
-    def order(self) -> float | None:
-        """Growth order of the counting function, when the model has one."""
-        return None
+    A ``handle`` model's t0 of 0 is replaced by the handle's support start.
+    Then delta >= 0, rho > 0, a finite t0 >= 1, and a counting function that
+    is finite and >= 0 at t0, where it sets the boundary atom's mass.
+    """
+    if handle is not None:
+        _, _, start = _resolve_handle(handle)
+        if model.t0 == 0.0:
+            object.__setattr__(model, "t0", start)
+    if not (np.isfinite(delta) and delta >= 0):
+        raise DomainError(f"delta must be >= 0, got {delta}")
+    if not (np.isfinite(model.rho) and model.rho > 0):
+        raise DomainError(f"rho must be > 0, got {model.rho}")
+    if not (np.isfinite(model.t0) and model.t0 >= 1.0):
+        raise DomainError(f"mass support must start at a finite radius >= 1, got {model.t0}")
+    with np.errstate(all="ignore"):
+        edge = float(model.profile(model.t0))
+    if not (np.isfinite(edge) and edge >= 0.0):
+        raise DomainError(f"counting function at the support edge t0={model.t0} must be "
+                          f"finite and >= 0, got {edge}")
 
 
 @dataclass(frozen=True)
@@ -97,22 +108,13 @@ class PowerLaw(MassModel):
     t0: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta) and self.delta >= 0):
-            raise DomainError(f"delta must be >= 0, got {self.delta}")
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise DomainError(f"rho must be > 0, got {self.rho}")
-        if not (np.isfinite(self.t0) and self.t0 >= 1.0):
-            raise DomainError(f"mass support must start at a finite radius >= 1, got {self.t0}")
+        _check_density(self, self.delta)
 
     def profile(self, t):
         return self.delta * t ** self.rho
 
     def profile_derivative(self, t):
         return self.delta * self.rho * t ** (self.rho - 1.0)
-
-    @property
-    def order(self):
-        return self.rho
 
 
 @dataclass(frozen=True)
@@ -125,15 +127,7 @@ class Perturbed(MassModel):
     t0: float = 0.0  # 0 means: use the handle's default support start
 
     def __post_init__(self):
-        f, df, default_t0 = _resolve_handle(self.eps)
-        if self.t0 == 0.0:
-            object.__setattr__(self, "t0", default_t0)
-        if not (np.isfinite(self.t0) and self.t0 >= 1.0):
-            raise DomainError(f"mass support must start at a finite radius >= 1, got {self.t0}")
-        if not (np.isfinite(self.delta) and self.delta >= 0):
-            raise DomainError(f"delta must be >= 0, got {self.delta}")
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise DomainError(f"rho must be > 0, got {self.rho}")
+        _check_density(self, self.delta, self.eps)
 
     def profile(self, t):
         f, _, _ = _resolve_handle(self.eps)
@@ -145,39 +139,25 @@ class Perturbed(MassModel):
             self.rho * t ** (self.rho - 1.0) * (1.0 + f(t)) + t ** self.rho * df(t)
         )
 
-    @property
-    def order(self):
-        return self.rho
-
 
 @dataclass(frozen=True)
 class SlowlyVarying(MassModel):
-    """n(t) = t^rho psi1(t) with psi1 a named slowly-varying handle."""
+    """n(t) = t^rho psi(t) with psi a named slowly-varying handle."""
 
     rho: float
-    psi1: str = "log"
-    t0: float = 0.0
+    psi: str = "log"
+    t0: float = 0.0  # 0 means: use the handle's default support start
 
     def __post_init__(self):
-        f, df, default_t0 = _resolve_handle(self.psi1)
-        if self.t0 == 0.0:
-            object.__setattr__(self, "t0", default_t0)
-        if not (np.isfinite(self.t0) and self.t0 >= 1.0):
-            raise DomainError(f"mass support must start at a finite radius >= 1, got {self.t0}")
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise DomainError(f"rho must be > 0, got {self.rho}")
+        _check_density(self, handle=self.psi)
 
     def profile(self, t):
-        f, _, _ = _resolve_handle(self.psi1)
+        f, _, _ = _resolve_handle(self.psi)
         return t ** self.rho * f(t)
 
     def profile_derivative(self, t):
-        f, df, _ = _resolve_handle(self.psi1)
+        f, df, _ = _resolve_handle(self.psi)
         return self.rho * t ** (self.rho - 1.0) * f(t) + t ** self.rho * df(t)
-
-    @property
-    def order(self):
-        return self.rho
 
 
 @dataclass(frozen=True)
@@ -207,10 +187,6 @@ class Atomic(MassModel):
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "t0", cleaned[0][0])
 
-    @property
-    def is_atomic(self):
-        return True
-
 
 def counting_n(model: MassModel, n: int, t):
     """Normalized counting function n(t) = t^{2-n} * (raw mass within radius t).
@@ -227,7 +203,7 @@ def counting_n(model: MassModel, n: int, t):
     t_arr = np.atleast_1d(t_arr)
     if np.any(t_arr < 0):
         raise DomainError("radius t must be >= 0")
-    if model.is_atomic:
+    if isinstance(model, Atomic):
         mass = np.concatenate(([0.0], np.cumsum(model.masses)))
         out = mass[np.searchsorted(model.radii, t_arr, side="right")]
         np.divide(out, t_arr ** (n - 2), out=out, where=t_arr > 0)
@@ -264,7 +240,7 @@ def average_N(model: MassModel, n: int, r, quad: QuadratureSpec | None = None,
     out = np.zeros_like(r_arr)
     err = np.zeros_like(r_arr)
     ok = True
-    if model.is_atomic:
+    if isinstance(model, Atomic):
         # sum of mass_i (t_i^{2-n} - r^{2-n}) over the k atoms with t_i < r
         t_at, m_at = model.radii, model.masses
         k = np.searchsorted(t_at, r_arr)
@@ -319,7 +295,7 @@ def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float
     def h(u):
         return h_value(lam, q, u, xi)
 
-    if model.is_atomic:
+    if isinstance(model, Atomic):
         t_arr = model.radii
         total = float(np.sum(model.masses * t_arr ** (2 - n) * h(r / t_arr)))
         return (total, 0.0, True) if full_output else total
@@ -335,7 +311,7 @@ def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float
         # t = t0 e^z, dt/t = dz
         pieces.append(integrate(lambda z: h(r / t0 * np.exp(-z)) * qw(t0 * np.exp(z)),
                                 0.0, math.log(r / t0), quad))
-    d = q + 1.0 - model.order
+    d = q + 1.0 - model.rho
     pieces.append(integrate(lambda u: h(u) * qw(r / u) / u, 0.0, min(1.0, r / t0), quad,
                             power=1.0 / min(1.0, d) if d > 0 else 1.0))
     total += sum(p.value for p in pieces)
@@ -363,8 +339,8 @@ def u_poisson(model: MassModel, n: int, r: float, theta1: float,
     theta1 = float(theta1)
     if not (0.0 <= theta1 <= math.pi / 2):
         raise DomainError(f"theta1 must lie in [0, pi/2], got {theta1}")
-    ordr = model.order
-    if ordr is not None and ordr >= 1.0:
+    ordr = 0.0 if isinstance(model, Atomic) else model.rho  # finitely many atoms: order 0
+    if ordr >= 1.0:
         raise DomainError(f"Poisson representation needs order < 1, got {ordr}")
     r = float(r)
     if r <= 0:
@@ -404,7 +380,7 @@ def u_poisson(model: MassModel, n: int, r: float, theta1: float,
             return f_t * r / (w * w)
 
         out = [integrate(far, 0.0, min(1.0, r / lo), quad,
-                         power=1.0 / (1.0 - ordr) if ordr is not None else 1.0)]
+                         power=1.0 / (1.0 - ordr))]
         if lo < r:
             out.append(integrate(near, 0.0, math.log(r / lo), quad))
         return out
@@ -619,13 +595,49 @@ def laplacian_u0(rho: float, r: float, theta1: float):
 # ---------------------------------------------------------------------------
 # declarative mass-model text format
 
+# declaration keyword -> density model; the keys of a declaration are the
+# model's init fields, numbers where the field is a float and handle names
+# where it is a str
+DENSITY_MODELS = {"powerlaw": PowerLaw, "perturbed": Perturbed, "slowlyvarying": SlowlyVarying}
+
+_ATOM_KEYS = ("t", "mass")
+
+
+def _key_values(kind: str, tokens, types: dict, required, lineno: int) -> dict:
+    """The ``key=value`` tokens of one declaration as a dict of typed values.
+
+    ``types`` maps each key the declaration takes to float or str; a key
+    outside it, a key given twice or a missing ``required`` key is an error.
+    """
+    kv = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ParseError(f"expected key=value, got {token!r}", line=lineno)
+        if key not in types:
+            raise ParseError(f"{kind} takes no key {key!r}; its keys are {', '.join(types)}",
+                             line=lineno)
+        if key in kv:
+            raise ParseError(f"{kind} key {key!r} given twice", line=lineno)
+        try:
+            kv[key] = types[key](value)
+        except ValueError:
+            raise ParseError(f"bad number for {key}: {value!r}", line=lineno) from None
+    for key in required:
+        if key not in kv:
+            raise ParseError(f"{kind} needs {key}=", line=lineno)
+    return kv
+
+
 def parse_mass_model(text: str) -> MassModel:
     """Parse the line-oriented mass-model format.
 
     One declaration per line: ``powerlaw delta=1.0 rho=0.5``,
     ``perturbed delta=1.0 rho=0.5 eps=inv_log``,
     ``slowlyvarying rho=0.5 psi=log``, or repeated
-    ``atom t=2.0 mass=3.0`` lines.  '#' starts a comment.
+    ``atom t=2.0 mass=3.0`` lines.  A density declaration's keys are the
+    init fields of its model in :data:`DENSITY_MODELS`, and a key left out
+    takes the field's default.  '#' starts a comment.
     """
     atoms = []
     model = None
@@ -633,39 +645,21 @@ def parse_mass_model(text: str) -> MassModel:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        kind = parts[0].lower()
-        kv = {}
-        for p in parts[1:]:
-            if "=" not in p:
-                raise ParseError(f"expected key=value, got {p!r}", line=lineno)
-            k, v = p.split("=", 1)
-            kv[k.strip()] = v.strip()
-
-        def num(key, default=None):
-            if key not in kv:
-                if default is None:
-                    raise ParseError(f"{kind} needs {key}=", line=lineno)
-                return default
-            try:
-                return float(kv[key])
-            except ValueError:
-                raise ParseError(f"bad number for {key}: {kv[key]!r}", line=lineno) from None
-
+        kind, *tokens = line.split()
+        kind = kind.lower()
         if kind == "atom":
-            atoms.append((num("t"), num("mass")))
-        elif kind in ("powerlaw", "perturbed", "slowlyvarying"):
+            kv = _key_values(kind, tokens, dict.fromkeys(_ATOM_KEYS, float), _ATOM_KEYS, lineno)
+            atoms.append((kv["t"], kv["mass"]))
+        elif kind in DENSITY_MODELS:
             if model is not None:
                 raise ParseError("only one density declaration allowed", line=lineno)
+            cls = DENSITY_MODELS[kind]
+            init = [f for f in fields(cls) if f.init]
+            types = {f.name: float if f.type == "float" else str for f in init}
+            required = [f.name for f in init if f.default is MISSING]
+            kv = _key_values(kind, tokens, types, required, lineno)
             try:
-                if kind == "powerlaw":
-                    model = PowerLaw(delta=num("delta"), rho=num("rho"), t0=num("t0", 1.0))
-                elif kind == "perturbed":
-                    model = Perturbed(delta=num("delta"), rho=num("rho"),
-                                      eps=kv.get("eps", "inv_log"), t0=num("t0", 0.0))
-                else:
-                    model = SlowlyVarying(rho=num("rho"), psi1=kv.get("psi", "log"),
-                                          t0=num("t0", 0.0))
+                model = cls(**kv)
             except DomainError as exc:
                 raise ParseError(str(exc), line=lineno) from None
         else:
@@ -683,13 +677,12 @@ def parse_mass_model(text: str) -> MassModel:
 
 
 def format_mass_model(model: MassModel) -> str:
-    """Inverse of :func:`parse_mass_model` (canonical spelling)."""
-    if isinstance(model, PowerLaw):
-        return f"powerlaw delta={model.delta!r} rho={model.rho!r} t0={model.t0!r}\n"
-    if isinstance(model, Perturbed):
-        return f"perturbed delta={model.delta!r} rho={model.rho!r} eps={model.eps} t0={model.t0!r}\n"
-    if isinstance(model, SlowlyVarying):
-        return f"slowlyvarying rho={model.rho!r} psi={model.psi1} t0={model.t0!r}\n"
+    """Inverse of :func:`parse_mass_model` (canonical spelling: every key, t0 resolved)."""
     if isinstance(model, Atomic):
         return "".join(f"atom t={t!r} mass={m!r}\n" for t, m in model.atoms)
+    for kind, cls in DENSITY_MODELS.items():
+        if isinstance(model, cls):
+            # str of a float is its repr, and str of a handle name is the name
+            keys = (f"{f.name}={getattr(model, f.name)}" for f in fields(cls) if f.init)
+            return " ".join((kind, *keys)) + "\n"
     raise DomainError(f"unknown mass model {type(model).__name__}")

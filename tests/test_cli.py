@@ -7,7 +7,7 @@ import pytest
 
 from raygrowth import cli
 from raygrowth.cli import main, parse_angle
-from raygrowth.errors import ParseError
+from raygrowth.errors import CountMismatchError, ParseError
 from raygrowth.kernels import ProblemParams
 from raygrowth.mellin import QuadratureSpec
 
@@ -97,6 +97,20 @@ class TestIndicatorCommand:
         assert "quadrature flagged" in capsys.readouterr().err
         assert "H_integral" in text
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_theta_pi_row(self, tmp_path, fmt):
+        # the closed form is -inf at theta1 = pi; the integral is not run there
+        code, text = run_cli(tmp_path, "indicator", "--theta", "180deg", "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            row = [l for l in text.splitlines() if not l.startswith(("#", "theta"))][0]
+            assert row.split(",")[2:] == ["-inf", "nan", "-inf", "nan"]
+        else:
+            (row,) = json.loads(text)["rows"]
+            assert row["theta1_deg"] == 180.0
+            assert [row[c] for c in ("H_closed", "H_integral", "H_asymptotic", "abs_diff")] \
+                == ["-inf", "nan", "-inf", "nan"]
+
     def test_provenance_header(self, tmp_path):
         _, text = run_cli(tmp_path, "indicator", "--theta", "0.3")
         assert text.splitlines()[0].startswith("# raygrowth ")
@@ -125,6 +139,17 @@ class TestZerosCommand:
         assert code == 0 and len(rows) == 3
         for row in rows:
             assert float(row.split(",")[5]) < 1e-10
+
+    def test_count_mismatch_exit_code(self, tmp_path, monkeypatch, capsys):
+        def mismatch(params):
+            raise CountMismatchError("found 2 angular roots, expected 1")
+
+        monkeypatch.setattr(cli, "zero_set", mismatch)
+        code, text = run_cli(tmp_path, "zeros", "--n", "3", "--rho", "0.5")
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == "raygrowth: verification failed: found 2 angular roots, expected 1\n"
 
     def test_gamma_overflow_exit_code(self, tmp_path, capsys):
         # Gamma((n-1)/2) = Gamma(199.5) overflows: a domain error, no traceback
@@ -215,6 +240,20 @@ class TestSimulateCommand:
         code, _ = run_cli(tmp_path, "simulate", "--model", str(model))
         assert code == 4
 
+    @pytest.mark.parametrize("text", [
+        "powerlaw delta=1 rho=0.5 T0=5",
+        "slowlyvarying rho=0.5 psi1=inv_log",
+        "perturbed delta=1 rho=0.5 psi=loglog",
+        "atom t=2 mass=1 t0=7",
+        "powerlaw delta=1 rho=0.5 delta=3",
+    ])
+    def test_unknown_or_repeated_key_exit_code(self, tmp_path, capsys, text):
+        model = tmp_path / "model.txt"
+        model.write_text(text + "\n")
+        code, err = _usage_error(capsys, "simulate", "--model", str(model))
+        assert code == 4
+        assert err.startswith("raygrowth: parse error: line 1: ")
+
     def test_missing_model_file(self, tmp_path):
         code, _ = run_cli(tmp_path, "simulate", "--model", str(tmp_path / "nope.txt"))
         assert code == 4
@@ -295,6 +334,10 @@ class TestUsageErrors:
         ("counterexample", "--points", "-1"),
         ("mellin-verify", "--samples", "-2"),
         ("simulate", "--model", "m.txt", "--ratios", "2"),
+        ("simulate", "--model", "m.txt", "--tol", "nan"),
+        ("simulate", "--model", "m.txt", "--tol", "-1"),
+        ("mellin-verify", "--tol", "nan"),
+        ("indicator", "--tol", "0"),
         ("solve-order",),
         (),
     ], ids=lambda argv: " ".join(argv) or "no command")
@@ -335,7 +378,7 @@ class TestReproducibility:
     def test_config_file_roundtrip(self, tmp_path, capsys, command, fmt):
         argv = [command, *ROUND_TRIPS[command], "--format", fmt]
         if command == "simulate":
-            model = tmp_path / "model.txt"
+            model = tmp_path / "m#1.txt"  # a '#' in an echoed value is not a comment
             model.write_text("powerlaw delta=1.0 rho=0.5\n")
             argv += ["--model", str(model)]
         assert main(argv) == 0

@@ -87,7 +87,7 @@ class TestCountingFunctions:
     def test_average_numeric_matches_closed_for_perturbed(self):
         # spot-check the quadrature path against an exact antiderivative:
         # psi = log has N(r) = (n-2)(r^rho (rho ln r - 1) + t0^rho)/rho^2
-        sv = SlowlyVarying(rho=0.5, psi1="log", t0=1.0)
+        sv = SlowlyVarying(rho=0.5, psi="log", t0=1.0)
         r, n, rho = 50.0, 3, 0.5
         want = (n - 2) * (r**rho * (rho * math.log(r) - 1.0) + 1.0) / rho**2
         assert average_N(sv, n, r) == pytest.approx(want, rel=1e-10)
@@ -95,7 +95,7 @@ class TestCountingFunctions:
     def test_average_array_matches_scalar(self):
         # one call on an array of radii gives the scalar calls' values;
         # radii inside the support edge give 0
-        sv = SlowlyVarying(rho=0.5, psi1="log", t0=1.0)
+        sv = SlowlyVarying(rho=0.5, psi="log", t0=1.0)
         radii = np.array([0.5, 50.0, 3.0, 1e4, 3.0])
         vals, err, ok = average_N(sv, 4, radii, full_output=True)
         assert ok and vals.shape == radii.shape and np.all(err >= 0)
@@ -234,9 +234,9 @@ class TestRatioProbe:
         assert res1.extrapolated_uN == pytest.approx(res2.extrapolated_uN, rel=1e-10)
 
     def test_slowly_varying_approaches_corollary_constant(self):
-        # psi1 = ln gives u/N -> the corollary constant, but only at a 1/ln r
+        # psi = ln gives u/N -> the corollary constant, but only at a 1/ln r
         # pace; fit v = A + B/ln r on the tail and compare the intercept
-        sv = SlowlyVarying(rho=0.5, psi1="log", t0=1.0)
+        sv = SlowlyVarying(rho=0.5, psi="log", t0=1.0)
         res = ratio_probe(sv, P35, 0.0, (1e4, 1e10, 7))
         xs = np.array([1.0 / math.log(s.r) for s in res.samples])
         ys = np.array([s.u_over_N for s in res.samples])
@@ -344,6 +344,10 @@ class TestSerialization:
             "perturbed delta=1 rho=0.5 eps=inv_log",
             "slowlyvarying rho=0.5 psi=log",
         )),
+        # counting function inf, -inf or negative at the support edge t0
+        "perturbed delta=1 rho=0.5 eps=inv_log t0=1",
+        "slowlyvarying rho=0.5 psi=loglog t0=1",
+        "slowlyvarying rho=0.5 psi=inv_loglog t0=2",
     ])
     def test_non_finite_values_rejected(self, text):
         with pytest.raises(ParseError):

@@ -190,7 +190,7 @@ class TestHyp2F1:
 
     def test_integer_gap_log_case(self):
         mp = pytest.importorskip("mpmath")
-        for m in (0, 1, 2):
+        for m in (-2, -1, 0, 1, 2):  # m < 0 takes the Euler transformation
             a, b = 0.7, -1.4
             c = a + b + m
             if c <= 0 and abs(c - round(c)) < 1e-9:
