@@ -41,6 +41,68 @@ _ORDER_EDGE = 1e-9
 # 1e-15 + 4 eps |x|, or an exact zero
 _ROOT_TOLERANCES = {"xatol": 1e-15, "xrtol": 4 * np.finfo(float).eps, "fatol": 0.0}
 
+# iteration cap, log2 of the largest over the smallest normal double: enough
+# bisections to close any finite bracket
+_ROOT_MAXITER = 2046
+
+
+def _chandrupatla(f, a, b, xatol, xrtol, fatol):
+    """Chandrupatla's bracketing method (Adv. Eng. Softw. 28 (1997) 145) on
+    every bracket [a, b] at once; returns (x, status) flattened.
+
+    Follows ``scipy.optimize.elementwise.find_root`` step for step, so the
+    roots agree with it bit for bit.  status is 0 for a root, -1 when a
+    bracket has no sign change, -2 at the iteration cap and -3 on a
+    non-finite bracket or a nan at both of its ends.  Finished brackets
+    leave the working arrays, so f only sees the ones still open.
+    """
+    x1, x2 = (v.flatten() for v in np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float)))
+    f1, f2 = np.asarray(f(x1), dtype=float), np.asarray(f(x2), dtype=float)
+    x, status = np.full(x1.size, np.nan), np.full(x1.size, -2)
+    open_ = np.arange(x1.size)
+    x3, f3 = x2, f2  # the third point; first read after the first step
+    nit = 0
+    while True:
+        # termination, in order: an exact zero, no sign change, non-finite
+        # values, then a bracket narrower than the tolerance at its better end
+        better = np.abs(f1) < np.abs(f2)
+        xmin = np.where(better, x1, x2)
+        code = np.where(np.abs(np.where(better, f1, f2)) <= fatol, 0, 1)
+        code[(code == 1) & (np.sign(f1) == np.sign(f2))] = -1
+        bad = ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))
+        code[(code == 1) & bad] = -3
+        dx, tol = np.abs(x2 - x1), np.abs(xmin) * xrtol + xatol
+        code[(code == 1) & (dx < tol)] = 0
+        done = code != 1
+        if done.any():
+            x[open_[done]], status[open_[done]] = xmin[done], code[done]
+            keep = ~done
+            open_, x1, f1, x2, f2, x3, f3, dx, tol = (
+                v[keep] for v in (open_, x1, f1, x2, f2, x3, f3, dx, tol))
+        if not open_.size or nit == _ROOT_MAXITER:
+            x[open_] = xmin[~done]
+            return x, status
+        t = np.full(x1.size, 0.5)
+        if nit:
+            # inverse quadratic interpolation through the last three points
+            # where it is safe, bisection elsewhere, kept off the bracket ends
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                j = ((1 - np.sqrt(1 - xi)) < phi) & (phi < np.sqrt(xi))
+            f1j, f2j, f3j = f1[j], f2[j], f3[j]
+            t[j] = (f1j / (f1j - f2j) * f3j / (f3j - f2j)
+                    - alpha[j] * f1j / (f3j - f1j) * f2j / (f2j - f3j))
+            t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
+        xt = x1 + t * (x2 - x1)
+        ft = np.asarray(f(xt), dtype=float)
+        same = np.sign(ft) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+        nit += 1
+
 
 def _refine_roots(f, a, b):
     """Roots of the elementwise function f in the sign-change brackets
@@ -48,14 +110,10 @@ def _refine_roots(f, a, b):
     Chandrupatla's method: each iteration makes one call of f on the array
     of roots still open.
     """
-    # imported here, not at module level: scipy.optimize takes most of a
-    # second to import, and CLI runs with no root problem never need it
-    from scipy.optimize import elementwise
-
-    res = elementwise.find_root(f, (a, b), tolerances=_ROOT_TOLERANCES)
-    if not np.all(res.success):
-        raise ConvergenceError(f"root refinement failed with status {np.unique(res.status)}")
-    return res.x
+    x, status = _chandrupatla(f, a, b, **_ROOT_TOLERANCES)
+    if np.any(status):
+        raise ConvergenceError(f"root refinement failed with status {np.unique(status)}")
+    return x.reshape(np.broadcast_shapes(np.shape(a), np.shape(b)))[()]
 
 
 @dataclass(frozen=True)

@@ -173,19 +173,22 @@ class Atomic(MassModel):
     masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cleaned = tuple(sorted((float(t), float(m)) for t, m in self.atoms))
-        if not cleaned:
+        if not self.atoms:
             raise DomainError("atomic model needs at least one atom")
-        for t, m in cleaned:
-            if not (np.isfinite(t) and t > 1.0):
-                raise DomainError(f"atom radius must be finite and > 1, got {t}")
-            if not (np.isfinite(m) and m > 0.0):
-                raise DomainError(f"atom mass must be finite and > 0, got {m}")
-        radii, masses = np.array(cleaned).T
-        object.__setattr__(self, "atoms", cleaned)
+        t, m = np.array(self.atoms, dtype=float).T
+        order = np.lexsort((m, t))  # by radius, then mass
+        radii, masses = t[order], m[order]
+        bad_t = ~(np.isfinite(radii) & (radii > 1.0))
+        bad = bad_t | ~(np.isfinite(masses) & (masses > 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_t[i]:
+                raise DomainError(f"atom radius must be finite and > 1, got {radii[i].item()}")
+            raise DomainError(f"atom mass must be finite and > 0, got {masses[i].item()}")
+        object.__setattr__(self, "atoms", tuple(zip(radii.tolist(), masses.tolist())))
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "t0", cleaned[0][0])
+        object.__setattr__(self, "t0", radii[0].item())
 
 
 def counting_n(model: MassModel, n: int, t):
@@ -468,13 +471,18 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     extrapolated limit applies one Aitken delta-squared step to the tail
     (errors decay geometrically on a geometric grid, which is exactly
     Aitken's model).  ``r_grid`` is either an increasing array or a
-    (lo, hi, num) tuple.
+    (lo, hi, num) tuple.  A counting function that is negative at a grid
+    radius is not a mass and raises :class:`DomainError`.
     """
     grid = _resolve_grid(r_grid)
     if quad is None:
         quad = QuadratureSpec()
-    N_grid, _, ok_N = average_N(model, params.n, grid, quad, full_output=True)
     n_grid = counting_n(model, params.n, grid)
+    negative = n_grid < 0.0
+    if negative.any():
+        i = int(np.argmax(negative))
+        raise DomainError(f"the counting function is negative at r={grid[i]:g}: n(r) = {n_grid[i]:.6g}")
+    N_grid, _, ok_N = average_N(model, params.n, grid, quad, full_output=True)
     rows = []
     flagged = int(not ok_N)
     for r, Nr, nr in zip(grid, N_grid.tolist(), n_grid.tolist()):
@@ -600,7 +608,8 @@ def laplacian_u0(rho: float, r: float, theta1: float):
 # where it is a str
 DENSITY_MODELS = {"powerlaw": PowerLaw, "perturbed": Perturbed, "slowlyvarying": SlowlyVarying}
 
-_ATOM_KEYS = ("t", "mass")
+# the keys of an ``atom`` line, all numbers and all required
+_ATOM_KEYS = {"t": float, "mass": float}
 
 
 def _key_values(kind: str, tokens, types: dict, required, lineno: int) -> dict:
@@ -648,7 +657,7 @@ def parse_mass_model(text: str) -> MassModel:
         kind, *tokens = line.split()
         kind = kind.lower()
         if kind == "atom":
-            kv = _key_values(kind, tokens, dict.fromkeys(_ATOM_KEYS, float), _ATOM_KEYS, lineno)
+            kv = _key_values(kind, tokens, _ATOM_KEYS, _ATOM_KEYS, lineno)
             atoms.append((kv["t"], kv["mass"]))
         elif kind in DENSITY_MODELS:
             if model is not None:

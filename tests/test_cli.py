@@ -227,6 +227,16 @@ class TestSimulateCommand:
         assert code == 3
         assert "radial grid" in capsys.readouterr().err
 
+    def test_negative_counting_function_exit_code(self, tmp_path, capsys):
+        # sin(log log r) turns negative past r = e^(e^pi), about 1.1e10
+        model = tmp_path / "model.txt"
+        model.write_text("slowlyvarying rho=0.5 psi=sin_loglog\n")
+        code, text = run_cli(tmp_path, "simulate", "--model", str(model), "--n", "3",
+                             "--rho", "0.5", "--theta", "1.0", "--grid", "1e2:1e11:5")
+        assert code == 3
+        assert text == ""
+        assert "counting function is negative at r=1e+11" in capsys.readouterr().err
+
     def test_non_finite_model_exit_code(self, tmp_path):
         model = tmp_path / "model.txt"
         model.write_text("powerlaw delta=1 rho=0.5 t0=nan\n")

@@ -3,14 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import elementwise
 
+from raygrowth import indicator
 from raygrowth.errors import (
+    ConvergenceError,
     DomainError,
     ExceptionalAngleError,
     OutOfRangeError,
     StripViolationError,
 )
 from raygrowth.indicator import (
+    ROOT_SCAN_RESOLUTION,
+    _refine_roots,
     angular_shape,
     indicator_closed,
     indicator_integral,
@@ -206,6 +211,57 @@ class TestZeroSet:
         # S carries 1/Gamma((n-1)/2), and Gamma(199.5) overflows
         with pytest.raises(DomainError, match="overflows"):
             zero_set(ProblemParams(400, 0.5))
+
+
+def _scipy_refine(f, a, b):
+    res = elementwise.find_root(f, (a, b), tolerances=indicator._ROOT_TOLERANCES)
+    assert np.all(res.success)
+    return res.x
+
+
+class TestRefineRoots:
+    """The in-house Chandrupatla loop, held against scipy's ``find_root``,
+    which runs the same method at the same tolerances."""
+
+    @pytest.mark.parametrize("n,rho", [(3, 0.5), (3, 12.9), (4, 2.7), (4, 12.9), (5, 7.3),
+                                       (6, 12.5), (7, 11.5), (8, 12.9), (9, 10.1), (10, 12.2)])
+    def test_zero_sets_match_scipy(self, monkeypatch, n, rho):
+        roots = indicator._cached_roots.__wrapped__(n, rho, ROOT_SCAN_RESOLUTION)
+        monkeypatch.setattr(indicator, "_refine_roots", _scipy_refine)
+        assert roots == indicator._cached_roots.__wrapped__(n, rho, ROOT_SCAN_RESOLUTION)
+        assert len(roots) == math.floor(rho) + 1
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_solve_order_matches_scipy(self, monkeypatch, n):
+        targets = np.linspace(*order_equation_range(n), 9).tolist()
+        got = [solve_order(n, t) for t in targets]
+        monkeypatch.setattr(indicator, "_refine_roots", _scipy_refine)
+        assert got == [solve_order(n, t) for t in targets]
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(ConvergenceError, match="-1"):
+            _refine_roots(lambda x: x * x + 1.0, np.array([-1.0, 0.0]), np.array([0.0, 1.0]))
+
+    def test_nan_raises(self):
+        with pytest.raises(ConvergenceError, match="-3"):
+            _refine_roots(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+    def test_exact_zero_at_bracket_end(self):
+        f = lambda x: x - 1.0
+        a, b = np.array([1.0, 0.0]), np.array([2.0, 1.0])
+        roots = _refine_roots(f, a, b)
+        assert roots.tolist() == [1.0, 1.0]
+        assert np.array_equal(roots, _scipy_refine(f, a, b))
+
+    def test_scalar_bracket_gives_0d_result(self):
+        root = _refine_roots(np.cos, 1.0, 2.0)
+        assert np.ndim(root) == 0
+        assert root == _scipy_refine(np.cos, 1.0, 2.0)
+        assert root == pytest.approx(math.pi / 2, abs=1e-15)
+        assert _refine_roots(np.cos, np.array([1.0]), 2.0).shape == (1,)
+
+    def test_no_brackets(self):
+        assert _refine_roots(np.cos, np.array([]), np.array([])).shape == (0,)
 
 
 class TestTauberianConstant:

@@ -107,12 +107,15 @@ def test_evaluations_add_over_rows():
 
 
 def test_cli_import_does_not_load_scipy_integrate():
-    # nor scipy.optimize: it is imported on the first root problem only
+    # nor any other part of scipy, also once both root problems have run
     src = os.path.dirname(os.path.dirname(os.path.abspath(raygrowth.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, raygrowth.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    code = ("import os, sys, raygrowth.cli as cli; "
+            "assert cli.main(['zeros', '--n', '6', '--rho', '12.5', '--out', os.devnull]) == 0; "
+            "assert cli.main(['solve-order', '--n', '4', '--delta-bar', '0.7', "
+            "'--out', os.devnull]) == 0; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
