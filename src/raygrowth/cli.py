@@ -126,8 +126,10 @@ def read_config_file(path: str) -> dict:
 _NOT_ECHOED = ("command", "func", "config", "out")
 
 
-def _emit(rows, columns, args):
-    """Write the table with a header echoing ``command`` and every parsed option."""
+def _emit(rows, args):
+    """Write the table with a header echoing ``command`` and every parsed option;
+    the columns are the keys of the first row (no command returns zero rows)."""
+    columns = list(rows[0])
     config = {"command": args.command}
     config.update(sorted(
         (key.replace("_", "-"), _fmt(value)) for key, value in vars(args).items()
@@ -144,7 +146,7 @@ def _emit(rows, columns, args):
         payload = {
             "version": __version__,
             "config": config,
-            "columns": list(columns),
+            "columns": columns,
             "rows": [{c: _json_safe(row[c]) for c in columns} for row in rows],
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -199,8 +201,7 @@ def cmd_indicator(args) -> int:
             "theta1_rad": th, "theta1_deg": math.degrees(th),
             "H_closed": hc, "H_integral": hi, "H_asymptotic": ha, "abs_diff": diff,
         })
-    columns = ["theta1_rad", "theta1_deg", "H_closed", "H_integral", "H_asymptotic", "abs_diff"]
-    _emit(rows, columns, args)
+    _emit(rows, args)
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 
@@ -214,8 +215,7 @@ def cmd_zeros(args) -> int:
             "beta_deg": math.degrees(beta), "beta_rad": beta,
             "residual": residual, "count": len(zset.roots),
         })
-    columns = ["n", "rho", "root_index", "beta_deg", "beta_rad", "residual", "count"]
-    _emit(rows, columns, args)
+    _emit(rows, args)
     return EXIT_OK
 
 
@@ -257,8 +257,7 @@ def cmd_mellin_verify(args) -> int:
             "lam": lam, "q": q, "s": s, "xi": xi,
             "numeric": complex(num.value).real, "closed": closed, "rel_err": rel,
         })
-    columns = ["lam", "q", "s", "xi", "numeric", "closed", "rel_err"]
-    _emit(rows, columns, args)
+    _emit(rows, args)
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 
@@ -291,12 +290,7 @@ def cmd_simulate(args) -> int:
                 "rel_err_vs_indicator": abs(res.extrapolated_limit - oracle) / denom,
                 "converged": int(res.convergence_flag),
             })
-    columns = [
-        "theta1_rad", "r", "u", "scaled", "u_over_n", "u_over_N",
-        "extrapolated", "extrapolated_un", "extrapolated_uN",
-        "indicator", "rel_err_vs_indicator", "converged",
-    ]
-    _emit(rows, columns, args)
+    _emit(rows, args)
     return EXIT_TOLERANCE if flagged else EXIT_OK
 
 
@@ -308,8 +302,7 @@ def cmd_solve_order(args) -> int:
         "n": args.n, "delta_bar": args.delta_bar, "rho": rho, "residual": residual,
         "admissible_lo": lo, "admissible_hi": hi,
     }]
-    columns = ["n", "delta_bar", "rho", "residual", "admissible_lo", "admissible_hi"]
-    _emit(rows, columns, args)
+    _emit(rows, args)
     return EXIT_OK
 
 
@@ -328,8 +321,7 @@ def cmd_counterexample(args) -> int:
                 "range_min": float(scaled.min()), "range_max": float(scaled.max()),
                 "range": rng_span,
             })
-    columns = ["theta1_rad", "t", "r", "scaled_u0", "range_min", "range_max", "range"]
-    _emit(rows, columns, args)
+    _emit(rows, args)
     return EXIT_OK
 
 

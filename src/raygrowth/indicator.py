@@ -25,7 +25,7 @@ from .errors import (
     OutOfRangeError,
     StripViolationError,
 )
-from .kernels import ProblemParams, h_value, log_kernel_signed_ln
+from .kernels import ProblemParams, check_angle, check_dimension, h_value, log_kernel_signed_ln
 from .mellin import MellinResult, MellinStrip, QuadratureSpec, integrate, mellin_numeric
 from .specfun import EULER_GAMMA, digamma, gamma, legendre_weighted
 
@@ -150,11 +150,8 @@ def angular_shape(n, rho, theta):
     as a 0 * inf limit.  n = 2 is allowed here (mu = 1/2), which reduces S
     to sqrt(2/pi) cos(rho theta) and is used as a plane-case cross-check.
     """
-    if n < 2 or int(n) != n:
-        raise DomainError(f"dimension n must be an integer >= 2, got {n}")
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0) or np.any(theta >= np.pi):
-        raise DomainError("theta must lie in [0, pi)")
+    n = check_dimension(n, lowest=2)
+    theta = check_angle(theta, name="theta")
     return legendre_weighted(rho + (n - 3.0) / 2.0, (3.0 - n) / 2.0, np.sin(0.5 * theta) ** 2)
 
 
@@ -193,13 +190,10 @@ def indicator_integral(params: ProblemParams, theta1, quad: QuadratureSpec | Non
     with the quadrature error estimate and convergence flag when
     ``full_output`` is set.
     """
-    theta1 = float(theta1)
-    if not (0.0 <= theta1 < math.pi):
-        raise DomainError(f"theta1 must lie in [0, pi), got {theta1}")
+    xi = math.cos(check_angle(theta1))
     if quad is None:
         quad = QuadratureSpec()
     lam, q = params.lam, params.q
-    xi = math.cos(theta1) if theta1 > 0.0 else 1.0
     res = mellin_numeric(
         lambda u: h_value(lam, q, u, xi),
         -params.rho,
@@ -307,9 +301,7 @@ def tauberian_constant(params: ProblemParams, phi):
     root of the angular factor (there the constant is infinite and the
     transfer genuinely fails).
     """
-    phi = float(phi)
-    if not (0.0 <= phi < math.pi):
-        raise DomainError(f"phi must lie in [0, pi), got {phi}")
+    phi = check_angle(phi, name="phi")
     zset = zero_set(params)
     if zset.contains(phi):
         raise ExceptionalAngleError(
@@ -350,10 +342,8 @@ def transfer_indicator(params: ProblemParams, phi, H_phi, theta1):
     phi = 0) is an ordinary point.  phi must stay away from the exceptional
     roots (division by S(phi)); a target theta1 on a root simply receives 0.
     """
-    phi = float(phi)
-    theta1 = float(theta1)
-    if not (0.0 <= phi < math.pi) or not (0.0 <= theta1 < math.pi):
-        raise DomainError("phi and theta1 must lie in [0, pi)")
+    phi = check_angle(phi, name="phi")
+    theta1 = check_angle(theta1)
     if zero_set(params).contains(phi):
         raise ExceptionalAngleError(f"source angle phi={phi} is exceptional")
     return H_phi * angular_shape(params.n, params.rho, theta1) / angular_shape(
@@ -395,8 +385,7 @@ def order_equation_rhs(n: int, rho: float) -> float:
     Gamma(n-1-rho) Gamma(1+rho) / (n-2)!, which keeps full precision
     next to rho = 1 where sin(pi rho) cancels.  Defined for 0 < rho < 1.
     """
-    if n < 3 or int(n) != n:
-        raise DomainError(f"dimension n must be an integer >= 3, got {n}")
+    n = check_dimension(n)
     if not (0.0 < rho < 1.0):
         raise DomainError(f"order equation is stated for rho in (0, 1), got {rho}")
     return gamma(n - 1.0 - rho) * gamma(1.0 + rho) / math.factorial(n - 2)
@@ -478,9 +467,7 @@ def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec | N
     strip edges.  Raises :class:`StripViolationError` outside the
     numerically determined existence strip.
     """
-    theta1 = float(theta1)
-    if not (0.0 <= theta1 <= math.pi / 2):
-        raise DomainError(f"theta1 must lie in [0, pi/2], got {theta1}")
+    theta1 = check_angle(theta1, upper=math.pi / 2, closed=True)
     if quad is None:
         quad = QuadratureSpec()
     strip = laplace_strip(n, theta1)

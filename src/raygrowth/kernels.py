@@ -26,14 +26,50 @@ _TAIL_SWITCH = 0.5
 _TAIL_RTOL = 1e-15
 _TAIL_MAX_TERMS = 400
 
+# the closed forms divide by (n-2)!, and 171! is beyond the largest double
+MAX_DIMENSION = 172
+
+_ANGLE_BOUND_TEXT = {math.pi: "pi", math.pi / 2: "pi/2"}
+
+
+def check_dimension(n, lowest=3) -> int:
+    """The dimension n as a Python int.
+
+    Accepts any integer value (3, 3.0, numpy.int64(3)); raises
+    :class:`DomainError` for nan, inf, a non-integer, an n below ``lowest``
+    or an n above :data:`MAX_DIMENSION`.
+    """
+    if not (lowest <= n < math.inf and n == math.floor(n)):
+        raise DomainError(f"dimension n must be an integer >= {lowest}, got {n}")
+    if n > MAX_DIMENSION:
+        raise DomainError(f"dimension n = {n} overflows the double range: (n-2)! is finite "
+                          f"only up to n = {MAX_DIMENSION}")
+    return int(n)
+
+
+def check_angle(theta, name="theta1", upper=math.pi, closed=False):
+    """The angle theta as a float, or a float array for array input.
+
+    Raises :class:`DomainError` naming the argument unless every value lies
+    in [0, upper), or in [0, upper] when ``closed`` is set; nan lies in
+    neither.
+    """
+    arr = np.asarray(theta, dtype=float)
+    inside = (arr >= 0.0) & (arr <= upper if closed else arr < upper)
+    if not np.all(inside):
+        bound = _ANGLE_BOUND_TEXT.get(upper, format(upper, ".17g"))
+        raise DomainError(f"{name} must lie in [0, {bound}{']' if closed else ')'}, "
+                          f"got {arr[~inside].flat[0]}")
+    return float(arr) if arr.ndim == 0 else arr
+
 
 @dataclass(frozen=True)
 class ProblemParams:
     """Dimension, order, genus and type constant governing every formula.
 
-    n >= 3 is the space dimension, rho > 0 a non-integer growth order,
-    delta >= 0 the type constant.  The genus q = floor(rho) and the kernel
-    exponent lam = (n-2)/2 are derived.
+    n in [3, MAX_DIMENSION] is the space dimension, rho > 0 a non-integer
+    growth order, delta >= 0 the type constant.  The genus q = floor(rho)
+    and the kernel exponent lam = (n-2)/2 are derived.
     """
 
     n: int
@@ -42,8 +78,7 @@ class ProblemParams:
     q: int = field(init=False)
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 3:
-            raise DomainError(f"dimension n must be an integer >= 3, got {self.n}")
+        object.__setattr__(self, "n", check_dimension(self.n))
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise DomainError(f"order rho must be positive and finite, got {self.rho}")
         q = math.floor(self.rho)
@@ -141,10 +176,7 @@ def h_n(params: ProblemParams, u, theta1):
     and the two sign flips (cosine of the supplement, alternating Gegenbauer
     parity) cancel into the +2 u cos(theta1) convention used here.
     """
-    theta1 = float(theta1)
-    if not (0.0 <= theta1 < np.pi):
-        raise DomainError(f"theta1 must lie in [0, pi), got {theta1}")
-    return h_value(params.lam, params.q, u, np.cos(theta1))
+    return h_value(params.lam, params.q, u, np.cos(check_angle(theta1)))
 
 
 def weierstrass_K(params: ProblemParams, r, t, theta1):
@@ -156,9 +188,7 @@ def weierstrass_K(params: ProblemParams, r, t, theta1):
     reduction identity K_q = t^{2-n} h_n(r/t, theta1, q) is a genuine
     cross-check rather than a restatement.
     """
-    theta1 = float(theta1)
-    if not (0.0 <= theta1 < np.pi):
-        raise DomainError(f"theta1 must lie in [0, pi), got {theta1}")
+    theta1 = check_angle(theta1)
     if not t > 0:
         raise DomainError(f"mass radius t must be > 0, got {t}")
     n, q = params.n, params.q
@@ -181,8 +211,7 @@ def poisson_Pn(n, r, t, theta1):
     r t^{n-2} ((n-1) r^2 c + r t [n + (n-2) c^2] + (n-1) t^2 c), c=cos(theta1).
     Positive for r, t > 0 whenever 0 <= theta1 <= pi/2.
     """
-    if n < 3 or int(n) != n:
-        raise DomainError(f"dimension n must be an integer >= 3, got {n}")
+    n = check_dimension(n)
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(r < 0) or np.any(t < 0):
@@ -218,11 +247,8 @@ def log_kernel_signed_ln(n, theta1, t):
     Returns (sign, ln|k|) so callers can build e^{-s t} k(t) integrands in
     log space without hitting exp overflow at large |t|.
     """
-    if n < 3 or int(n) != n:
-        raise DomainError(f"dimension n must be an integer >= 3, got {n}")
-    theta1 = float(theta1)
-    if not (0.0 <= theta1 <= np.pi):
-        raise DomainError(f"theta1 must lie in [0, pi], got {theta1}")
+    n = check_dimension(n)
+    theta1 = check_angle(theta1, closed=True)
     t = np.asarray(t, dtype=float)
     c = np.cos(theta1)
     half = n / 2.0 + 1.0

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, StripViolationError
-from .kernels import ProblemParams
+from .kernels import ProblemParams, check_angle
 from .specfun import gamma, legendre_weighted
 
 # poles of the continued transforms are excluded within this radius
@@ -476,11 +476,9 @@ def tauberian_symbol(params: ProblemParams, phi, v):
     transform; for v != 0 the Legendre degree acquires an imaginary part and
     the factor stays away from zero.
     """
-    phi = float(phi)
-    if not (0.0 <= phi < math.pi):
-        raise DomainError(f"phi must lie in [0, pi), got {phi}")
+    xi = math.cos(check_angle(phi, name="phi"))
     s = -params.rho - 1j * v
-    val = mellin_h_closed(params.lam, params.q, s, math.cos(phi) if phi > 0 else 1.0)
+    val = mellin_h_closed(params.lam, params.q, s, xi)
     return (1.0 - 1j * v) * val
 
 

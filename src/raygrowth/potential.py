@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParseError
 from .indicator import angular_shape
-from .kernels import ProblemParams, h_value, poisson_Pn
+from .kernels import ProblemParams, check_angle, check_dimension, h_value, poisson_Pn
 from .mellin import QuadratureSpec, integrate
 
 _E = math.e
@@ -199,8 +199,7 @@ def counting_n(model: MassModel, n: int, t):
     atomic model the raw mass of the atoms with t_i <= t, a prefix sum of
     the sorted masses, is scaled by t^{2-n}.
     """
-    if n < 3 or int(n) != n:
-        raise DomainError(f"dimension n must be an integer >= 3, got {n}")
+    n = check_dimension(n)
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
@@ -233,8 +232,7 @@ def average_N(model: MassModel, n: int, r, quad: QuadratureSpec | None = None,
     returns nan on those.)  With ``full_output`` returns (N, error
     estimate, converged); the exact models report (N, 0, True).
     """
-    if n < 3 or int(n) != n:
-        raise DomainError(f"dimension n must be an integer >= 3, got {n}")
+    n = check_dimension(n)
     r_arr = np.asarray(r, dtype=float)
     scalar = r_arr.ndim == 0
     r_arr = np.atleast_1d(r_arr)
@@ -282,16 +280,13 @@ def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float
     integrated with the power substitution k = 1/min(1, q+1-rho).  With
     ``full_output`` returns (u, error estimate, converged).
     """
-    theta1 = float(theta1)
-    if not (0.0 <= theta1 < math.pi):
-        raise DomainError(f"theta1 must lie in [0, pi), got {theta1}")
+    xi = math.cos(check_angle(theta1))
     r = float(r)
     if r < 0:
         raise DomainError("radius r must be >= 0")
     if quad is None:
         quad = QuadratureSpec()
     lam, q, n = params.lam, params.q, params.n
-    xi = math.cos(theta1) if theta1 > 0.0 else 1.0
     if r == 0.0:
         return (0.0, 0.0, True) if full_output else 0.0
 
@@ -339,9 +334,7 @@ def u_poisson(model: MassModel, n: int, r: float, theta1: float,
     estimate adds N's own error estimates carried through the same
     representation.
     """
-    theta1 = float(theta1)
-    if not (0.0 <= theta1 <= math.pi / 2):
-        raise DomainError(f"theta1 must lie in [0, pi/2], got {theta1}")
+    theta1 = check_angle(theta1, upper=math.pi / 2, closed=True)
     ordr = 0.0 if isinstance(model, Atomic) else model.rho  # finitely many atoms: order 0
     if ordr >= 1.0:
         raise DomainError(f"Poisson representation needs order < 1, got {ordr}")
@@ -474,6 +467,7 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     (lo, hi, num) tuple.  A counting function that is negative at a grid
     radius is not a mass and raises :class:`DomainError`.
     """
+    theta1 = check_angle(theta1)
     grid = _resolve_grid(r_grid)
     if quad is None:
         quad = QuadratureSpec()
@@ -489,7 +483,7 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
         u, _, ok = u_canonical(model, params, float(r), theta1, quad, full_output=True)
         flagged += not ok
         rows.append(SweepSample(
-            r=float(r), theta1=float(theta1), u=u,
+            r=float(r), theta1=theta1, u=u,
             scaled=u * r ** (-params.rho),
             u_over_n=u / nr if nr > 0 else math.nan,
             u_over_N=u / Nr if Nr > 0 else math.nan,
@@ -550,9 +544,7 @@ def counterexample_u0(rho: float, r, theta1: float):
     r_arr = np.atleast_1d(r_arr)
     if np.any(r_arr < _E):
         raise DomainError("counterexample needs r >= e")
-    theta1 = float(theta1)
-    if not (0.0 <= theta1 < math.pi):
-        raise DomainError(f"theta1 must lie in [0, pi), got {theta1}")
+    theta1 = check_angle(theta1)
     legendre_factor = angular_shape(3, rho, theta1)  # P_rho(cos theta1)
     out = r_arr ** rho * (1.0 + np.sin(np.log(np.log(r_arr))) * legendre_factor)
     return float(out[0]) if scalar else out
@@ -575,7 +567,7 @@ def laplacian_u0(rho: float, r: float, theta1: float):
     r = float(r)
     if r < _E:
         raise DomainError("counterexample needs r >= e")
-    theta1 = float(theta1)
+    theta1 = check_angle(theta1)
     hr = r * _LAPLACIAN_STEP
     u = lambda rr, th: counterexample_u0(rho, rr, th)
     u00 = u(r, theta1)

@@ -260,7 +260,7 @@ class TestSimulateCommand:
     def test_unknown_or_repeated_key_exit_code(self, tmp_path, capsys, text):
         model = tmp_path / "model.txt"
         model.write_text(text + "\n")
-        code, err = _usage_error(capsys, "simulate", "--model", str(model))
+        code, err = _failed_run(capsys, "simulate", "--model", str(model))
         assert code == 4
         assert err.startswith("raygrowth: parse error: line 1: ")
 
@@ -323,8 +323,9 @@ class TestCounterexampleCommand:
         assert float(rows[0].split(",")[-1]) <= 1e-12
 
 
-def _usage_error(capsys, *argv):
-    """Exit status and the single stderr line of a run that must fail to parse."""
+def _failed_run(capsys, *argv):
+    """Exit status and the single stderr line of a run that must fail before
+    writing a table."""
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert out == ""
@@ -352,23 +353,46 @@ class TestUsageErrors:
         (),
     ], ids=lambda argv: " ".join(argv) or "no command")
     def test_exit_code(self, capsys, argv):
-        code, err = _usage_error(capsys, *argv)
+        code, err = _failed_run(capsys, *argv)
         assert code == 4
         assert err.startswith("raygrowth: parse error: ")
 
     def test_bad_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=abc\n")
-        code, err = _usage_error(capsys, "zeros", "--config", str(cfg))
+        code, err = _failed_run(capsys, "zeros", "--config", str(cfg))
         assert code == 4
         assert "'abc'" in err
 
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n 5\n")
-        code, err = _usage_error(capsys, "zeros", "--config", str(cfg))
+        code, err = _failed_run(capsys, "zeros", "--config", str(cfg))
         assert code == 4
         assert "line 1" in err
+
+
+# runs outside the (n, theta) envelope and the one stderr line each gives;
+# (n-2)! overflows from n = 173 on, and unchecked, the first two runs end in
+# an OverflowError traceback
+DOMAIN_ERRORS = [
+    (("indicator", "--n", "180", "--theta", "0.1"), "n = 180 overflows"),
+    (("simulate", "--model", "MODEL", "--n", "200", "--theta", "0.1"), "n = 200 overflows"),
+    (("zeros", "--n", "173"), "n = 173 overflows"),
+    (("indicator", "--theta", "nan"), "theta must lie in [0, pi), got nan"),
+    (("counterexample", "--theta=-1e-12"), "theta1 must lie in [0, pi), got -1e-12"),
+]
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize("argv,message", DOMAIN_ERRORS,
+                             ids=[" ".join(argv) for argv, _ in DOMAIN_ERRORS])
+    def test_exit_code(self, tmp_path, capsys, argv, message):
+        model = tmp_path / "model.txt"
+        model.write_text("powerlaw delta=1.0 rho=0.5\n")
+        code, err = _failed_run(capsys, *(str(model) if a == "MODEL" else a for a in argv))
+        assert code == 3
+        assert message in err
 
 
 # one run per subcommand; the model file, if any, is written by the test

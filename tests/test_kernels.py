@@ -5,8 +5,20 @@ import pytest
 from scipy import integrate
 
 from raygrowth.errors import DomainError
+from raygrowth.indicator import (
+    angular_shape,
+    indicator_integral,
+    laplace_log_kernel,
+    order_equation_rhs,
+    solve_order,
+    tauberian_constant,
+    transfer_indicator,
+)
 from raygrowth.kernels import (
+    MAX_DIMENSION,
     ProblemParams,
+    check_angle,
+    check_dimension,
     h_n,
     h_value,
     log_kernel,
@@ -15,7 +27,113 @@ from raygrowth.kernels import (
     riesz_k,
     weierstrass_K,
 )
+from raygrowth.mellin import tauberian_symbol
+from raygrowth.potential import (
+    PowerLaw,
+    average_N,
+    counterexample_u0,
+    counting_n,
+    laplacian_u0,
+    scaled_limit,
+    u_canonical,
+    u_poisson,
+)
 from raygrowth.specfun import gegenbauer
+
+P35 = ProblemParams(3, 0.5)
+PW = PowerLaw(delta=1.0, rho=0.5)
+
+# every entry point that takes the dimension, as a function of n alone
+DIMENSION_ENTRIES = {
+    "ProblemParams": lambda n: ProblemParams(n, 0.5),
+    "poisson_Pn": lambda n: poisson_Pn(n, 1.0, 2.0, 0.3),
+    "log_kernel_signed_ln": lambda n: log_kernel_signed_ln(n, 0.3, 0.5),
+    "angular_shape": lambda n: angular_shape(n, 0.5, 0.3),
+    "order_equation_rhs": lambda n: order_equation_rhs(n, 0.3),
+    "solve_order": lambda n: solve_order(n, 0.9),
+    "counting_n": lambda n: counting_n(PW, n, 10.0),
+    "average_N": lambda n: average_N(PW, n, 10.0),
+}
+
+# every entry point that takes an angle: (argument name, upper end, closed,
+# function of the angle alone)
+ANGLE_ENTRIES = {
+    "h_n": ("theta1", math.pi, False, lambda th: h_n(P35, 0.3, th)),
+    "weierstrass_K": ("theta1", math.pi, False, lambda th: weierstrass_K(P35, 0.5, 2.0, th)),
+    "log_kernel_signed_ln": ("theta1", math.pi, True, lambda th: log_kernel_signed_ln(3, th, 0.5)),
+    "angular_shape": ("theta", math.pi, False, lambda th: angular_shape(3, 0.5, th)),
+    "angular_shape array": ("theta", math.pi, False,
+                            lambda th: angular_shape(3, 0.5, np.array([0.3, th]))),
+    "indicator_integral": ("theta1", math.pi, False, lambda th: indicator_integral(P35, th)),
+    "tauberian_constant": ("phi", math.pi, False, lambda th: tauberian_constant(P35, th)),
+    "transfer_indicator phi": ("phi", math.pi, False,
+                               lambda th: transfer_indicator(P35, th, 1.0, 0.3)),
+    "transfer_indicator theta1": ("theta1", math.pi, False,
+                                  lambda th: transfer_indicator(P35, 0.3, 1.0, th)),
+    "laplace_log_kernel": ("theta1", math.pi / 2, True, lambda th: laplace_log_kernel(3, th, 0.2)),
+    "tauberian_symbol": ("phi", math.pi, False, lambda th: tauberian_symbol(P35, th, 0.5)),
+    "u_canonical": ("theta1", math.pi, False, lambda th: u_canonical(PW, P35, 10.0, th)),
+    "u_poisson": ("theta1", math.pi / 2, True, lambda th: u_poisson(PW, 3, 10.0, th)),
+    "scaled_limit": ("theta1", math.pi, False, lambda th: scaled_limit(PW, P35, th, (1e2, 1e4, 5))),
+    "counterexample_u0": ("theta1", math.pi, False, lambda th: counterexample_u0(0.5, 10.0, th)),
+    "laplacian_u0": ("theta1", math.pi, False, lambda th: laplacian_u0(0.5, 10.0, th)),
+}
+
+
+def _outside(upper, closed):
+    """Angles outside [0, upper) or [0, upper]: nan, just below 0, and the
+    upper end itself or the next double above it."""
+    return {"nan": math.nan, "below": -1e-12,
+            "above": math.nextafter(upper, math.inf) if closed else upper}
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("n", [3, 3.0, np.int64(3), np.float64(3.0)],
+                             ids=["int", "float", "int64", "float64"])
+    def test_check_dimension_returns_int(self, n):
+        assert check_dimension(n) == 3 and type(check_dimension(n)) is int
+        assert type(ProblemParams(n, 0.5).n) is int
+
+    @pytest.mark.parametrize("n,message", [
+        (math.nan, "integer >= 3"), (math.inf, "integer >= 3"), (-math.inf, "integer >= 3"),
+        (2.5, "integer >= 3"), (2, "integer >= 3"),
+        (MAX_DIMENSION + 1, "overflows"), (10 ** 400, "overflows"),
+    ])
+    def test_check_dimension_rejects(self, n, message):
+        with pytest.raises(DomainError, match=message):
+            check_dimension(n)
+
+    def test_check_dimension_bounds(self):
+        assert check_dimension(MAX_DIMENSION) == MAX_DIMENSION
+        assert check_dimension(2, lowest=2) == 2
+        # the bound is the last n whose (n-2)! is a finite double
+        assert math.isfinite(float(math.factorial(MAX_DIMENSION - 2)))
+        with pytest.raises(OverflowError):
+            float(math.factorial(MAX_DIMENSION - 1))
+
+    def test_check_angle_types(self):
+        assert type(check_angle(np.float64(0.5))) is float
+        assert check_angle(math.pi / 2, upper=math.pi / 2, closed=True) == math.pi / 2
+        arr = check_angle([0.0, 1.0], name="theta")
+        assert isinstance(arr, np.ndarray) and arr.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("entry", sorted(DIMENSION_ENTRIES))
+    def test_integer_valued_float_dimension(self, entry):
+        f = DIMENSION_ENTRIES[entry]
+        assert f(3.0) == f(3) == f(np.int64(3))
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, MAX_DIMENSION + 1])
+    @pytest.mark.parametrize("entry", sorted(DIMENSION_ENTRIES))
+    def test_dimension_outside_envelope(self, entry, n):
+        with pytest.raises(DomainError, match="dimension n"):
+            DIMENSION_ENTRIES[entry](n)
+
+    @pytest.mark.parametrize("where", ["nan", "below", "above"])
+    @pytest.mark.parametrize("entry", sorted(ANGLE_ENTRIES))
+    def test_angle_outside_envelope(self, entry, where):
+        name, upper, closed, f = ANGLE_ENTRIES[entry]
+        with pytest.raises(DomainError, match=rf"^{name} must lie in \[0, pi"):
+            f(_outside(upper, closed)[where])
 
 
 class TestProblemParams:
