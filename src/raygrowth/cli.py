@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -262,12 +263,12 @@ def cmd_mellin_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    grid = _parse_grid(args.grid)
+    args.grid = f"{_fmt(grid[0])}:{_fmt(grid[1])}:{grid[2]}"
     with open(args.model, "r", encoding="utf-8") as fh:
         model = parse_mass_model(fh.read())
     params = ProblemParams(args.n, args.rho, args.delta)
     thetas = _thetas(args, params)
-    grid = _parse_grid(args.grid)
-    args.grid = f"{_fmt(grid[0])}:{_fmt(grid[1])}:{grid[2]}"
     quad = _quad_from(None)
     probe = ratio_probe if args.ratios else scaled_limit
     rows = []
@@ -328,7 +329,13 @@ def cmd_counterexample(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ParseError (exit 4) instead of exiting with status 2."""
+    """Usage errors raise ParseError (exit 4) instead of exiting with status 2,
+    and a negative number in float syntax (-1e-12) is a value, not an option:
+    argparse itself takes only -N and -N.N.  The subparsers inherit both."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ParseError(message)

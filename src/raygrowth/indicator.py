@@ -23,7 +23,6 @@ from .errors import (
     DomainError,
     ExceptionalAngleError,
     OutOfRangeError,
-    StripViolationError,
 )
 from .kernels import ProblemParams, check_angle, check_dimension, h_value, log_kernel_signed_ln
 from .mellin import MellinResult, MellinStrip, QuadratureSpec, integrate, mellin_numeric
@@ -194,23 +193,10 @@ def indicator_integral(params: ProblemParams, theta1, quad: QuadratureSpec | Non
     if quad is None:
         quad = QuadratureSpec()
     lam, q = params.lam, params.q
-    res = mellin_numeric(
-        lambda u: h_value(lam, q, u, xi),
-        -params.rho,
-        quad,
-        MellinStrip.principal_for_h(q),
-    )
-    value = (params.rho + params.n - 2.0) * params.delta * complex(res.value).real
-    if full_output:
-        scaled = MellinResult(
-            value=value,
-            error=(params.rho + params.n - 2.0) * params.delta * res.error,
-            converged=res.converged,
-            message=res.message,
-            evaluations=res.evaluations,
-        )
-        return value, scaled
-    return value
+    res = mellin_numeric(lambda u: h_value(lam, q, u, xi), -params.rho, quad,
+                         MellinStrip.principal_for_h(q))
+    res = res.scaled((params.rho + params.n - 2.0) * params.delta)
+    return (res.value, res) if full_output else res.value
 
 
 def indicator_near_pi(params: ProblemParams, theta1):
@@ -470,12 +456,7 @@ def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec | N
     theta1 = check_angle(theta1, upper=math.pi / 2, closed=True)
     if quad is None:
         quad = QuadratureSpec()
-    strip = laplace_strip(n, theta1)
-    if not strip.contains(s):
-        raise StripViolationError(
-            f"s={s} outside the existence strip ({strip.lower}, {strip.upper}) "
-            f"for n={n}, theta1={theta1}"
-        )
+    laplace_strip(n, theta1).check(s)
 
     def f(t):
         sign, ln_abs = log_kernel_signed_ln(n, theta1, t)
@@ -483,10 +464,5 @@ def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec | N
 
     # the two half-lines side by side in one call
     res = integrate(f, np.array([-np.inf, 0.0]), np.array([0.0, np.inf]), quad)
-    total = float(np.sum(res.value))
-    err = float(np.sum(res.error))
-    converged = res.converged and err <= 10.0 * max(quad.abs_tol, quad.rel_tol * abs(total))
-    if full_output:
-        return total, MellinResult(value=total, error=err, converged=converged, message=res.message,
-                                   evaluations=res.evaluations)
-    return total
+    res = MellinResult.total([res]).held_to(quad)
+    return (res.value, res) if full_output else res.value

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .specfun import gegenbauer, series_converged
 
 # Below this radial ratio the subtracted kernel is evaluated through its
@@ -128,8 +128,9 @@ def _h_tail_series(lam, q, u, xi):
             total += term
             # the last two terms are both in the tail once j > q + 1
             if j > q + 1 and series_converged(j, prev, term, total, _TAIL_RTOL):
-                break
-    return total
+                return total
+    raise ConvergenceError(f"h tail series did not converge within {_TAIL_MAX_TERMS} terms "
+                           f"(lam={lam}, q={q}, worst u={float(np.max(u))})")
 
 
 def h_value(lam, q, u, xi):

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, StripViolationError
 from .kernels import ProblemParams, check_angle
-from .specfun import gamma, legendre_weighted
+from .specfun import _maybe_real, gamma, legendre_weighted
 
 # poles of the continued transforms are excluded within this radius
 POLE_EXCLUSION_RADIUS = 1e-6
@@ -83,6 +84,13 @@ class MellinStrip:
         re = complex(s).real
         return self.lower < re < self.upper
 
+    def check(self, s):
+        """Raise :class:`StripViolationError` unless lower < Re s < upper."""
+        if not self.contains(s):
+            raise StripViolationError(
+                f"Re s = {complex(s).real} outside the strip ({self.lower}, {self.upper})"
+            )
+
     @staticmethod
     def principal_for_h(q: int) -> "MellinStrip":
         """Strip of absolute convergence for the subtracted kernel."""
@@ -114,17 +122,42 @@ class MellinResult:
             raise ConvergenceError(f"quadrature tolerance not met: {self.message}")
         return self.value
 
+    @staticmethod
+    def total(pieces) -> "MellinResult":
+        """Sum of a list of results, over the pieces and over the rows of
+        each; it converged if every piece did."""
+        def add(terms):
+            return functools.reduce(operator.add, [np.sum(t).item() if isinstance(t, np.ndarray)
+                                                   else t for t in terms])
+
+        return MellinResult(
+            value=add(p.value for p in pieces), error=add(p.error for p in pieces),
+            converged=all(p.converged for p in pieces),
+            message="; ".join(p.message for p in pieces if p.message),
+            evaluations=sum(p.evaluations for p in pieces))
+
+    def scaled(self, c) -> "MellinResult":
+        """The result times the constant c."""
+        return replace(self, value=c * self.value, error=abs(c) * self.error)
+
+    def held_to(self, quad: "QuadratureSpec") -> "MellinResult":
+        """The result, flagged unless its error estimate is within 10 times
+        the tolerance of ``quad``: the rule for a sum of pieces."""
+        ok = self.error <= 10.0 * max(quad.abs_tol, quad.rel_tol * abs(self.value))
+        return replace(self, converged=self.converged and ok)
+
 
 def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0) -> MellinResult:
     """Tanh-sinh quadrature of int_a^b f(u) du (Takahasi & Mori 1974).
 
     The one quadrature entry point of the package.  ``f`` maps an ndarray
-    of nodes to an ndarray of values of the same shape.  ``a`` and ``b``
-    may be infinite, and may be arrays of limits: the integrals are then
-    refined side by side, value and error come back as arrays, and the
-    result counts as converged only if every one of them converged.  The
-    nodes and weights of each level are built once and cached; the rule,
-    its error estimate and its status codes are those of
+    of nodes to an ndarray of values of the same shape, real or complex; a
+    complex f gives a complex value, and its error is estimated in
+    modulus.  ``a`` and ``b`` may be infinite, and may be arrays of limits:
+    the integrals are then refined side by side, value and error come back
+    as arrays, and the result counts as converged only if every one of
+    them converged.  The nodes and weights of each level are built once and
+    cached; the rule, its error estimate and its status codes are those of
     ``scipy.integrate.tanhsinh`` (see :func:`_tanh_sinh`).
 
     With ``power`` k > 1 the lower limit must be 0, and the integral is
@@ -150,9 +183,10 @@ def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0) -> MellinResult
             # f is not evaluated where x^k is subnormal: those nodes are nan
             # and take the value of the nearest node where u is normal
             u = x ** power
-            out = np.full(u.shape, np.nan)
             normal = u >= _TINY
-            out[normal] = power * x[normal] ** (power - 1.0) * f(u[normal])
+            fu = f(u[normal])
+            out = np.full(u.shape, np.nan, dtype=np.result_type(fu, float))
+            out[normal] = power * x[normal] ** (power - 1.0) * fu
             return out
 
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -166,7 +200,7 @@ def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0) -> MellinResult
         reasons = sorted({_TANHSINH_STATUS[int(c)] for c in status[status != 0]})
         message = f"tanh-sinh: {', '.join(reasons)} (max_level {quad.max_level})"
     if a.ndim == 0:
-        value, error = float(value[0]), float(error[0])
+        value, error = value[0].item(), float(error[0])
     else:
         value, error = value.reshape(a.shape), error.reshape(a.shape)
     return MellinResult(value=value, error=error, converged=converged, message=message,
@@ -219,7 +253,8 @@ def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel):
     is not finite takes the value of the outermost finite node on its side.
     Rows leave the loop as they meet ``atol`` or ``rtol`` under Bailey's
     error estimate (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005) or turn
-    non-finite.
+    non-finite.  The values take the dtype, float or complex, that f
+    returns at the first pass.
 
     Returns value, error, status (0 converged, -2 maximum level reached,
     -3 non-finite) and the number of nodes evaluated over all rows.
@@ -263,7 +298,10 @@ def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel):
             t[both] = t[both] / (1.0 - t[both] ** 2)
             t[upper] = 1.0 / t[upper] - 1.0 + shift[upper, None]
             t[lower] *= -1.0
-        fx = np.array(f(t), dtype=float)
+        fx = np.array(f(t))
+        fx = fx.astype(np.result_type(fx, float), copy=False)
+        if first:
+            value, fr0, fl0 = (v.astype(fx.dtype) for v in (value, fr0, fl0))
         evaluations += fx.size
         if mapped:
             fx[both] *= (1.0 + x[both] ** 2) / (1.0 - x[both] ** 2) ** 2
@@ -330,45 +368,22 @@ def mellin_numeric(integrand, s, quad: QuadratureSpec, strip: MellinStrip) -> Me
     edge; each piece is integrated with the power
     substitution k = 1/min(1, d) of :func:`integrate`, so that behavior is
     bounded even for Re s next to an edge.  ``integrand`` takes and returns
-    ndarrays.  ``s`` may be complex; the real and imaginary parts of u^{s-1}
-    are integrated separately.
+    ndarrays.  ``s`` may be complex: the two pieces are then complex
+    integrals, and the value is complex.  An s with zero imaginary part is
+    taken as real, and so is the value.
 
     Raises :class:`StripViolationError` when Re s is outside the declared
     strip of the integrand -- never returns silently in that case.
     """
-    s = complex(s)
-    if not strip.contains(s):
-        raise StripViolationError(
-            f"Re s = {s.real} outside declared strip ({strip.lower}, {strip.upper})"
-        )
-    sigma, tau = s.real, s.imag
-    k_in = 1.0 / min(1.0, sigma - strip.lower)
-    k_out = 1.0 / min(1.0, strip.upper - sigma)
-
-    def inner(trig):
-        def f(u):
-            base = integrand(u) * u ** (sigma - 1.0)
-            return base * trig(tau * np.log(u)) if tau != 0.0 else base
-        return integrate(f, 0.0, 1.0, quad, power=k_in)
-
-    def outer(trig):
-        # u = 1/w, du = -dw/w^2:  f(1/w) w^{-s-1}
-        def f(w):
-            base = integrand(1.0 / w) * w ** (-sigma - 1.0)
-            return base * trig(-tau * np.log(w)) if tau != 0.0 else base
-        return integrate(f, 0.0, 1.0, quad, power=k_out)
-
-    pieces = [inner(np.cos), outer(np.cos)]
-    value = pieces[0].value + pieces[1].value
-    if tau != 0.0:
-        pieces += [inner(np.sin), outer(np.sin)]
-        value = complex(value, pieces[2].value + pieces[3].value)
-    total_err = sum(p.error for p in pieces)
-    message = "; ".join(p.message for p in pieces if p.message)
-    converged = (all(p.converged for p in pieces)
-                 and total_err <= 10.0 * max(quad.abs_tol, quad.rel_tol * abs(value)))
-    return MellinResult(value=value, error=total_err, converged=converged, message=message,
-                        evaluations=sum(p.evaluations for p in pieces))
+    strip.check(s)
+    s = _maybe_real(complex(s))
+    k_in = 1.0 / min(1.0, s.real - strip.lower)
+    k_out = 1.0 / min(1.0, strip.upper - s.real)
+    inner = integrate(lambda u: integrand(u) * u ** (s - 1.0), 0.0, 1.0, quad, power=k_in)
+    # u = 1/w, du = -dw/w^2:  f(1/w) w^{-s-1}
+    outer = integrate(lambda w: integrand(1.0 / w) * w ** (-s - 1.0), 0.0, 1.0, quad,
+                      power=k_out)
+    return MellinResult.total([inner, outer]).held_to(quad)
 
 
 def _check_not_pole(s, q, lam):
@@ -417,11 +432,7 @@ def mellin_k_closed(lam, s, xi):
     """
     if not lam > 0:
         raise DomainError(f"lam must be > 0, got {lam}")
-    sc = complex(s)
-    if not (0.0 < sc.real < 2.0 * lam):
-        raise StripViolationError(
-            f"Re s = {sc.real} outside the convergence strip (0, {2.0 * lam})"
-        )
+    MellinStrip(0.0, 2.0 * lam).check(s)
     mu = 0.5 - lam
     nu = (s if isinstance(s, complex) else float(s)) - lam - 0.5
     coef = gamma(1.0 - mu) * gamma(nu - mu + 1.0) * gamma(-mu - nu) / (
@@ -513,11 +524,8 @@ def mellin_ibp_numeric(lam, q, s, xi, quad: QuadratureSpec) -> MellinResult:
     if not lam > 0:
         raise DomainError(f"lam must be > 0, got {lam}")
     q = int(q)
-    sc = complex(s)
-    if not (-q - 1.0 < sc.real < 2.0 * lam):
-        raise StripViolationError(
-            f"Re s = {sc.real} outside the integrated-by-parts strip ({-q - 1.0}, {2.0 * lam})"
-        )
+    MellinStrip.extended_for_h(q, lam).check(s)
+    sc = _maybe_real(complex(s))
     for k in range(q + 1):
         if abs(sc + k) < POLE_EXCLUSION_RADIUS:
             raise PoleError(f"s = {s} hits the pole at {-k}")
@@ -527,14 +535,9 @@ def mellin_ibp_numeric(lam, q, s, xi, quad: QuadratureSpec) -> MellinResult:
         w = 1.0 + u * u + 2.0 * u * xi
         return w ** (-lam - (q + 1)) * np.polynomial.polynomial.polyval(u, coeffs)
 
-    pref = (-1.0) ** q
     denom = 1.0
     for k in range(q + 1):
         denom *= sc + k
     shifted = sc + q + 1.0  # integrand is u^{(s+q+1)-1} * deriv
     res = mellin_numeric(deriv, shifted, quad, MellinStrip(0.0, 2.0 * lam + q + 1.0))
-    value = pref * res.value / denom
-    if abs(complex(value).imag) == 0.0:
-        value = complex(value).real
-    return MellinResult(value=value, error=res.error / abs(denom), converged=res.converged,
-                        message=res.message, evaluations=res.evaluations)
+    return res.scaled((-1.0) ** q / denom)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ParseError
 from .indicator import angular_shape
 from .kernels import ProblemParams, check_angle, check_dimension, h_value, poisson_Pn
-from .mellin import QuadratureSpec, integrate
+from .mellin import MellinResult, QuadratureSpec, integrate
 
 _E = math.e
 
@@ -312,10 +312,9 @@ def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float
     d = q + 1.0 - model.rho
     pieces.append(integrate(lambda u: h(u) * qw(r / u) / u, 0.0, min(1.0, r / t0), quad,
                             power=1.0 / min(1.0, d) if d > 0 else 1.0))
-    total += sum(p.value for p in pieces)
-    err = sum(p.error for p in pieces)
-    ok = all(p.converged for p in pieces)
-    return (total, err, ok) if full_output else total
+    res = MellinResult.total(pieces)
+    total += res.value
+    return (total, res.error, res.converged) if full_output else total
 
 
 def u_poisson(model: MassModel, n: int, r: float, theta1: float,
@@ -381,12 +380,11 @@ def u_poisson(model: MassModel, n: int, r: float, theta1: float,
             out.append(integrate(near, 0.0, math.log(r / lo), quad))
         return out
 
-    pieces = integrals(0)
-    total = float(sum(p.value for p in pieces))
+    res = MellinResult.total(integrals(0))
     if not full_output:
-        return total
-    err = sum(p.error for p in pieces) + abs(sum(p.value for p in integrals(1)))
-    return total, err, all(p.converged for p in pieces) and all(inner_ok)
+        return res.value
+    err = res.error + abs(MellinResult.total(integrals(1)).value)
+    return res.value, err, res.converged and all(inner_ok)
 
 
 class SweepSample(NamedTuple):

@@ -181,6 +181,14 @@ class TestMellinVerifyCommand:
         assert "quadrature flagged" in capsys.readouterr().err
         assert "rel_err" in text
 
+    def test_tolerance_failure_exit_code(self, tmp_path, capsys):
+        # no transform agrees with its closed form to 1e-300: the table is
+        # written, and the run fails with no quadrature flag
+        code, text = run_cli(tmp_path, "mellin-verify", "--tol", "1e-300")
+        assert code == 2
+        assert "rel_err" in text
+        assert capsys.readouterr().err == ""
+
 
 class TestSimulateCommand:
     def test_power_law_sweep(self, tmp_path):
@@ -347,6 +355,9 @@ class TestUsageErrors:
         ("simulate", "--model", "m.txt", "--ratios", "2"),
         ("simulate", "--model", "m.txt", "--tol", "nan"),
         ("simulate", "--model", "m.txt", "--tol", "-1"),
+        # the grid is read before the model file, which does not exist here
+        ("simulate", "--model", "m.txt", "--grid", "1e2:1e6"),
+        ("simulate", "--model", "m.txt", "--grid", "1e2:1e6:nine"),
         ("mellin-verify", "--tol", "nan"),
         ("indicator", "--tol", "0"),
         ("solve-order",),
@@ -381,6 +392,10 @@ DOMAIN_ERRORS = [
     (("zeros", "--n", "173"), "n = 173 overflows"),
     (("indicator", "--theta", "nan"), "theta must lie in [0, pi), got nan"),
     (("counterexample", "--theta=-1e-12"), "theta1 must lie in [0, pi), got -1e-12"),
+    # a negative value in exponent form is a value, not an option
+    (("counterexample", "--theta", "-1e-12"), "theta1 must lie in [0, pi), got -1e-12"),
+    (("indicator", "--rho", "-2e-1"), "order rho must be positive and finite, got -0.2"),
+    (("solve-order", "--delta-bar", "-1e-3"), "delta_bar=-0.001 is outside the attainable range"),
 ]
 
 

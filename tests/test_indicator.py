@@ -8,6 +8,7 @@ from scipy.optimize import elementwise
 from raygrowth import indicator
 from raygrowth.errors import (
     ConvergenceError,
+    CountMismatchError,
     DomainError,
     ExceptionalAngleError,
     OutOfRangeError,
@@ -211,6 +212,12 @@ class TestZeroSet:
         # S carries 1/Gamma((n-1)/2), and Gamma(199.5) overflows
         with pytest.raises(DomainError, match="overflows"):
             zero_set(ProblemParams(400, 0.5))
+
+    def test_count_mismatch_raises(self, monkeypatch):
+        # a scan that finds two roots where floor(rho)+1 = 1 is surfaced
+        monkeypatch.setattr(indicator, "_cached_roots", lambda n, rho, resolution: (1.0, 2.0))
+        with pytest.raises(CountMismatchError, match="found 2 angular roots for n=3, rho=0.5"):
+            zero_set(P35)
 
 
 def _scipy_refine(f, a, b):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from raygrowth.errors import DomainError
+from raygrowth.errors import ConvergenceError, DomainError
 from raygrowth.indicator import (
     angular_shape,
     indicator_integral,
@@ -207,6 +207,14 @@ class TestSubtractedKernel:
                         (-u) ** j * gegenbauer(lam, j, xi) for j in range(q + 1)
                     )
                     assert h_value(lam, q, u, xi) == pytest.approx(direct, rel=1e-10, abs=1e-13)
+
+    def test_truncated_tail_series_raises(self):
+        # at lam = 85 the tail series at u = 0.49 has not converged after its
+        # 400 terms; the partial sum is -2.9e32, the true value 1.0
+        with pytest.raises(ConvergenceError, match="did not converge within 400 terms"):
+            h_value(85.0, 0, 0.49, 1.0)
+        with pytest.raises(ConvergenceError):
+            h_value(85.0, 0, np.array([0.1, 0.49]), 1.0)
 
     def test_vectorized(self):
         u = np.logspace(-4, 2, 25)

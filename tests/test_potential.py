@@ -103,6 +103,16 @@ class TestCountingFunctions:
             assert v == pytest.approx(average_N(sv, 4, float(r)), rel=1e-12)
         assert isinstance(average_N(sv, 4, 50.0), float)
 
+    @pytest.mark.parametrize("call", [
+        lambda: counting_n(PW, 3, -1.0),
+        lambda: counting_n(PW, 3, np.array([2.0, -1e-300])),
+        lambda: average_N(PW, 3, -1.0),
+        lambda: u_canonical(PW, P35, -1.0, 0.3),
+    ], ids=["counting_n", "counting_n_array", "average_N", "u_canonical"])
+    def test_negative_radius_rejected(self, call):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            call()
+
     def test_model_validation(self):
         with pytest.raises(DomainError):
             PowerLaw(delta=-1.0, rho=0.5)
@@ -352,6 +362,10 @@ class TestSerialization:
     def test_non_finite_values_rejected(self, text):
         with pytest.raises(ParseError):
             parse_mass_model(text + "\n")
+
+    def test_second_density_declaration_rejected(self):
+        with pytest.raises(ParseError, match="line 2: only one density declaration"):
+            parse_mass_model("powerlaw delta=1 rho=0.5\nperturbed delta=1 rho=0.5 eps=inv_log\n")
 
     def test_comments_and_blanks(self):
         m = parse_mass_model("# comment\n\nperturbed delta=1 rho=0.5 eps=inv_log\n")

@@ -33,6 +33,13 @@ CASES = {
     "nan_near_limit": (lambda x: np.where(x > 1.0 - 1e-9, np.nan, np.sqrt(1.0 - x)), 0.0, 1.0),
     "nan_in_tails": (lambda x: np.where(np.abs(x) > 30.0, np.nan, np.exp(-x * x)), -INF, INF),
     "equal_limits": (np.exp, 1.0, 1.0),
+    # complex integrands give complex values, as in scipy
+    "complex_exp": (lambda x: np.exp(1j * x), 0.0, 1.0),
+    "complex_power_half_line": (lambda x: x ** (0.3 + 0.7j) * np.exp(-x), 0.0, INF),
+    "complex_gauss_whole_line": (lambda x: np.exp((-1.0 + 2.0j) * x * x), -INF, INF),
+    "complex_mixed_limits": (lambda x: np.exp((-1.0 + 2.0j) * x * x),
+                             np.array([0.0, -INF, 1.0, -INF, 2.0, 3.0]),
+                             np.array([1.0, 0.0, INF, INF, 5.0, 2.0])),
 }
 
 
