@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    ConvergenceError,
     CountMismatchError,
     DomainError,
     ParseError,
@@ -441,8 +442,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"raygrowth: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CountMismatchError,) as exc:
+    except CountMismatchError as exc:
         print(f"raygrowth: verification failed: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    except ConvergenceError as exc:
+        print(f"raygrowth: tolerance not reached: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except (DomainError, RayGrowthError) as exc:
         extra = ""

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .kernels import ProblemParams, check_angle, check_dimension, h_value, log_kernel_signed_ln
 from .mellin import MellinResult, MellinStrip, QuadratureSpec, integrate, mellin_numeric
-from .specfun import EULER_GAMMA, digamma, gamma, legendre_weighted
+from .specfun import EULER_GAMMA, digamma, gamma, legendre_weighted, rising_ratio
 
 # scan step (radians) for root bracketing and the guard band around each root
 ROOT_SCAN_RESOLUTION = 1e-3
@@ -156,12 +156,10 @@ def angular_shape(n, rho, theta):
 
 def _indicator_coefficient(params: ProblemParams) -> float:
     n, rho = params.n, params.rho
-    prod = 1.0
-    for k in range(1, n - 1):
-        prod *= rho + k
+    # prod_{k=1}^{n-2}(rho+k) / (n-3)! = (n-2) rising_ratio(rho, n-2)
     return (
-        math.pi * 2.0 ** ((n - 3.0) / 2.0) * gamma((n - 1.0) / 2.0) * prod * params.delta
-        / (math.factorial(n - 3) * math.sin(math.pi * rho))
+        math.pi * 2.0 ** ((n - 3.0) / 2.0) * gamma((n - 1.0) / 2.0)
+        * (n - 2) * rising_ratio(rho, n - 2) * params.delta / math.sin(math.pi * rho)
     )
 
 
@@ -295,13 +293,11 @@ def tauberian_constant(params: ProblemParams, phi):
             f"(roots: {', '.join(f'{b:.6f}' for b in zset.roots)})"
         )
     n, rho = params.n, params.rho
-    prod = 1.0
-    for k in range(1, n - 2):
-        prod *= rho + k
     shape = angular_shape(n, rho, phi)
+    # prod_{k=1}^{n-3}(rho+k) = (n-3)! rising_ratio(rho, n-3)
     return (
-        2.0 ** ((n - 3.0) / 2.0) * gamma((n - 2.0) / 2.0) * math.sin(math.pi * rho)
-        / (math.pi ** 1.5 * prod * shape)
+        2.0 ** ((n - 3.0) / 2.0) * (gamma((n - 2.0) / 2.0) / math.factorial(n - 3))
+        * math.sin(math.pi * rho) / (math.pi ** 1.5 * rising_ratio(rho, n - 3) * shape)
     )
 
 
@@ -353,28 +349,30 @@ def ratio_limits(params: ProblemParams, theta1):
     n, rho = params.n, params.rho
     shape = angular_shape(n, rho, theta1)
     base = math.pi * 2.0 ** ((n - 3.0) / 2.0) * gamma((n - 1.0) / 2.0) / math.sin(math.pi * rho)
-    prod_n = 1.0
-    for k in range(1, n - 1):
-        prod_n *= rho + k
-    prod_N = rho * prod_n  # k = 0 factor times the same tail
-    u_over_n = base * prod_n / math.factorial(n - 3) * shape
-    u_over_N = base * prod_N / math.factorial(n - 2) * shape
+    tail = rising_ratio(rho, n - 2)  # prod_{k=1}^{n-2}(rho+k) / (n-2)!
+    u_over_n = base * ((n - 2) * tail) * shape
+    u_over_N = base * (rho * tail) * shape  # the k = 0 factor times the same tail
     return u_over_n, u_over_N
 
 
-def order_equation_rhs(n: int, rho: float) -> float:
+def order_equation_rhs(n: int, rho):
     """Right side of the transcendental order equation, as printed
 
         Gamma(n-1-rho) / ((n-2)! Gamma(1-rho)) * pi rho / sin(pi rho),
 
-    evaluated through the reflection formula as the product
-    Gamma(n-1-rho) Gamma(1+rho) / (n-2)!, which keeps full precision
-    next to rho = 1 where sin(pi rho) cancels.  Defined for 0 < rho < 1.
+    evaluated as pi rho prod_{k=1}^{n-2}(1 - rho/k) / sin(pi min(rho, 1-rho)),
+    the Gamma ratio written as its rising product.  Next to rho = 1 the
+    k = 1 factor 1 - rho and sin(pi (1-rho)) vanish together, and both keep
+    full precision there, since 1 - rho is exact.  Defined for 0 < rho < 1;
+    ``rho`` may be a scalar (a float is returned) or an ndarray.
     """
     n = check_dimension(n)
-    if not (0.0 < rho < 1.0):
-        raise DomainError(f"order equation is stated for rho in (0, 1), got {rho}")
-    return gamma(n - 1.0 - rho) * gamma(1.0 + rho) / math.factorial(n - 2)
+    rho = np.asarray(rho, dtype=float)
+    inside = (rho > 0.0) & (rho < 1.0)
+    if not np.all(inside):
+        raise DomainError(f"order equation is stated for rho in (0, 1), got {rho[~inside].flat[0]}")
+    out = math.pi * rho * rising_ratio(-rho, n - 2) / np.sin(math.pi * np.minimum(rho, 1.0 - rho))
+    return float(out) if out.ndim == 0 else out
 
 
 def _order_branch_end(n: int) -> float:
@@ -418,9 +416,8 @@ def solve_order(n: int, delta_bar: float) -> float:
             lo=lo,
             hi=hi,
         )
-    # find_root passes arrays; the right side takes one rho at a time
-    rhs = np.vectorize(order_equation_rhs, otypes=[float])
-    return float(_refine_roots(lambda rho: rhs(n, rho) - delta_bar, _ORDER_EDGE, _order_branch_end(n)))
+    return float(_refine_roots(lambda rho: order_equation_rhs(n, rho) - delta_bar,
+                               _ORDER_EDGE, _order_branch_end(n)))
 
 
 def laplace_strip(n: int, theta1: float) -> MellinStrip:

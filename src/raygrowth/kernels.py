@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .specfun import gegenbauer, series_converged
+from .specfun import gegenbauer_terms, series_converged
 
 # Below this radial ratio the subtracted kernel is evaluated through its
 # polynomial tail series instead of the direct difference, which would lose
@@ -26,7 +26,9 @@ _TAIL_SWITCH = 0.5
 _TAIL_RTOL = 1e-15
 _TAIL_MAX_TERMS = 400
 
-# the closed forms divide by (n-2)!, and 171! is beyond the largest double
+# the closed forms still divide by (n-3)! and (n-4)!, finite doubles through
+# n = 173 (170! is the last); the bound stays one below, where the (n-2)! of
+# the printed order equation is finite too
 MAX_DIMENSION = 172
 
 _ANGLE_BOUND_TEXT = {math.pi: "pi", math.pi / 2: "pi/2"}
@@ -113,18 +115,15 @@ def riesz_k(lam, t, xi):
 def _h_tail_series(lam, q, u, xi):
     """h via its Gegenbauer tail -sum_{j>q} (-u)^j G_j(xi); needs u < 1."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    xi_b = np.broadcast_to(np.asarray(xi, dtype=float), u.shape)
-    # generate G_j by recurrence on the fly
-    gm2 = np.ones_like(xi_b)
-    gm1 = 2.0 * lam * xi_b
+    terms = gegenbauer_terms(lam, np.broadcast_to(xi, u.shape))
+    next(terms)  # G_0 is in the section for every q >= 0
     pw = -u  # (-u)^j starting at j=1
-    term = -pw * gm1
+    term = -pw * next(terms)
     total = term.copy() if q == 0 else np.zeros_like(u)
-    for j in range(2, _TAIL_MAX_TERMS):
-        gm2, gm1 = gm1, (2.0 * (j + lam - 1.0) * xi_b * gm1 - (j + 2.0 * lam - 2.0) * gm2) / j
+    for j, g in zip(range(2, _TAIL_MAX_TERMS), terms):
         pw = pw * (-u)
         if j > q:
-            prev, term = term, -pw * gm1
+            prev, term = term, -pw * g
             total += term
             # the last two terms are both in the tail once j > q + 1
             if j > q + 1 and series_converged(j, prev, term, total, _TAIL_RTOL):
@@ -163,8 +162,8 @@ def h_value(lam, q, u, xi):
         if np.any(base <= 0.0):
             raise DomainError("kernel singular: 1 + u^2 + 2 u xi <= 0 (u=1, xi=-1)")
         poly = np.zeros_like(uf)
-        for j in range(q + 1):
-            poly += (-uf) ** j * gegenbauer(lam, j, xi)
+        for j, g in zip(range(q + 1), gegenbauer_terms(lam, xi)):
+            poly += (-uf) ** j * g
         out[far] = -(base ** (-lam)) + poly
     return float(out[0]) if scalar else out
 
@@ -201,8 +200,8 @@ def weierstrass_K(params: ProblemParams, r, t, theta1):
         raise DomainError("observation point coincides with the mass point")
     out = -(dist2 ** (-lam))
     tp = float(t) ** (2 - n)
-    for j in range(q + 1):
-        out = out + tp * (r / t) ** j * gegenbauer(lam, j, cos_psi)
+    for j, g in zip(range(q + 1), gegenbauer_terms(lam, cos_psi)):
+        out = out + tp * (r / t) ** j * g
     return float(out) if out.ndim == 0 else out
 
 

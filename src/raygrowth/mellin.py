@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, StripViolationError
 from .kernels import ProblemParams, check_angle
-from .specfun import _maybe_real, gamma, legendre_weighted
+from .specfun import _maybe_real, gamma, legendre_weighted, rising_ratio
 
 # poles of the continued transforms are excluded within this radius
 POLE_EXCLUSION_RADIUS = 1e-6
@@ -452,8 +452,9 @@ def mellin_hn_at_order(params: ProblemParams, xi) -> HnMellinForms:
     """Mellin transform of h_n evaluated at s = -rho, in both printed shapes.
 
     gamma_form carries Gamma((n-2)/2) in the denominator, factorial_form
-    carries (n-3)! and Gamma((n-1)/2); the two are convertible through the
-    double-argument gamma identity and must agree to rounding.  Both equal
+    carries prod_{k=1}^{n-3}(rho+k) / (n-3)!, formed as one rising ratio,
+    and Gamma((n-1)/2); the two are convertible through the double-argument
+    gamma identity and must agree to rounding.  Both equal
     mellin_h_closed(lam, q, -rho, xi) with lam = (n-2)/2.
 
     The overall sign is positive: the transform of h_n at the order point is
@@ -462,18 +463,15 @@ def mellin_hn_at_order(params: ProblemParams, xi) -> HnMellinForms:
     here so the shapes agree).
     """
     n, rho = params.n, params.rho
-    prod = 1.0
-    for k in range(1, n - 2):
-        prod *= rho + k
+    ratio = rising_ratio(rho, n - 3)  # prod_{k=1}^{n-3}(rho+k) / (n-3)!
     legendre_factor = legendre_weighted(-rho - (n - 1.0) / 2.0, (3.0 - n) / 2.0, (1.0 - xi) / 2.0)
     sin_pi_rho = math.sin(math.pi * rho)
     gamma_form = (
-        math.pi * math.sqrt(math.pi) * 2.0 ** ((3.0 - n) / 2.0) * prod
-        / (sin_pi_rho * gamma((n - 2.0) / 2.0))
+        math.pi * math.sqrt(math.pi) * 2.0 ** ((3.0 - n) / 2.0)
+        * ratio * (math.factorial(n - 3) / gamma((n - 2.0) / 2.0)) / sin_pi_rho
     ) * legendre_factor
     factorial_form = (
-        math.pi * 2.0 ** ((n - 3.0) / 2.0) * prod * gamma((n - 1.0) / 2.0)
-        / (math.factorial(n - 3) * sin_pi_rho)
+        math.pi * 2.0 ** ((n - 3.0) / 2.0) * ratio * gamma((n - 1.0) / 2.0) / sin_pi_rho
     ) * legendre_factor
     return HnMellinForms(gamma_form=gamma_form, factorial_form=factorial_form)
 

@@ -1,9 +1,10 @@
 """Self-contained special-function core.
 
-Provides the gamma and digamma functions, Gegenbauer polynomials, the Gauss
-hypergeometric series 2F1, and associated Legendre functions of the first
-kind on the cut -1 < x < 1 for general (possibly complex) degree and order,
-with their sine-weighted form that every closed form of the package uses.
+Provides the gamma and digamma functions, the rising ratio (x+1)_m / m!,
+Gegenbauer polynomials, the Gauss hypergeometric series 2F1, and
+associated Legendre functions of the first kind on the cut -1 < x < 1 for
+general (possibly complex) degree and order, with their sine-weighted form
+that every closed form of the package uses.
 
 Everything here is deterministic: fixed-coefficient approximations and plain
 series with explicit tolerances, no table interpolation.  Target accuracy is
@@ -13,6 +14,7 @@ suites downstream assume.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -150,6 +152,33 @@ def digamma(x):
     return _as_input_kind(complex(val), x)
 
 
+def rising_ratio(x, m):
+    """prod_{k=1}^{m} (1 + x/k) = (x+1)_m / m! (DLMF 5.2.5), elementwise.
+
+    The factors are multiplied one at a time, so no partial product
+    overflows where the result does not; every closed-form prefactor of
+    the package forms its rising product over a factorial here.  ``x`` may
+    be a scalar (a float is returned) or an ndarray.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    for k in range(1, m + 1):
+        out *= 1.0 + x / k
+    return float(out) if out.ndim == 0 else out
+
+
+def gegenbauer_terms(lam, xi):
+    """Yield the Gegenbauer polynomials G^lam_0(xi), G^lam_1(xi), ... in
+    turn, by the three-term recurrence; ``xi`` a scalar or an ndarray.
+    """
+    xi = np.asarray(xi, dtype=float)
+    gm2, gm1 = np.ones_like(xi), 2.0 * lam * xi
+    yield gm2
+    for k in itertools.count(2):
+        yield gm1
+        gm2, gm1 = gm1, (2.0 * (k + lam - 1.0) * xi * gm1 - (k + 2.0 * lam - 2.0) * gm2) / k
+
+
 def gegenbauer(lam, j, xi):
     """Gegenbauer polynomial G^lam_j(xi).
 
@@ -160,20 +189,9 @@ def gegenbauer(lam, j, xi):
         raise DomainError(f"gegenbauer requires lam > 0, got {lam}")
     if j < 0 or j != int(j):
         raise DomainError(f"gegenbauer requires integer j >= 0, got {j}")
-    j = int(j)
     xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 0
-    if j == 0:
-        out = np.ones_like(xi)
-    elif j == 1:
-        out = 2.0 * lam * xi
-    else:
-        gm2 = np.ones_like(xi)
-        gm1 = 2.0 * lam * xi
-        for k in range(2, j + 1):
-            gm2, gm1 = gm1, (2.0 * (k + lam - 1.0) * xi * gm1 - (k + 2.0 * lam - 2.0) * gm2) / k
-        out = gm1
-    return float(out) if scalar else out
+    out = next(itertools.islice(gegenbauer_terms(lam, xi), int(j), None))
+    return float(out) if xi.ndim == 0 else out
 
 
 def series_converged(k, prev, term, total, rtol) -> bool:

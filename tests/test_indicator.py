@@ -32,12 +32,21 @@ from raygrowth.indicator import (
     transfer_indicator,
     zero_set,
 )
-from raygrowth.kernels import ProblemParams
+from raygrowth.kernels import MAX_DIMENSION, ProblemParams
 from raygrowth.mellin import QuadratureSpec
 from raygrowth.specfun import gamma
 
 P35 = ProblemParams(3, 0.5)
 TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=12)
+
+# orders of the closed forms checked over every dimension up to MAX_DIMENSION
+LARGE_N_ORDERS = (0.05, 0.5, 1.5, 3.7, 12.3)
+
+
+def axis_indicator_mpmath(mp, n, rho):
+    """H(0) = pi (n-2) (rho+1)_{n-2} / ((n-2)! sin(pi rho)) in mpmath."""
+    r = mp.mpf(rho)
+    return mp.pi * (n - 2) * mp.rf(r + 1, n - 2) / (mp.factorial(n - 2) * mp.sin(mp.pi * r))
 
 
 class TestIndicatorClosed:
@@ -69,6 +78,16 @@ class TestIndicatorClosed:
     def test_angle_domain(self):
         with pytest.raises(DomainError):
             indicator_closed(P35, math.pi)
+
+    @pytest.mark.parametrize("rho", LARGE_N_ORDERS)
+    def test_axis_value_up_to_max_dimension(self, rho):
+        # the prefactor's rising product used to overflow before its
+        # division, from n = 125 at rho = 0.5
+        mp = pytest.importorskip("mpmath")
+        for n in range(3, MAX_DIMENSION + 1):
+            got = indicator_closed(ProblemParams(n, rho), 0.0)
+            want = float(axis_indicator_mpmath(mp, n, rho))
+            assert got == pytest.approx(want, rel=1e-13, abs=0), n
 
 
 class TestIndicatorIntegral:
@@ -363,6 +382,16 @@ class TestRatioLimits:
         un, uN = ratio_limits(P35, beta)
         assert abs(un) < 1e-10 and abs(uN) < 1e-10
 
+    @pytest.mark.parametrize("rho", LARGE_N_ORDERS)
+    def test_axis_values_up_to_max_dimension(self, rho):
+        # lim u/n = H(0) and lim u/N = H(0) rho / (n-2) at unit type constant
+        mp = pytest.importorskip("mpmath")
+        for n in range(3, MAX_DIMENSION + 1):
+            un, uN = ratio_limits(ProblemParams(n, rho), 0.0)
+            want = axis_indicator_mpmath(mp, n, rho)
+            assert un == pytest.approx(float(want), rel=1e-13, abs=0), n
+            assert uN == pytest.approx(float(want * mp.mpf(rho) / (n - 2)), rel=1e-13, abs=0), n
+
 
 class TestOrderEquation:
     def test_printed_and_gamma_product_forms_agree(self):
@@ -421,6 +450,37 @@ class TestOrderEquation:
         assert solve_order(3, math.pi / 4 - 5e-10) == 0.5
         with pytest.raises(OutOfRangeError):
             solve_order(3, math.pi / 4 - 2e-9)
+
+    def test_against_mpmath_up_to_max_dimension(self):
+        # the printed Gamma form in 40 digits; the two scalar gamma calls
+        # this replaced missed it by up to 7e-14
+        mp = pytest.importorskip("mpmath")
+        rhos = [1e-9, 1e-6, 1e-3, *np.linspace(0.01, 0.99, 99).tolist(), 1 - 1e-3, 1 - 1e-6,
+                1 - 1e-9]
+        with mp.workdps(40):
+            for n in [*range(3, 13), 40, 100, MAX_DIMENSION]:
+                for rho in rhos:
+                    r = mp.mpf(rho)
+                    want = (mp.gamma(n - 1 - r) / (mp.factorial(n - 2) * mp.gamma(1 - r))
+                            * mp.pi * r / mp.sin(mp.pi * r))
+                    got = order_equation_rhs(n, rho)
+                    assert got == pytest.approx(float(want), rel=1e-14, abs=0), (n, rho)
+
+    def test_array_equals_scalar_calls(self):
+        rho = np.array([1e-9, 0.1, 0.5, 0.73, 1 - 1e-9])
+        for n in (3, 4, 10, MAX_DIMENSION):
+            each = [order_equation_rhs(n, float(r)) for r in rho]
+            assert order_equation_rhs(n, rho).tobytes() == np.array(each).tobytes()
+        assert order_equation_rhs(4, rho.reshape(5, 1)).shape == (5, 1)
+        assert type(order_equation_rhs(4, 0.5)) is float
+
+    def test_array_domain_error_names_first_bad_value(self):
+        with pytest.raises(DomainError, match=r"got 1\.5$"):
+            order_equation_rhs(4, np.array([0.5, 1.5, -2.0]))
+        with pytest.raises(DomainError, match="got nan"):
+            order_equation_rhs(4, np.array([np.nan, 0.5]))
+        with pytest.raises(DomainError, match="got 0.0"):
+            order_equation_rhs(4, 0.0)
 
     def test_gamma_overflow_is_domain_error(self):
         # the right side carries Gamma(n-1-rho), which overflows at n = 200

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from raygrowth.errors import DomainError, PoleError, StripViolationError
-from raygrowth.kernels import ProblemParams, h_value
+from raygrowth.kernels import MAX_DIMENSION, ProblemParams, h_value
 from raygrowth.mellin import (
     MellinStrip,
     QuadratureSpec,
@@ -222,6 +222,19 @@ class TestOrderPointForms:
         want = -gamma(-p.rho) * gamma(2.0 * p.lam + p.rho) / gamma(2.0 * p.lam)
         forms = mellin_hn_at_order(p, 1.0)
         assert forms.factorial_form == pytest.approx(want, rel=1e-12)
+
+
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 1.5, 3.7, 12.3])
+    def test_axis_value_up_to_max_dimension(self, rho):
+        # on the axis both shapes equal pi (rho+1)_{n-3} / ((n-3)! sin(pi rho));
+        # the factorial form used to overflow from n = 125 at rho = 0.5
+        mp = pytest.importorskip("mpmath")
+        r = mp.mpf(rho)
+        for n in range(3, MAX_DIMENSION + 1):
+            forms = mellin_hn_at_order(ProblemParams(n, rho), 1.0)
+            want = float(mp.pi * mp.rf(r + 1, n - 3) / (mp.factorial(n - 3) * mp.sin(mp.pi * r)))
+            assert forms.gamma_form == pytest.approx(want, rel=1e-13, abs=0), n
+            assert forms.factorial_form == pytest.approx(want, rel=1e-13, abs=0), n
 
 
 class TestTauberianSymbol:

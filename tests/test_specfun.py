@@ -10,9 +10,11 @@ from raygrowth.specfun import (
     digamma,
     gamma,
     gegenbauer,
+    gegenbauer_terms,
     hyp2f1,
     legendre_p_cut,
     legendre_weighted,
+    rising_ratio,
     series_converged,
 )
 
@@ -155,6 +157,41 @@ class TestGegenbauer:
             gegenbauer(0.0, 2, 0.5)
         with pytest.raises(DomainError):
             gegenbauer(1.0, -1, 0.5)
+
+    def test_terms_in_turn_equal_single_polynomials(self):
+        # the generator and the j-th polynomial run the same recurrence, so
+        # they agree bit for bit, on a scalar and on an array
+        lam = 2.5
+        for xi in (np.asarray(-0.6), np.linspace(-0.9, 0.9, 7)):
+            for j, g in zip(range(30), gegenbauer_terms(lam, xi)):
+                assert np.array_equal(g, gegenbauer(lam, j, xi))
+        first = [float(g) for _, g in zip(range(3), gegenbauer_terms(lam, np.asarray(0.3)))]
+        assert first == pytest.approx([1.0, 2.0 * lam * 0.3,
+                                       2.0 * lam * (lam + 1.0) * 0.09 - lam], rel=1e-15, abs=0)
+
+
+class TestRisingRatio:
+    def test_small_values(self):
+        # (x+1)_m / m! is the binomial coefficient C(x+m, m) at integer x
+        assert rising_ratio(0.7, 0) == 1.0
+        assert rising_ratio(0.5, 1) == 1.5
+        assert rising_ratio(3.0, 4) == pytest.approx(math.comb(7, 4), rel=1e-15, abs=0)
+        assert rising_ratio(-0.5, 2) == pytest.approx(0.375, rel=1e-15, abs=0)
+        assert type(rising_ratio(0.5, 3)) is float
+
+    @pytest.mark.parametrize("x", [-0.999999999, -0.3, 0.05, 1.5, 12.3])
+    def test_against_mpmath_where_the_factorial_overflows(self, x):
+        # 171! is beyond the double range; the ratio stays finite
+        mp = pytest.importorskip("mpmath")
+        for m in (1, 10, 100, 170, 171, 200):
+            want = mp.rf(mp.mpf(x) + 1, m) / mp.factorial(m)
+            assert rising_ratio(x, m) == pytest.approx(float(want), rel=1e-13, abs=0)
+
+    def test_array_equals_scalar_calls(self):
+        x = np.array([[-0.9, 0.05], [1.5, 12.3]])
+        vec = rising_ratio(x, 60)
+        assert vec.shape == x.shape
+        assert vec.tobytes() == np.array([rising_ratio(float(v), 60) for v in x.flat]).tobytes()
 
 
 class TestHyp2F1:
