@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the two argument
+checks that raise its :class:`DomainError`."""
+
+import math
+
+import numpy as np
 
 
 class RayGrowthError(Exception):
@@ -47,3 +52,60 @@ class ParseError(RayGrowthError, ValueError):
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+
+
+# text of the interval ends that are named rather than printed
+_BOUND_TEXT = {math.pi: "pi", math.pi / 2: "pi/2", math.pi - 0.5: "pi-0.5", math.e: "e"}
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _bound(v) -> str:
+    text = _BOUND_TEXT.get(v, repr(float(v)))
+    return text[:-2] if text.endswith(".0") else text
+
+
+def _interval_text(lo, hi, closed) -> str:
+    if lo == -math.inf and hi == math.inf:
+        return "must be finite"
+    if hi == math.inf:
+        if lo == 0.0 and closed[0] == "(":
+            return "must be positive and finite"
+        return f"must be {'>' if closed[0] == '(' else '>='} {_bound(lo)} and finite"
+    return f"must lie in {closed[0]}{_bound(lo)}, {_bound(hi)}{closed[1]}"
+
+
+def check_real(x, name, lo=-math.inf, hi=math.inf, closed="[]"):
+    """x as a float, or a float array for array input, after checking that
+    every value lies between ``lo`` and ``hi``.
+
+    ``closed`` spells the interval's brackets: "[)" admits lo and not hi.
+    nan and +-inf lie in no interval.  Otherwise raises
+    :class:`DomainError` naming the argument and its first bad value.
+    """
+    if isinstance(x, (int, float)):  # plain comparisons: scalars come on hot paths
+        if ((lo < x if closed[0] == "(" else lo <= x) and (x < hi if closed[1] == ")" else x <= hi)
+                and -_FLOAT_MAX <= x <= _FLOAT_MAX):
+            return float(x)
+        bad = x
+    else:
+        arr = np.asarray(x, dtype=float)
+        inside = np.isfinite(arr)
+        if lo > -math.inf:
+            inside &= arr > lo if closed[0] == "(" else arr >= lo
+        if hi < math.inf:
+            inside &= arr < hi if closed[1] == ")" else arr <= hi
+        if inside.all():
+            return float(arr) if arr.ndim == 0 else arr
+        bad = arr[~inside].flat[0]
+    raise DomainError(f"{name} {_interval_text(lo, hi, closed)}, got {bad}")
+
+
+def check_integer(x, name, lo=0) -> int:
+    """x as a Python int: any integer value (3, 3.0, numpy.int64(3)) >= ``lo``.
+
+    Raises :class:`DomainError` naming the argument for nan, +-inf, a
+    non-integer or a value below ``lo``.
+    """
+    if not (lo <= x < math.inf and x == math.floor(x)):
+        raise DomainError(f"{name} must be an integer >= {lo}, got {x}")
+    return int(x)

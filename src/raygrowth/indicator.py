@@ -20,9 +20,9 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     CountMismatchError,
-    DomainError,
     ExceptionalAngleError,
     OutOfRangeError,
+    check_real,
 )
 from .kernels import ProblemParams, check_angle, check_dimension, h_value, log_kernel_signed_ln
 from .mellin import MellinResult, MellinStrip, QuadratureSpec, integrate, mellin_numeric
@@ -150,6 +150,7 @@ def angular_shape(n, rho, theta):
     to sqrt(2/pi) cos(rho theta) and is used as a plane-case cross-check.
     """
     n = check_dimension(n, lowest=2)
+    rho = check_real(rho, "order rho", 0.0, math.inf, "()")
     theta = check_angle(theta, name="theta")
     return legendre_weighted(rho + (n - 3.0) / 2.0, (3.0 - n) / 2.0, np.sin(0.5 * theta) ** 2)
 
@@ -214,9 +215,7 @@ def indicator_near_pi(params: ProblemParams, theta1):
     numerically to the size of the neglected O((1+cos) ln) term.  Valid on
     the approach window theta1 in (pi - 1/2, pi).
     """
-    theta1 = float(theta1)
-    if not (math.pi - 0.5 < theta1 < math.pi):
-        raise DomainError(f"asymptotic form is for theta1 in (pi-0.5, pi), got {theta1}")
+    theta1 = check_real(theta1, "theta1 of the asymptotic form", math.pi - 0.5, math.pi, "()")
     n, rho, delta = params.n, params.rho, params.delta
     if n == 3:
         return (rho + 1.0) * delta * (
@@ -367,10 +366,7 @@ def order_equation_rhs(n: int, rho):
     ``rho`` may be a scalar (a float is returned) or an ndarray.
     """
     n = check_dimension(n)
-    rho = np.asarray(rho, dtype=float)
-    inside = (rho > 0.0) & (rho < 1.0)
-    if not np.all(inside):
-        raise DomainError(f"order equation is stated for rho in (0, 1), got {rho[~inside].flat[0]}")
+    rho = np.asarray(check_real(rho, "order rho of the order equation", 0.0, 1.0, "()"))
     out = math.pi * rho * rising_ratio(-rho, n - 2) / np.sin(math.pi * np.minimum(rho, 1.0 - rho))
     return float(out) if out.ndim == 0 else out
 
@@ -404,10 +400,12 @@ def solve_order(n: int, delta_bar: float) -> float:
     interval from :func:`order_equation_range`) when delta_bar is outside
     the range of the right side.
     """
-    if not np.isfinite(delta_bar):
-        raise DomainError(f"delta_bar must be finite, got {delta_bar}")
-    lo, hi = order_equation_range(n)
-    if not (lo <= delta_bar <= hi):
+    delta_bar = check_real(delta_bar, "delta_bar")
+    x, status = _chandrupatla(lambda rho: order_equation_rhs(n, rho) - delta_bar,
+                              _ORDER_EDGE, _order_branch_end(n), **_ROOT_TOLERANCES)
+    if status[0] == -1:
+        # no sign change over the branch: delta_bar is outside its range
+        lo, hi = order_equation_range(n)
         if n == 3 and 0.0 < lo - delta_bar < 1e-9:
             return 0.5
         raise OutOfRangeError(
@@ -416,8 +414,9 @@ def solve_order(n: int, delta_bar: float) -> float:
             lo=lo,
             hi=hi,
         )
-    return float(_refine_roots(lambda rho: order_equation_rhs(n, rho) - delta_bar,
-                               _ORDER_EDGE, _order_branch_end(n)))
+    if status[0]:
+        raise ConvergenceError(f"root refinement failed with status {status}")
+    return float(x[0])
 
 
 def laplace_strip(n: int, theta1: float) -> MellinStrip:

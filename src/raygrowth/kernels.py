@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_integer, check_real
 from .specfun import gegenbauer_terms, series_converged
 
 # Below this radial ratio the subtracted kernel is evaluated through its
@@ -31,8 +31,6 @@ _TAIL_MAX_TERMS = 400
 # the printed order equation is finite too
 MAX_DIMENSION = 172
 
-_ANGLE_BOUND_TEXT = {math.pi: "pi", math.pi / 2: "pi/2"}
-
 
 def check_dimension(n, lowest=3) -> int:
     """The dimension n as a Python int.
@@ -41,12 +39,11 @@ def check_dimension(n, lowest=3) -> int:
     :class:`DomainError` for nan, inf, a non-integer, an n below ``lowest``
     or an n above :data:`MAX_DIMENSION`.
     """
-    if not (lowest <= n < math.inf and n == math.floor(n)):
-        raise DomainError(f"dimension n must be an integer >= {lowest}, got {n}")
+    n = check_integer(n, "dimension n", lowest)
     if n > MAX_DIMENSION:
         raise DomainError(f"dimension n = {n} overflows the double range: (n-2)! is finite "
                           f"only up to n = {MAX_DIMENSION}")
-    return int(n)
+    return n
 
 
 def check_angle(theta, name="theta1", upper=math.pi, closed=False):
@@ -56,13 +53,7 @@ def check_angle(theta, name="theta1", upper=math.pi, closed=False):
     in [0, upper), or in [0, upper] when ``closed`` is set; nan lies in
     neither.
     """
-    arr = np.asarray(theta, dtype=float)
-    inside = (arr >= 0.0) & (arr <= upper if closed else arr < upper)
-    if not np.all(inside):
-        bound = _ANGLE_BOUND_TEXT.get(upper, format(upper, ".17g"))
-        raise DomainError(f"{name} must lie in [0, {bound}{']' if closed else ')'}, "
-                          f"got {arr[~inside].flat[0]}")
-    return float(arr) if arr.ndim == 0 else arr
+    return check_real(theta, name, 0.0, upper, "[]" if closed else "[)")
 
 
 @dataclass(frozen=True)
@@ -81,13 +72,12 @@ class ProblemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_dimension(self.n))
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise DomainError(f"order rho must be positive and finite, got {self.rho}")
-        q = math.floor(self.rho)
-        if self.rho == q:
+        rho = check_real(self.rho, "order rho", 0.0, math.inf, "()")
+        q = math.floor(rho)
+        if rho == q:
             raise DomainError(f"order rho must be non-integer, got {self.rho}")
-        if not (np.isfinite(self.delta) and self.delta >= 0):
-            raise DomainError(f"type constant delta must be >= 0, got {self.delta}")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "delta", check_real(self.delta, "type constant delta", 0.0))
         object.__setattr__(self, "q", q)
 
     @property
@@ -102,8 +92,7 @@ def riesz_k(lam, t, xi):
     Generating function of the Gegenbauer family with alternating sign:
     equals sum_j (-t)^j G^lam_j(xi) for |t| < 1.
     """
-    if not lam > 0:
-        raise DomainError(f"riesz_k requires lam > 0, got {lam}")
+    lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
     t = np.asarray(t, dtype=float)
     base = 1.0 + t * t + 2.0 * t * xi
     if np.any(base <= 0.0):
@@ -139,18 +128,12 @@ def h_value(lam, q, u, xi):
     section, with the bound |h| <= C min(u^q, u^{q+1}).  For u below 1/2 the
     value is computed from the tail series to avoid cancellation.
     """
-    if not lam > 0:
-        raise DomainError(f"kernel exponent lam must be > 0, got {lam}")
-    q = int(q)
-    if q < 0:
-        raise DomainError(f"subtraction degree q must be >= 0, got {q}")
-    if not np.all(np.abs(xi) <= 1.0):
-        raise DomainError(f"xi = cos(theta1) must lie in [-1, 1], got {xi}")
-    u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
+    lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
+    q = check_integer(q, "subtraction degree q")
+    xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0)
+    u_arr = check_real(u, "radial ratio u", 0.0)
+    scalar = np.ndim(u_arr) == 0
     u_arr = np.atleast_1d(u_arr)
-    if np.any(u_arr < 0):
-        raise DomainError("radial ratio u must be >= 0")
     out = np.zeros_like(u_arr)
     near = u_arr < _TAIL_SWITCH
     if np.any(near):
@@ -189,17 +172,16 @@ def weierstrass_K(params: ProblemParams, r, t, theta1):
     cross-check rather than a restatement.
     """
     theta1 = check_angle(theta1)
-    if not t > 0:
-        raise DomainError(f"mass radius t must be > 0, got {t}")
+    t = check_real(t, "mass radius t", 0.0, math.inf, "()")
     n, q = params.n, params.q
     lam = params.lam
-    r = np.asarray(r, dtype=float)
+    r = np.asarray(check_real(r, "radius r", 0.0))
     cos_psi = -np.cos(theta1)  # angle between x and the negative axis
     dist2 = r * r + t * t - 2.0 * r * t * cos_psi
     if np.any(dist2 <= 0.0):
         raise DomainError("observation point coincides with the mass point")
     out = -(dist2 ** (-lam))
-    tp = float(t) ** (2 - n)
+    tp = t ** (2 - n)
     for j, g in zip(range(q + 1), gegenbauer_terms(lam, cos_psi)):
         out = out + tp * (r / t) ** j * g
     return float(out) if out.ndim == 0 else out
@@ -212,10 +194,8 @@ def poisson_Pn(n, r, t, theta1):
     Positive for r, t > 0 whenever 0 <= theta1 <= pi/2.
     """
     n = check_dimension(n)
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(r < 0) or np.any(t < 0):
-        raise DomainError("poisson_Pn requires r, t >= 0")
+    r = np.asarray(check_real(r, "radius r", 0.0))
+    t = np.asarray(check_real(t, "mass radius t", 0.0))
     c = np.cos(theta1)
     out = r * t ** (n - 2) * (
         (n - 1) * r * r * c + r * t * (n + (n - 2) * c * c) + (n - 1) * t * t * c

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError, StripViolationError
+from .errors import (ConvergenceError, DomainError, PoleError, StripViolationError,
+                     check_integer, check_real)
 from .kernels import ProblemParams, check_angle
 from .specfun import _maybe_real, gamma, legendre_weighted, rising_ratio
 
@@ -63,10 +64,10 @@ class QuadratureSpec:
     max_level: int = 10
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_level < 2:
-            raise DomainError("max_level must be >= 2 (no error estimate below level 2)")
+        object.__setattr__(self, "rel_tol", check_real(self.rel_tol, "rel_tol", 0.0, math.inf, "()"))
+        object.__setattr__(self, "abs_tol", check_real(self.abs_tol, "abs_tol", 0.0, math.inf, "()"))
+        # no error estimate below level 2
+        object.__setattr__(self, "max_level", check_integer(self.max_level, "max_level", 2))
 
 
 @dataclass(frozen=True)
@@ -386,7 +387,7 @@ def mellin_numeric(integrand, s, quad: QuadratureSpec, strip: MellinStrip) -> Me
     return MellinResult.total([inner, outer]).held_to(quad)
 
 
-def _check_not_pole(s, q, lam):
+def _check_not_pole(s, lam):
     s = complex(s)
     # gamma(s) poles at non-positive integers, gamma(2 lam - s) poles at 2 lam + m
     k = round(s.real)
@@ -412,10 +413,9 @@ def mellin_h_closed(lam, q, s, xi):
     weighted Legendre factor is finite at xi = 1, where the formula reduces
     to -Gamma(s) Gamma(2 lam - s) / Gamma(2 lam).
     """
-    if not lam > 0:
-        raise DomainError(f"lam must be > 0, got {lam}")
-    q = int(q)
-    _check_not_pole(s, q, lam)
+    lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
+    check_integer(q, "subtraction degree q")
+    _check_not_pole(s, lam)
     s = s if isinstance(s, complex) else float(s)
     coef = -math.sqrt(math.pi) * gamma(s) * gamma(2.0 * lam - s) / (
         2.0 ** (lam - 0.5) * gamma(lam)
@@ -430,8 +430,7 @@ def mellin_k_closed(lam, s, xi):
     order mu = 1/2 - lam and degree nu = s - lam - 1/2 (so agreement with
     :func:`mellin_h_closed` exercises the double-argument gamma identity).
     """
-    if not lam > 0:
-        raise DomainError(f"lam must be > 0, got {lam}")
+    lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
     MellinStrip(0.0, 2.0 * lam).check(s)
     mu = 0.5 - lam
     nu = (s if isinstance(s, complex) else float(s)) - lam - 0.5
@@ -486,7 +485,7 @@ def tauberian_symbol(params: ProblemParams, phi, v):
     the factor stays away from zero.
     """
     xi = math.cos(check_angle(phi, name="phi"))
-    s = -params.rho - 1j * v
+    s = -params.rho - 1j * check_real(v, "imaginary shift v")
     val = mellin_h_closed(params.lam, params.q, s, xi)
     return (1.0 - 1j * v) * val
 
@@ -519,9 +518,9 @@ def mellin_ibp_numeric(lam, q, s, xi, quad: QuadratureSpec) -> MellinResult:
     continuation of the direct transform.  Independent of
     :func:`mellin_numeric` apart from the shared quadrature backend.
     """
-    if not lam > 0:
-        raise DomainError(f"lam must be > 0, got {lam}")
-    q = int(q)
+    lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
+    q = check_integer(q, "subtraction degree q")
+    xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0)
     MellinStrip.extended_for_h(q, lam).check(s)
     sc = _maybe_real(complex(s))
     for k in range(q + 1):

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParseError
+from .errors import ConvergenceError, DomainError, ParseError, check_real
 from .indicator import angular_shape
 from .kernels import ProblemParams, check_angle, check_dimension, h_value, poisson_Pn
 from .mellin import MellinResult, QuadratureSpec, integrate
@@ -86,12 +86,9 @@ def _check_density(model, delta: float = 0.0, handle: str | None = None):
         _, _, start = _resolve_handle(handle)
         if model.t0 == 0.0:
             object.__setattr__(model, "t0", start)
-    if not (np.isfinite(delta) and delta >= 0):
-        raise DomainError(f"delta must be >= 0, got {delta}")
-    if not (np.isfinite(model.rho) and model.rho > 0):
-        raise DomainError(f"rho must be > 0, got {model.rho}")
-    if not (np.isfinite(model.t0) and model.t0 >= 1.0):
-        raise DomainError(f"mass support must start at a finite radius >= 1, got {model.t0}")
+    check_real(delta, "delta", 0.0)
+    check_real(model.rho, "order rho", 0.0, math.inf, "()")
+    check_real(model.t0, "support start t0", 1.0)
     with np.errstate(all="ignore"):
         edge = float(model.profile(model.t0))
     if not (np.isfinite(edge) and edge >= 0.0):
@@ -200,11 +197,9 @@ def counting_n(model: MassModel, n: int, t):
     the sorted masses, is scaled by t^{2-n}.
     """
     n = check_dimension(n)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
+    t_arr = check_real(t, "radius t", 0.0)
+    scalar = np.ndim(t_arr) == 0
     t_arr = np.atleast_1d(t_arr)
-    if np.any(t_arr < 0):
-        raise DomainError("radius t must be >= 0")
     if isinstance(model, Atomic):
         mass = np.concatenate(([0.0], np.cumsum(model.masses)))
         out = mass[np.searchsorted(model.radii, t_arr, side="right")]
@@ -233,11 +228,9 @@ def average_N(model: MassModel, n: int, r, quad: QuadratureSpec | None = None,
     estimate, converged); the exact models report (N, 0, True).
     """
     n = check_dimension(n)
-    r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
+    r_arr = check_real(r, "radius r", 0.0)
+    scalar = np.ndim(r_arr) == 0
     r_arr = np.atleast_1d(r_arr)
-    if np.any(r_arr < 0):
-        raise DomainError("radius r must be >= 0")
     out = np.zeros_like(r_arr)
     err = np.zeros_like(r_arr)
     ok = True
@@ -281,9 +274,7 @@ def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float
     ``full_output`` returns (u, error estimate, converged).
     """
     xi = math.cos(check_angle(theta1))
-    r = float(r)
-    if r < 0:
-        raise DomainError("radius r must be >= 0")
+    r = check_real(r, "radius r", 0.0)
     if quad is None:
         quad = QuadratureSpec()
     lam, q, n = params.lam, params.q, params.n
@@ -337,8 +328,8 @@ def u_poisson(model: MassModel, n: int, r: float, theta1: float,
     ordr = 0.0 if isinstance(model, Atomic) else model.rho  # finitely many atoms: order 0
     if ordr >= 1.0:
         raise DomainError(f"Poisson representation needs order < 1, got {ordr}")
-    r = float(r)
-    if r <= 0:
+    r = check_real(r, "radius r", 0.0)
+    if r == 0.0:
         return (0.0, 0.0, True) if full_output else 0.0
     if quad is None:
         quad = QuadratureSpec()
@@ -467,6 +458,7 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     """
     theta1 = check_angle(theta1)
     grid = _resolve_grid(r_grid)
+    sweep_tol = check_real(sweep_tol, "sweep_tol", 0.0, math.inf, "()")
     if quad is None:
         quad = QuadratureSpec()
     n_grid = counting_n(model, params.n, grid)
@@ -535,13 +527,10 @@ def counterexample_u0(rho: float, r, theta1: float):
     identically r^rho -- the two behaviors that bracket what a one-direction
     growth assumption can and cannot force.
     """
-    if not (0.0 < rho < 1.0):
-        raise DomainError(f"rho must lie in (0, 1), got {rho}")
-    r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
+    rho = check_real(rho, "order rho", 0.0, 1.0, "()")
+    r_arr = check_real(r, "radius r of the counterexample", _E)
+    scalar = np.ndim(r_arr) == 0
     r_arr = np.atleast_1d(r_arr)
-    if np.any(r_arr < _E):
-        raise DomainError("counterexample needs r >= e")
     theta1 = check_angle(theta1)
     legendre_factor = angular_shape(3, rho, theta1)  # P_rho(cos theta1)
     out = r_arr ** rho * (1.0 + np.sin(np.log(np.log(r_arr))) * legendre_factor)
@@ -562,9 +551,7 @@ def laplacian_u0(rho: float, r: float, theta1: float):
     failure (estimate below the rounding floor) raises instead of returning
     noise.
     """
-    r = float(r)
-    if r < _E:
-        raise DomainError("counterexample needs r >= e")
+    r = check_real(r, "radius r of the counterexample", _E)
     theta1 = check_angle(theta1)
     hr = r * _LAPLACIAN_STEP
     u = lambda rr, th: counterexample_u0(rho, rr, th)

@@ -14,12 +14,13 @@ suites downstream assume.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, check_integer, check_real
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -67,11 +68,16 @@ _DIGAMMA_ASYMP = (
 
 
 def _is_nonpositive_integer(z, tol=1e-12):
-    z = complex(z)
-    if abs(z.imag) > tol:
+    """True at the poles of gamma; every gamma, rgamma, digamma and 2F1
+    parameter passes through here, so a non-finite one raises
+    :class:`DomainError`."""
+    zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise DomainError(f"special-function argument must be finite, got {z}")
+    if abs(zc.imag) > tol:
         return False
-    k = round(z.real)
-    return k <= 0 and abs(z.real - k) <= tol
+    k = round(zc.real)
+    return k <= 0 and abs(zc.real - k) <= tol
 
 
 def _maybe_real(z):
@@ -162,7 +168,7 @@ def rising_ratio(x, m):
     """
     x = np.asarray(x, dtype=float)
     out = np.ones_like(x)
-    for k in range(1, m + 1):
+    for k in range(1, check_integer(m, "number of factors m") + 1):
         out *= 1.0 + x / k
     return float(out) if out.ndim == 0 else out
 
@@ -185,12 +191,10 @@ def gegenbauer(lam, j, xi):
     Coefficient of t^j in the expansion of (1 - 2 t xi + t^2)^(-lam).
     ``xi`` may be a scalar or ndarray.  Requires lam > 0.
     """
-    if not lam > 0:
-        raise DomainError(f"gegenbauer requires lam > 0, got {lam}")
-    if j < 0 or j != int(j):
-        raise DomainError(f"gegenbauer requires integer j >= 0, got {j}")
+    lam = check_real(lam, "Gegenbauer exponent lam", 0.0, math.inf, "()")
+    j = check_integer(j, "Gegenbauer degree j")
     xi = np.asarray(xi, dtype=float)
-    out = next(itertools.islice(gegenbauer_terms(lam, xi), int(j), None))
+    out = next(itertools.islice(gegenbauer_terms(lam, xi), j, None))
     return float(out) if xi.ndim == 0 else out
 
 
@@ -208,39 +212,37 @@ def series_converged(k, prev, term, total, rtol) -> bool:
     return bool(np.all((np.abs(prev) <= bound) & (np.abs(term) <= bound)))
 
 
-def _series_2f1(a, b, c, x, rtol, max_terms):
+def _series_2f1(a, b, c, x):
     """Plain power series for 2F1 at argument array x (|x| < 1)."""
     x = np.asarray(x)
     cplx = any(isinstance(v, complex) for v in (a, b, c)) or np.iscomplexobj(x)
     dtype = complex if cplx else float
     term = np.ones(x.shape, dtype=dtype)
     total = np.ones(x.shape, dtype=dtype)
-    for k in range(max_terms):
+    for k in range(SERIES_MAX_TERMS):
         prev = term
         term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k))) * x
         total += term
-        if series_converged(k + 1, prev, term, total, rtol):
+        if series_converged(k + 1, prev, term, total, SERIES_RTOL):
             return total
     raise ConvergenceError(
-        f"2F1 series did not converge within {max_terms} terms "
+        f"2F1 series did not converge within {SERIES_MAX_TERMS} terms "
         f"(a={a}, b={b}, c={c}, worst |x|={float(np.max(np.abs(x)))})"
     )
 
 
-def _2f1_near_one_nonint(a, b, c, x, rtol, max_terms):
+def _2f1_near_one_nonint(a, b, c, x):
     """Connection formula at x -> 1 when c - a - b is not an integer."""
     s = c - a - b
     w = 1.0 - x
-    t1 = gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b) * _series_2f1(
-        a, b, 1.0 - s, w, rtol, max_terms
-    )
+    t1 = gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b) * _series_2f1(a, b, 1.0 - s, w)
     t2 = gamma(c) * gamma(-s) * rgamma(a) * rgamma(b) * np.exp(
         s * np.log(w)
-    ) * _series_2f1(c - a, c - b, 1.0 + s, w, rtol, max_terms)
+    ) * _series_2f1(c - a, c - b, 1.0 + s, w)
     return t1 + t2
 
 
-def _2f1_near_one_logcase(a, b, m, x, rtol, max_terms):
+def _2f1_near_one_logcase(a, b, m, x):
     """Connection formula at x -> 1 for c = a + b + m, integer m >= 0."""
     w = 1.0 - x
     c = a + b + m
@@ -275,11 +277,11 @@ def _2f1_near_one_logcase(a, b, m, x, rtol, max_terms):
     psi_k1 = -EULER_GAMMA          # psi(1)
     psi_km1 = digamma(m + 1.0)
     term = np.zeros(w.shape, dtype=dtype)
-    for k in range(max_terms):
+    for k in range(SERIES_MAX_TERMS):
         prev = term
         term = coef * wk * (lnw - psi_k1 - psi_km1 + psi_a + psi_b)
         total = total + term
-        if k and series_converged(k, prev, term, total, rtol):
+        if k and series_converged(k, prev, term, total, SERIES_RTOL):
             break
         coef *= (a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))
         wk = wk * w
@@ -306,11 +308,9 @@ def hyp2f1(a, b, c, x):
     """
     if _is_nonpositive_integer(c):
         raise PoleError(f"2F1 parameter pole: c={c}")
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
+    x_arr = check_real(x, "2F1 argument x", -1.0, 1.0, "()")
+    scalar = np.ndim(x_arr) == 0
     x_arr = np.atleast_1d(x_arr)
-    if np.any(np.abs(x_arr) >= 1.0):
-        raise DomainError("2F1 argument must satisfy |x| < 1")
     a = _maybe_real(a)
     b = _maybe_real(b)
     c = _maybe_real(c)
@@ -319,18 +319,18 @@ def hyp2f1(a, b, c, x):
 
     terminating = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
     if terminating:
-        out[:] = _series_2f1(a, b, c, x_arr, SERIES_RTOL, SERIES_MAX_TERMS)
+        out[:] = _series_2f1(a, b, c, x_arr)
     else:
         lo = x_arr < -0.5
         hi = x_arr > 0.75
         mid = ~(lo | hi)
         if np.any(mid):
-            out[mid] = _series_2f1(a, b, c, x_arr[mid], SERIES_RTOL, SERIES_MAX_TERMS)
+            out[mid] = _series_2f1(a, b, c, x_arr[mid])
         if np.any(lo):
             xl = x_arr[lo]
             y = xl / (xl - 1.0)
             pref = np.exp(-a * np.log1p(-xl))
-            out[lo] = pref * _series_2f1(a, c - b, c, y, SERIES_RTOL, SERIES_MAX_TERMS)
+            out[lo] = pref * _series_2f1(a, c - b, c, y)
         if np.any(hi):
             xh = x_arr[hi]
             s = c - a - b
@@ -338,21 +338,18 @@ def hyp2f1(a, b, c, x):
             if abs(sc.imag) < 1e-12 and abs(sc.real - round(sc.real)) < 1e-12:
                 m = int(round(sc.real))
                 if m >= 0:
-                    out[hi] = _2f1_near_one_logcase(a, b, m, xh, SERIES_RTOL, SERIES_MAX_TERMS)
+                    out[hi] = _2f1_near_one_logcase(a, b, m, xh)
                 else:
                     # Euler transformation flips c-a-b to -m > 0
                     pref = np.exp(s * np.log1p(-xh))
-                    out[hi] = pref * _2f1_near_one_logcase(
-                        c - a, c - b, -m, xh, SERIES_RTOL, SERIES_MAX_TERMS
-                    )
+                    out[hi] = pref * _2f1_near_one_logcase(c - a, c - b, -m, xh)
             else:
-                out[hi] = _2f1_near_one_nonint(a, b, c, xh, SERIES_RTOL, SERIES_MAX_TERMS)
+                out[hi] = _2f1_near_one_nonint(a, b, c, xh)
 
     if not np.all(np.isfinite(out)):
         raise ConvergenceError("2F1 evaluation produced a non-finite value")
     if scalar:
-        val = out[()] if out.ndim == 0 else out[0]
-        return _maybe_real(complex(val)) if cplx else float(val)
+        return _maybe_real(complex(out[0])) if cplx else float(out[0])
     return out
 
 
@@ -372,9 +369,7 @@ def legendre_weighted(nu, mu, x):
     :func:`legendre_p_cut` recurs in the order for those.  ``x`` may be a
     scalar or ndarray.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x < 1.0)):
-        raise DomainError("legendre_weighted requires 0 <= x < 1")
+    x = np.asarray(check_real(x, "legendre_weighted argument x", 0.0, 1.0, "[)"))
     out = rgamma(1.0 - mu) * (2.0 * (1.0 - x)) ** mu * hyp2f1(-nu, nu + 1.0, 1.0 - mu, x)
     return out if out.ndim else out.item()
 
@@ -396,11 +391,9 @@ def legendre_p_cut(nu, mu, xi):
 
     ``xi`` may be a scalar or ndarray strictly inside (-1, 1).
     """
-    xi_arr = np.asarray(xi, dtype=float)
-    scalar = xi_arr.ndim == 0
+    xi_arr = check_real(xi, "legendre_p_cut argument xi", -1.0, 1.0, "()")
+    scalar = np.ndim(xi_arr) == 0
     xi_arr = np.atleast_1d(xi_arr)
-    if np.any(~np.isfinite(xi_arr)) or np.any(np.abs(xi_arr) >= 1.0):
-        raise DomainError("legendre_p_cut requires -1 < xi < 1")
     if not (np.isfinite(complex(nu)) and np.isfinite(complex(mu))):
         raise DomainError(f"legendre_p_cut requires finite degree and order, got {nu}, {mu}")
     nu = _maybe_real(nu)
@@ -418,7 +411,7 @@ def legendre_p_cut(nu, mu, xi):
         weight = ((1.0 - xi_arr) * (1.0 + xi_arr)) ** (-mu / 2.0)
         out = weight * legendre_weighted(nu, mu, (1.0 - xi_arr) / 2.0)
 
-    if not np.all(np.isfinite(np.atleast_1d(out))):
+    if not np.all(np.isfinite(out)):
         raise ConvergenceError("legendre_p_cut produced a non-finite value")
     if scalar:
         val = out[0]

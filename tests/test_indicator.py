@@ -412,6 +412,26 @@ class TestOrderEquation:
     def test_solve_recovers_half(self):
         assert solve_order(3, math.pi / 4) == pytest.approx(0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("n,delta_bar,calls", [
+        (4, 0.7, 9), (3, 0.9, 9), (10, 0.3, 10), (172, 0.05, 11),
+        # no sign change: the two bracket ends, then the two ends of the range
+        (4, 5.0, 4), (3, 0.7853981628974482, 4),
+    ])
+    def test_bracket_ends_evaluated_once(self, monkeypatch, n, delta_bar, calls):
+        seen = []
+        rhs = indicator.order_equation_rhs
+
+        def counted(n, rho):
+            seen.append(rho)
+            return rhs(n, rho)
+
+        monkeypatch.setattr(indicator, "order_equation_rhs", counted)
+        try:
+            solve_order(n, delta_bar)
+        except OutOfRangeError:
+            pass
+        assert len(seen) == calls
+
     def test_solve_forward_inverse_n4(self):
         assert solve_order(4, order_equation_rhs(4, 0.3)) == pytest.approx(0.3, abs=1e-6)
 

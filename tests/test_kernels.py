@@ -1,13 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from raygrowth.errors import ConvergenceError, DomainError
+from raygrowth.errors import ConvergenceError, DomainError, check_integer, check_real
 from raygrowth.indicator import (
     angular_shape,
     indicator_integral,
+    indicator_near_pi,
     laplace_log_kernel,
     order_equation_rhs,
     solve_order,
@@ -27,8 +29,15 @@ from raygrowth.kernels import (
     riesz_k,
     weierstrass_K,
 )
-from raygrowth.mellin import tauberian_symbol
+from raygrowth.mellin import (
+    QuadratureSpec,
+    mellin_h_closed,
+    mellin_ibp_numeric,
+    mellin_k_closed,
+    tauberian_symbol,
+)
 from raygrowth.potential import (
+    Atomic,
     PowerLaw,
     average_N,
     counterexample_u0,
@@ -38,7 +47,16 @@ from raygrowth.potential import (
     u_canonical,
     u_poisson,
 )
-from raygrowth.specfun import gegenbauer
+from raygrowth.specfun import (
+    digamma,
+    gamma,
+    gegenbauer,
+    hyp2f1,
+    legendre_p_cut,
+    legendre_weighted,
+    rgamma,
+    rising_ratio,
+)
 
 P35 = ProblemParams(3, 0.5)
 PW = PowerLaw(delta=1.0, rho=0.5)
@@ -77,6 +95,82 @@ ANGLE_ENTRIES = {
     "scaled_limit": ("theta1", math.pi, False, lambda th: scaled_limit(PW, P35, th, (1e2, 1e4, 5))),
     "counterexample_u0": ("theta1", math.pi, False, lambda th: counterexample_u0(0.5, 10.0, th)),
     "laplacian_u0": ("theta1", math.pi, False, lambda th: laplacian_u0(0.5, 10.0, th)),
+}
+
+
+# every entry point that takes a radius: (argument name, lower end, which
+# belongs to the interval, function of the radius alone)
+RADIUS_ENTRIES = {
+    "counting_n": ("radius t", 0.0, lambda t: counting_n(PW, 3, t)),
+    "counting_n atomic": ("radius t", 0.0, lambda t: counting_n(Atomic(((2.0, 1.0),)), 3, t)),
+    "counting_n array": ("radius t", 0.0, lambda t: counting_n(PW, 3, np.array([2.0, t]))),
+    "average_N": ("radius r", 0.0, lambda r: average_N(PW, 3, r)),
+    "u_canonical": ("radius r", 0.0, lambda r: u_canonical(PW, P35, r, 0.3)),
+    "u_poisson": ("radius r", 0.0, lambda r: u_poisson(PW, 3, r, 0.3)),
+    "weierstrass_K": ("radius r", 0.0, lambda r: weierstrass_K(P35, r, 2.0, 0.3)),
+    "poisson_Pn r": ("radius r", 0.0, lambda r: poisson_Pn(3, r, 2.0, 0.3)),
+    "poisson_Pn t": ("mass radius t", 0.0, lambda t: poisson_Pn(3, 1.0, t, 0.3)),
+    "h_value": ("radial ratio u", 0.0, lambda u: h_value(1.5, 1, u, 0.3)),
+    "h_value array": ("radial ratio u", 0.0, lambda u: h_value(1.5, 1, np.array([0.3, u]), 0.3)),
+    "counterexample_u0": ("radius r of the counterexample", math.e,
+                          lambda r: counterexample_u0(0.5, r, 0.3)),
+    "laplacian_u0": ("radius r of the counterexample", math.e, lambda r: laplacian_u0(0.5, r, 0.3)),
+}
+
+# orders, kernel parameters and settings (ProblemParams' own are in
+# TestProblemParams): (argument name, function of the argument alone,
+# values outside its interval)
+NAN, INF = math.nan, math.inf
+PARAMETER_ENTRIES = {
+    "angular_shape rho": ("order rho", lambda v: angular_shape(5, v, 0.3), [0.0, NAN, INF]),
+    "order_equation_rhs rho": ("order rho of the order equation",
+                               lambda v: order_equation_rhs(4, v), [1.0, INF]),
+    "counterexample_u0 rho": ("order rho", lambda v: counterexample_u0(v, 10.0, 0.3), [1.0, NAN]),
+    "PowerLaw rho": ("order rho", lambda v: PowerLaw(1.0, v), [0.0, NAN, INF]),
+    "PowerLaw t0": ("support start t0", lambda v: PowerLaw(1.0, 0.5, v), [0.5, NAN, INF]),
+    "riesz_k lam": ("kernel exponent lam", lambda v: riesz_k(v, 0.3, 0.3), [0.0, NAN, INF]),
+    "h_value lam": ("kernel exponent lam", lambda v: h_value(v, 1, 0.3, 0.3), [0.0, NAN, INF]),
+    "h_value q": ("subtraction degree q", lambda v: h_value(1.5, v, 0.3, 0.3), [2.5, -1, NAN, INF]),
+    "mellin_h_closed lam": ("kernel exponent lam", lambda v: mellin_h_closed(v, 0, -0.5, 0.3),
+                            [0.0, NAN]),
+    "mellin_h_closed q": ("subtraction degree q", lambda v: mellin_h_closed(1.5, v, -0.5, 0.3),
+                          [0.5, NAN, INF]),
+    "mellin_k_closed lam": ("kernel exponent lam", lambda v: mellin_k_closed(v, 0.5, 0.3), [NAN]),
+    "mellin_ibp_numeric lam": ("kernel exponent lam",
+                               lambda v: mellin_ibp_numeric(v, 0, -0.5, 0.3, QuadratureSpec()),
+                               [0.0, NAN]),
+    "mellin_ibp_numeric q": ("subtraction degree q",
+                             lambda v: mellin_ibp_numeric(1.5, v, -0.5, 0.3, QuadratureSpec()),
+                             [0.5, NAN, INF]),
+    "mellin_ibp_numeric xi": ("xi = cos(theta1)",
+                              lambda v: mellin_ibp_numeric(1.5, 0, -0.5, v, QuadratureSpec()),
+                              [2.5, -1.5, NAN]),
+    "gegenbauer lam": ("Gegenbauer exponent lam", lambda v: gegenbauer(v, 2, 0.3), [0.0, NAN]),
+    "gegenbauer j": ("Gegenbauer degree j", lambda v: gegenbauer(1.5, v, 0.3), [2.5, -1, NAN, INF]),
+    "rising_ratio m": ("number of factors m", lambda v: rising_ratio(0.5, v), [2.5, -1, NAN, INF]),
+    "weierstrass_K t": ("mass radius t", lambda v: weierstrass_K(P35, 0.5, v, 0.3), [0.0, NAN, INF]),
+    "tauberian_symbol v": ("imaginary shift v", lambda v: tauberian_symbol(P35, 0.3, v),
+                           [NAN, INF, -INF]),
+    "indicator_near_pi": ("theta1 of the asymptotic form", lambda v: indicator_near_pi(P35, v),
+                          [math.pi - 0.5, math.pi, NAN]),
+    "QuadratureSpec rel_tol": ("rel_tol", lambda v: QuadratureSpec(rel_tol=v), [NAN, INF]),
+    "QuadratureSpec abs_tol": ("abs_tol", lambda v: QuadratureSpec(abs_tol=v), [NAN, INF]),
+    "QuadratureSpec max_level": ("max_level", lambda v: QuadratureSpec(max_level=v),
+                                 [2.5, NAN, INF]),
+    "scaled_limit sweep_tol": ("sweep_tol",
+                               lambda v: scaled_limit(PW, P35, 0.3, (1e2, 1e4, 5), sweep_tol=v),
+                               [0.0, NAN, INF]),
+    "hyp2f1 x": ("2F1 argument x", lambda v: hyp2f1(0.3, 0.4, 0.5, v), [1.0, -1.0, NAN, INF]),
+    "hyp2f1 a": ("special-function argument", lambda v: hyp2f1(v, 0.4, 0.5, 0.3), [NAN, INF]),
+    "legendre_weighted x": ("legendre_weighted argument x",
+                            lambda v: legendre_weighted(0.5, -0.5, v), [-1e-300, 1.0, NAN]),
+    "legendre_weighted nu": ("special-function argument",
+                             lambda v: legendre_weighted(v, -1.0, 0.3), [NAN, INF]),
+    "legendre_p_cut xi": ("legendre_p_cut argument xi", lambda v: legendre_p_cut(0.5, -0.5, v),
+                          [1.0, -1.0, NAN, INF]),
+    "gamma": ("special-function argument", gamma, [NAN, INF, -INF]),
+    "rgamma": ("special-function argument", rgamma, [NAN, INF]),
+    "digamma": ("special-function argument", digamma, [NAN, INF, complex(0.5, INF)]),
 }
 
 
@@ -134,6 +228,54 @@ class TestEnvelope:
         name, upper, closed, f = ANGLE_ENTRIES[entry]
         with pytest.raises(DomainError, match=rf"^{name} must lie in \[0, pi"):
             f(_outside(upper, closed)[where])
+
+    @pytest.mark.parametrize("where", ["below", "nan", "inf"])
+    @pytest.mark.parametrize("entry", sorted(RADIUS_ENTRIES))
+    def test_radius_outside_envelope(self, entry, where):
+        name, lo, f = RADIUS_ENTRIES[entry]
+        r = {"below": math.nextafter(lo, -math.inf), "nan": math.nan, "inf": math.inf}[where]
+        with pytest.raises(DomainError, match=rf"^{re.escape(name)} must be >= .* and finite, got"):
+            f(r)
+
+    @pytest.mark.parametrize("entry", sorted(PARAMETER_ENTRIES))
+    def test_parameter_outside_envelope(self, entry):
+        name, f, values = PARAMETER_ENTRIES[entry]
+        for v in values:
+            with pytest.raises(DomainError, match=rf"^{re.escape(name)} must"):
+                f(v)
+
+    def test_check_real_types(self):
+        for x in (3, 3.0, np.float64(3.0), np.int64(3), np.array(3.0)):
+            assert type(check_real(x, "x")) is float and check_real(x, "x") == 3.0
+        arr = check_real([0.0, 1.0], "x", 0.0, 1.0)
+        assert isinstance(arr, np.ndarray) and arr.tolist() == [0.0, 1.0]
+        assert check_real(-0.0, "x", 0.0) == 0.0
+        assert check_real(math.e, "x", math.e) == math.e
+
+    @pytest.mark.parametrize("lo,hi,closed,x,message", [
+        (-INF, INF, "[]", NAN, "x must be finite, got nan"),
+        (-INF, INF, "[]", [0.0, -INF, NAN], "x must be finite, got -inf"),
+        (0.0, INF, "()", 0.0, "x must be positive and finite, got 0.0"),
+        (0.0, INF, "[]", -1, "x must be >= 0 and finite, got -1"),
+        (0.0, INF, "[]", 10 ** 400, "x must be >= 0 and finite, got 1000"),
+        (math.e, INF, "()", math.e, "x must be > e and finite, got 2.718"),
+        (-INF, 1.0, "()", 1.0, r"x must lie in \(-inf, 1\), got 1\.0"),
+        (0.0, 1.0, "()", np.array([0.5, 1.5, -2.0]), r"x must lie in \(0, 1\), got 1\.5$"),
+        (-1.0, 1.0, "[]", INF, r"x must lie in \[-1, 1\], got inf"),
+        (0.0, math.pi / 2, "[]", 2.0, r"x must lie in \[0, pi/2\], got 2\.0"),
+    ])
+    def test_check_real_rejects(self, lo, hi, closed, x, message):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            check_real(x, "x", lo, hi, closed)
+
+    @pytest.mark.parametrize("x", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_check_integer_returns_int(self, x):
+        assert check_integer(x, "k", 3) == 3 and type(check_integer(x, "k", 3)) is int
+
+    @pytest.mark.parametrize("x", [NAN, INF, -INF, 2.5, -1, -10 ** 400])
+    def test_check_integer_rejects(self, x):
+        with pytest.raises(DomainError, match=r"^k must be an integer >= 0, got "):
+            check_integer(x, "k")
 
 
 class TestProblemParams:
