@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the two argument
-checks that raise its :class:`DomainError`."""
+"""Exception hierarchy shared across the package, the two argument checks
+that raise its :class:`DomainError`, and :func:`scalar_or_array`, the one
+rule for the shape of a result."""
 
 import math
 
@@ -95,9 +96,24 @@ def check_real(x, name, lo=-math.inf, hi=math.inf, closed="[]"):
         if hi < math.inf:
             inside &= arr < hi if closed[1] == ")" else arr <= hi
         if inside.all():
-            return float(arr) if arr.ndim == 0 else arr
+            return scalar_or_array(arr)
         bad = arr[~inside].flat[0]
     raise DomainError(f"{name} {_interval_text(lo, hi, closed)}, got {bad}")
+
+
+def scalar_or_array(out):
+    """A 0-d result as a Python float (or complex), any other as its ndarray.
+
+    Every function of the package that takes a scalar or an array returns
+    through here: a scalar or a 0-d array in gives a Python scalar out, a
+    list or an array of any other shape gives an ndarray of that shape.
+    Arithmetic on a 0-d array yields numpy scalars, whose power can differ
+    from the array loop's in the last bit; a function that raises its whole
+    input to a power therefore works on a 1-d array and reshapes the result
+    to the input's shape before it returns here.
+    """
+    out = np.asarray(out)
+    return out.item() if out.ndim == 0 else out
 
 
 def check_integer(x, name, lo=0) -> int:

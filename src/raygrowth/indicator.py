@@ -23,6 +23,7 @@ from .errors import (
     ExceptionalAngleError,
     OutOfRangeError,
     check_real,
+    scalar_or_array,
 )
 from .kernels import ProblemParams, check_angle, check_dimension, h_value, log_kernel_signed_ln
 from .mellin import MellinResult, MellinStrip, QuadratureSpec, integrate, mellin_numeric
@@ -178,7 +179,7 @@ def indicator_closed(params: ProblemParams, theta1):
     return _indicator_coefficient(params) * angular_shape(params.n, params.rho, theta1)
 
 
-def indicator_integral(params: ProblemParams, theta1, quad: QuadratureSpec | None = None,
+def indicator_integral(params: ProblemParams, theta1, quad: QuadratureSpec = QuadratureSpec(),
                        full_output: bool = False):
     """Indicator via the kernel integral (rho+n-2) Delta
     int_0^inf s^{-rho-1} h_n(s, theta1, q) ds.
@@ -189,8 +190,6 @@ def indicator_integral(params: ProblemParams, theta1, quad: QuadratureSpec | Non
     ``full_output`` is set.
     """
     xi = math.cos(check_angle(theta1))
-    if quad is None:
-        quad = QuadratureSpec()
     lam, q = params.lam, params.q
     res = mellin_numeric(lambda u: h_value(lam, q, u, xi), -params.rho, quad,
                          MellinStrip.principal_for_h(q))
@@ -367,8 +366,8 @@ def order_equation_rhs(n: int, rho):
     """
     n = check_dimension(n)
     rho = np.asarray(check_real(rho, "order rho of the order equation", 0.0, 1.0, "()"))
-    out = math.pi * rho * rising_ratio(-rho, n - 2) / np.sin(math.pi * np.minimum(rho, 1.0 - rho))
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(math.pi * rho * rising_ratio(-rho, n - 2)
+                           / np.sin(math.pi * np.minimum(rho, 1.0 - rho)))
 
 
 def _order_branch_end(n: int) -> float:
@@ -440,7 +439,7 @@ def laplace_strip(n: int, theta1: float) -> MellinStrip:
     return MellinStrip(-round(rate_plus, 8), round(rate_minus, 8))
 
 
-def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec | None = None,
+def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec = QuadratureSpec(),
                        full_output: bool = False):
     """Two-sided Laplace transform int e^{-s t} k(t) dt of the log kernel.
 
@@ -450,8 +449,6 @@ def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec | N
     numerically determined existence strip.
     """
     theta1 = check_angle(theta1, upper=math.pi / 2, closed=True)
-    if quad is None:
-        quad = QuadratureSpec()
     laplace_strip(n, theta1).check(s)
 
     def f(t):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, check_integer, check_real
+from .errors import ConvergenceError, DomainError, check_integer, check_real, scalar_or_array
 from .specfun import gegenbauer_terms, series_converged
 
 # Below this radial ratio the subtracted kernel is evaluated through its
@@ -87,18 +87,18 @@ class ProblemParams:
 
 
 def riesz_k(lam, t, xi):
-    """Riesz kernel (1 + t^2 + 2 t xi)^(-lam).
+    """Riesz kernel (1 + t^2 + 2 t xi)^(-lam); t scalar or ndarray >= 0, xi in [-1, 1].
 
     Generating function of the Gegenbauer family with alternating sign:
     equals sum_j (-t)^j G^lam_j(xi) for |t| < 1.
     """
     lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
-    t = np.asarray(t, dtype=float)
+    xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0)
+    t = np.asarray(check_real(t, "radial ratio t", 0.0))
     base = 1.0 + t * t + 2.0 * t * xi
     if np.any(base <= 0.0):
         raise DomainError("riesz_k undefined: 1 + t^2 + 2 t xi <= 0")
-    out = base ** (-lam)
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(base ** (-lam))
 
 
 def _h_tail_series(lam, q, u, xi):
@@ -131,9 +131,7 @@ def h_value(lam, q, u, xi):
     lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
     q = check_integer(q, "subtraction degree q")
     xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0)
-    u_arr = check_real(u, "radial ratio u", 0.0)
-    scalar = np.ndim(u_arr) == 0
-    u_arr = np.atleast_1d(u_arr)
+    u_arr = np.asarray(check_real(u, "radial ratio u", 0.0))
     out = np.zeros_like(u_arr)
     near = u_arr < _TAIL_SWITCH
     if np.any(near):
@@ -148,7 +146,7 @@ def h_value(lam, q, u, xi):
         for j, g in zip(range(q + 1), gegenbauer_terms(lam, xi)):
             poly += (-uf) ** j * g
         out[far] = -(base ** (-lam)) + poly
-    return float(out[0]) if scalar else out
+    return scalar_or_array(out)
 
 
 def h_n(params: ProblemParams, u, theta1):
@@ -184,7 +182,7 @@ def weierstrass_K(params: ProblemParams, r, t, theta1):
     tp = t ** (2 - n)
     for j, g in zip(range(q + 1), gegenbauer_terms(lam, cos_psi)):
         out = out + tp * (r / t) ** j * g
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def poisson_Pn(n, r, t, theta1):
@@ -196,11 +194,10 @@ def poisson_Pn(n, r, t, theta1):
     n = check_dimension(n)
     r = np.asarray(check_real(r, "radius r", 0.0))
     t = np.asarray(check_real(t, "mass radius t", 0.0))
-    c = np.cos(theta1)
-    out = r * t ** (n - 2) * (
+    c = np.cos(check_angle(theta1, closed=True))
+    return scalar_or_array(r * t ** (n - 2) * (
         (n - 1) * r * r * c + r * t * (n + (n - 2) * c * c) + (n - 1) * t * t * c
-    )
-    return float(out) if out.ndim == 0 else out
+    ))
 
 
 def log_kernel(n, theta1, t):
@@ -218,7 +215,7 @@ def log_kernel(n, theta1, t):
     theta1 > pi/2.
     """
     sign, ln_abs = log_kernel_signed_ln(n, theta1, t)
-    return sign * np.exp(ln_abs)
+    return scalar_or_array(sign * np.exp(ln_abs))
 
 
 def log_kernel_signed_ln(n, theta1, t):
@@ -241,6 +238,4 @@ def log_kernel_signed_ln(n, theta1, t):
     sign = np.sign(num)
     with np.errstate(divide="ignore"):
         ln_abs = pref + np.log(np.abs(num)) - half * np.log(den)
-    if t.ndim == 0:
-        return float(sign), float(ln_abs)
-    return sign, ln_abs
+    return scalar_or_array(sign), scalar_or_array(ln_abs)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConvergenceError, DomainError, PoleError, StripViolationError,
-                     check_integer, check_real)
+                     check_integer, check_real, scalar_or_array)
 from .kernels import ProblemParams, check_angle
 from .specfun import _maybe_real, gamma, legendre_weighted, rising_ratio
 
@@ -128,8 +128,9 @@ class MellinResult:
         """Sum of a list of results, over the pieces and over the rows of
         each; it converged if every piece did."""
         def add(terms):
-            return functools.reduce(operator.add, [np.sum(t).item() if isinstance(t, np.ndarray)
-                                                   else t for t in terms])
+            return functools.reduce(operator.add, [scalar_or_array(np.sum(t))
+                                                   if isinstance(t, np.ndarray) else t
+                                                   for t in terms])
 
         return MellinResult(
             value=add(p.value for p in pieces), error=add(p.error for p in pieces),
@@ -200,12 +201,9 @@ def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0) -> MellinResult
     if not converged:
         reasons = sorted({_TANHSINH_STATUS[int(c)] for c in status[status != 0]})
         message = f"tanh-sinh: {', '.join(reasons)} (max_level {quad.max_level})"
-    if a.ndim == 0:
-        value, error = value[0].item(), float(error[0])
-    else:
-        value, error = value.reshape(a.shape), error.reshape(a.shape)
-    return MellinResult(value=value, error=error, converged=converged, message=message,
-                        evaluations=evaluations)
+    return MellinResult(value=scalar_or_array(value.reshape(a.shape)),
+                        error=scalar_or_array(error.reshape(a.shape)), converged=converged,
+                        message=message, evaluations=evaluations)
 
 
 @functools.lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParseError, check_real
+from .errors import ConvergenceError, DomainError, ParseError, check_real, scalar_or_array
 from .indicator import angular_shape
 from .kernels import ProblemParams, check_angle, check_dimension, h_value, poisson_Pn
 from .mellin import MellinResult, QuadratureSpec, integrate
@@ -31,6 +31,8 @@ _E = math.e
 
 # relative radial step and latitude step of the finite-difference Laplacian
 _LAPLACIAN_STEP = 1e-4
+# its lowest radius: the inner sample r - r * _LAPLACIAN_STEP is then e exactly
+_LAPLACIAN_R_MIN = _E / (1.0 - _LAPLACIAN_STEP)
 
 # Slowly-varying building blocks: name -> (f, f', default support start).
 # Support starts are chosen so the handle is finite and nonnegative-where-
@@ -197,9 +199,7 @@ def counting_n(model: MassModel, n: int, t):
     the sorted masses, is scaled by t^{2-n}.
     """
     n = check_dimension(n)
-    t_arr = check_real(t, "radius t", 0.0)
-    scalar = np.ndim(t_arr) == 0
-    t_arr = np.atleast_1d(t_arr)
+    t_arr = np.atleast_1d(check_real(t, "radius t", 0.0))
     if isinstance(model, Atomic):
         mass = np.concatenate(([0.0], np.cumsum(model.masses)))
         out = mass[np.searchsorted(model.radii, t_arr, side="right")]
@@ -208,10 +208,10 @@ def counting_n(model: MassModel, n: int, t):
         out = np.zeros_like(t_arr)
         live = t_arr > model.t0
         out[live] = model.profile(t_arr[live])
-    return float(out[0]) if scalar else out
+    return scalar_or_array(out.reshape(np.shape(t)))
 
 
-def average_N(model: MassModel, n: int, r, quad: QuadratureSpec | None = None,
+def average_N(model: MassModel, n: int, r, quad: QuadratureSpec = QuadratureSpec(),
               full_output: bool = False):
     """Averaged counting function N(r) = (n-2) int_0^r t^{1-n} (raw mass in B_t) dt.
 
@@ -228,9 +228,7 @@ def average_N(model: MassModel, n: int, r, quad: QuadratureSpec | None = None,
     estimate, converged); the exact models report (N, 0, True).
     """
     n = check_dimension(n)
-    r_arr = check_real(r, "radius r", 0.0)
-    scalar = np.ndim(r_arr) == 0
-    r_arr = np.atleast_1d(r_arr)
+    r_arr = np.atleast_1d(check_real(r, "radius r", 0.0))
     out = np.zeros_like(r_arr)
     err = np.zeros_like(r_arr)
     ok = True
@@ -249,17 +247,16 @@ def average_N(model: MassModel, n: int, r, quad: QuadratureSpec | None = None,
         elif np.any(live):
             t0 = model.t0
             res = integrate(lambda z: model.profile(t0 * np.exp(z)), 0.0,
-                            np.log(r_arr[live] / t0), quad or QuadratureSpec())
+                            np.log(r_arr[live] / t0), quad)
             out[live] = (n - 2) * res.value
             err[live] = (n - 2) * res.error
             ok = res.converged
-    if scalar:
-        out, err = float(out[0]), float(err[0])
+    out, err = (scalar_or_array(v.reshape(np.shape(r))) for v in (out, err))
     return (out, err, ok) if full_output else out
 
 
 def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float,
-                quad: QuadratureSpec | None = None, full_output: bool = False):
+                quad: QuadratureSpec = QuadratureSpec(), full_output: bool = False):
     """Potential from the canonical kernel integral.
 
     u(r, theta1) = int t^{2-n} h_n(r/t, theta1, q) d(t^{n-2} n(t)).
@@ -275,8 +272,6 @@ def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float
     """
     xi = math.cos(check_angle(theta1))
     r = check_real(r, "radius r", 0.0)
-    if quad is None:
-        quad = QuadratureSpec()
     lam, q, n = params.lam, params.q, params.n
     if r == 0.0:
         return (0.0, 0.0, True) if full_output else 0.0
@@ -309,7 +304,7 @@ def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float
 
 
 def u_poisson(model: MassModel, n: int, r: float, theta1: float,
-              quad: QuadratureSpec | None = None, full_output: bool = False):
+              quad: QuadratureSpec = QuadratureSpec(), full_output: bool = False):
     """Potential through the Poisson-type representation
 
     u = int_0^inf P_n(r, t, theta1) N(t) dt / (r^2 + 2 r t cos(theta1) + t^2)^{n/2+1},
@@ -331,8 +326,6 @@ def u_poisson(model: MassModel, n: int, r: float, theta1: float,
     r = check_real(r, "radius r", 0.0)
     if r == 0.0:
         return (0.0, 0.0, True) if full_output else 0.0
-    if quad is None:
-        quad = QuadratureSpec()
     c = math.cos(theta1)
     lo = model.t0
     inner_ok = []
@@ -445,7 +438,7 @@ def _resolve_grid(r_grid):
 
 
 def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
-                 quad: QuadratureSpec | None = None, sweep_tol: float = 0.05) -> SweepResult:
+                 quad: QuadratureSpec = QuadratureSpec(), sweep_tol: float = 0.05) -> SweepResult:
     """Sweep of r^{-rho} u(r, theta1) over a geometric radial grid.
 
     The scaled values converge to the directional indicator when the model's
@@ -459,8 +452,6 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     theta1 = check_angle(theta1)
     grid = _resolve_grid(r_grid)
     sweep_tol = check_real(sweep_tol, "sweep_tol", 0.0, math.inf, "()")
-    if quad is None:
-        quad = QuadratureSpec()
     n_grid = counting_n(model, params.n, grid)
     negative = n_grid < 0.0
     if negative.any():
@@ -504,7 +495,7 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
 
 
 def ratio_probe(model: MassModel, params: ProblemParams, theta1, r_grid,
-                quad: QuadratureSpec | None = None, sweep_tol: float = 0.05) -> SweepResult:
+                quad: QuadratureSpec = QuadratureSpec(), sweep_tol: float = 0.05) -> SweepResult:
     """Sweep of u/n(r) and u/N(r) along a direction.
 
     Requires the counting function to be positive on the whole grid.  For
@@ -528,13 +519,11 @@ def counterexample_u0(rho: float, r, theta1: float):
     growth assumption can and cannot force.
     """
     rho = check_real(rho, "order rho", 0.0, 1.0, "()")
-    r_arr = check_real(r, "radius r of the counterexample", _E)
-    scalar = np.ndim(r_arr) == 0
-    r_arr = np.atleast_1d(r_arr)
+    r_arr = np.atleast_1d(check_real(r, "radius r of the counterexample", _E))
     theta1 = check_angle(theta1)
     legendre_factor = angular_shape(3, rho, theta1)  # P_rho(cos theta1)
     out = r_arr ** rho * (1.0 + np.sin(np.log(np.log(r_arr))) * legendre_factor)
-    return float(out[0]) if scalar else out
+    return scalar_or_array(out.reshape(np.shape(r)))
 
 
 def laplacian_u0(rho: float, r: float, theta1: float):
@@ -544,14 +533,16 @@ def laplacian_u0(rho: float, r: float, theta1: float):
 
         lap u = u_rr + (2/r) u_r + (u_tt + cot(theta) u_t) / r^2,
 
-    with steps h_r = 1e-4 r and h_theta = 1e-4; on the axis the angular part
-    is replaced by its regularized limit 2 u_tt.  The analytic leading terms
-    are r^{rho-2} [rho (rho+1) + (2 rho + 1) cos(ln ln r) P_rho / ln r + ...],
+    with steps h_r = 1e-4 r and h_theta = 1e-4, so r must be at least
+    e / (1 - 1e-4), about 2.71855, for the inner sample to exist; on the
+    axis the angular part is replaced by its regularized limit 2 u_tt.  The
+    analytic leading terms are
+    r^{rho-2} [rho (rho+1) + (2 rho + 1) cos(ln ln r) P_rho / ln r + ...],
     so the estimate must come out positive at large radii; a step-size
     failure (estimate below the rounding floor) raises instead of returning
     noise.
     """
-    r = check_real(r, "radius r of the counterexample", _E)
+    r = check_real(r, "radius r of the counterexample", _LAPLACIAN_R_MIN)
     theta1 = check_angle(theta1)
     hr = r * _LAPLACIAN_STEP
     u = lambda rr, th: counterexample_u0(rho, rr, th)

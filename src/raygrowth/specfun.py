@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError, check_integer, check_real
+from .errors import (ConvergenceError, DomainError, PoleError, check_integer, check_real,
+                     scalar_or_array)
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -170,7 +171,7 @@ def rising_ratio(x, m):
     out = np.ones_like(x)
     for k in range(1, check_integer(m, "number of factors m") + 1):
         out *= 1.0 + x / k
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def gegenbauer_terms(lam, xi):
@@ -193,9 +194,7 @@ def gegenbauer(lam, j, xi):
     """
     lam = check_real(lam, "Gegenbauer exponent lam", 0.0, math.inf, "()")
     j = check_integer(j, "Gegenbauer degree j")
-    xi = np.asarray(xi, dtype=float)
-    out = next(itertools.islice(gegenbauer_terms(lam, xi), j, None))
-    return float(out) if xi.ndim == 0 else out
+    return scalar_or_array(next(itertools.islice(gegenbauer_terms(lam, xi), j, None)))
 
 
 def series_converged(k, prev, term, total, rtol) -> bool:
@@ -308,9 +307,7 @@ def hyp2f1(a, b, c, x):
     """
     if _is_nonpositive_integer(c):
         raise PoleError(f"2F1 parameter pole: c={c}")
-    x_arr = check_real(x, "2F1 argument x", -1.0, 1.0, "()")
-    scalar = np.ndim(x_arr) == 0
-    x_arr = np.atleast_1d(x_arr)
+    x_arr = np.asarray(check_real(x, "2F1 argument x", -1.0, 1.0, "()"))
     a = _maybe_real(a)
     b = _maybe_real(b)
     c = _maybe_real(c)
@@ -319,7 +316,7 @@ def hyp2f1(a, b, c, x):
 
     terminating = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
     if terminating:
-        out[:] = _series_2f1(a, b, c, x_arr)
+        out[...] = _series_2f1(a, b, c, x_arr)
     else:
         lo = x_arr < -0.5
         hi = x_arr > 0.75
@@ -348,9 +345,7 @@ def hyp2f1(a, b, c, x):
 
     if not np.all(np.isfinite(out)):
         raise ConvergenceError("2F1 evaluation produced a non-finite value")
-    if scalar:
-        return _maybe_real(complex(out[0])) if cplx else float(out[0])
-    return out
+    return _maybe_real(scalar_or_array(out))
 
 
 def legendre_weighted(nu, mu, x):
@@ -370,8 +365,8 @@ def legendre_weighted(nu, mu, x):
     scalar or ndarray.
     """
     x = np.asarray(check_real(x, "legendre_weighted argument x", 0.0, 1.0, "[)"))
-    out = rgamma(1.0 - mu) * (2.0 * (1.0 - x)) ** mu * hyp2f1(-nu, nu + 1.0, 1.0 - mu, x)
-    return out if out.ndim else out.item()
+    return scalar_or_array(rgamma(1.0 - mu) * (2.0 * (1.0 - x)) ** mu
+                           * hyp2f1(-nu, nu + 1.0, 1.0 - mu, x))
 
 
 def legendre_p_cut(nu, mu, xi):
@@ -392,7 +387,6 @@ def legendre_p_cut(nu, mu, xi):
     ``xi`` may be a scalar or ndarray strictly inside (-1, 1).
     """
     xi_arr = check_real(xi, "legendre_p_cut argument xi", -1.0, 1.0, "()")
-    scalar = np.ndim(xi_arr) == 0
     xi_arr = np.atleast_1d(xi_arr)
     if not (np.isfinite(complex(nu)) and np.isfinite(complex(mu))):
         raise DomainError(f"legendre_p_cut requires finite degree and order, got {nu}, {mu}")
@@ -413,9 +407,4 @@ def legendre_p_cut(nu, mu, xi):
 
     if not np.all(np.isfinite(out)):
         raise ConvergenceError("legendre_p_cut produced a non-finite value")
-    if scalar:
-        val = out[0]
-        if np.iscomplexobj(out):
-            return _maybe_real(complex(val))
-        return float(val)
-    return out
+    return _maybe_real(scalar_or_array(out.reshape(np.shape(xi))))

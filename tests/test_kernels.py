@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from raygrowth.errors import ConvergenceError, DomainError, check_integer, check_real
+from raygrowth.errors import (ConvergenceError, DomainError, check_integer, check_real,
+                              scalar_or_array)
 from raygrowth.indicator import (
     angular_shape,
     indicator_integral,
@@ -31,6 +32,7 @@ from raygrowth.kernels import (
 )
 from raygrowth.mellin import (
     QuadratureSpec,
+    integrate as tanh_sinh,
     mellin_h_closed,
     mellin_ibp_numeric,
     mellin_k_closed,
@@ -38,6 +40,7 @@ from raygrowth.mellin import (
 )
 from raygrowth.potential import (
     Atomic,
+    Perturbed,
     PowerLaw,
     average_N,
     counterexample_u0,
@@ -95,6 +98,7 @@ ANGLE_ENTRIES = {
     "scaled_limit": ("theta1", math.pi, False, lambda th: scaled_limit(PW, P35, th, (1e2, 1e4, 5))),
     "counterexample_u0": ("theta1", math.pi, False, lambda th: counterexample_u0(0.5, 10.0, th)),
     "laplacian_u0": ("theta1", math.pi, False, lambda th: laplacian_u0(0.5, 10.0, th)),
+    "poisson_Pn": ("theta1", math.pi, True, lambda th: poisson_Pn(3, 1.0, 2.0, th)),
 }
 
 
@@ -115,6 +119,9 @@ RADIUS_ENTRIES = {
     "counterexample_u0": ("radius r of the counterexample", math.e,
                           lambda r: counterexample_u0(0.5, r, 0.3)),
     "laplacian_u0": ("radius r of the counterexample", math.e, lambda r: laplacian_u0(0.5, r, 0.3)),
+    "laplacian_u0 inner sample": ("radius r of the counterexample", math.e / (1.0 - 1e-4),
+                                  lambda r: laplacian_u0(0.5, r, 0.3)),
+    "riesz_k": ("radial ratio t", 0.0, lambda t: riesz_k(1.5, t, 0.3)),
 }
 
 # orders, kernel parameters and settings (ProblemParams' own are in
@@ -129,6 +136,7 @@ PARAMETER_ENTRIES = {
     "PowerLaw rho": ("order rho", lambda v: PowerLaw(1.0, v), [0.0, NAN, INF]),
     "PowerLaw t0": ("support start t0", lambda v: PowerLaw(1.0, 0.5, v), [0.5, NAN, INF]),
     "riesz_k lam": ("kernel exponent lam", lambda v: riesz_k(v, 0.3, 0.3), [0.0, NAN, INF]),
+    "riesz_k xi": ("xi = cos(theta1)", lambda v: riesz_k(1.5, 0.3, v), [2.5, -1.5, NAN]),
     "h_value lam": ("kernel exponent lam", lambda v: h_value(v, 1, 0.3, 0.3), [0.0, NAN, INF]),
     "h_value q": ("subtraction degree q", lambda v: h_value(1.5, v, 0.3, 0.3), [2.5, -1, NAN, INF]),
     "mellin_h_closed lam": ("kernel exponent lam", lambda v: mellin_h_closed(v, 0, -0.5, 0.3),
@@ -276,6 +284,82 @@ class TestEnvelope:
     def test_check_integer_rejects(self, x):
         with pytest.raises(DomainError, match=r"^k must be an integer >= 0, got "):
             check_integer(x, "k")
+
+    def test_laplacian_u0_lower_end(self):
+        # the inner sample r - 1e-4 r is e exactly at the lower end; below
+        # it the message reports the radius that was passed
+        assert laplacian_u0(0.5, math.e / (1.0 - 1e-4), 0.3) > 0.0
+        with pytest.raises(DomainError, match=r"got 2\.718281828459045$"):
+            laplacian_u0(0.5, math.e, 0.3)
+
+
+def _exp_integral(b):
+    """Value and error of the integral of e^u from -inf to b."""
+    res = tanh_sinh(np.exp, -INF, b, QuadratureSpec())
+    return res.value, res.error
+
+
+# every function that takes a scalar or an array: (function of that argument
+# alone, a valid value, the type of a scalar result).  A tuple result is
+# checked part by part.
+SHAPE_ENTRIES = {
+    "rising_ratio": (lambda x: rising_ratio(x, 3), 0.4, float),
+    "gegenbauer": (lambda x: gegenbauer(1.5, 3, x), 0.3, float),
+    "hyp2f1": (lambda x: hyp2f1(0.3, 0.4, 0.5, x), 0.3, float),
+    "hyp2f1 near one": (lambda x: hyp2f1(0.3, 0.4, 0.5, x), 0.9, float),
+    "hyp2f1 complex": (lambda x: hyp2f1(0.3 + 0.2j, 0.4, 0.5, x), 0.3, complex),
+    "legendre_weighted": (lambda x: legendre_weighted(1.5, -0.5, x), 0.3, float),
+    "legendre_weighted complex": (lambda x: legendre_weighted(1.2, 0.3 + 0.1j, x), 0.3, complex),
+    "legendre_p_cut": (lambda x: legendre_p_cut(1.5, -0.5, x), 0.3, float),
+    "legendre_p_cut integer order": (lambda x: legendre_p_cut(2.5, 1.0, x), 0.3, float),
+    "riesz_k": (lambda t: riesz_k(1.5, t, 0.3), 0.4, float),
+    "h_value": (lambda u: h_value(1.5, 1, u, 0.3), 0.3, float),
+    "h_value far": (lambda u: h_value(1.5, 1, u, 0.3), 2.0, float),
+    "weierstrass_K": (lambda r: weierstrass_K(P35, r, 2.0, 0.3), 0.5, float),
+    "poisson_Pn": (lambda r: poisson_Pn(3, r, 2.0, 0.3), 1.0, float),
+    "log_kernel_signed_ln": (lambda t: log_kernel_signed_ln(3, 0.3, t), 0.5, float),
+    "log_kernel": (lambda t: log_kernel(3, 0.3, t), 0.5, float),
+    "integrate": (_exp_integral, 0.5, float),
+    "order_equation_rhs": (lambda rho: order_equation_rhs(4, rho), 0.3, float),
+    "counting_n": (lambda t: counting_n(PW, 3, t), 10.0, float),
+    "counting_n atomic": (lambda t: counting_n(Atomic(((2.0, 1.0),)), 3, t), 10.0, float),
+    "average_N": (lambda r: average_N(Perturbed(1.0, 0.5), 3, r, full_output=True)[:2],
+                  10.0, float),
+    "counterexample_u0": (lambda r: counterexample_u0(0.5, r, 0.3), 10.0, float),
+}
+
+
+def _parts(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+class TestShapeRule:
+    """A scalar or a 0-d array in gives a Python scalar out; a list or an
+    array gives an ndarray of its shape."""
+
+    @pytest.mark.parametrize("entry", sorted(SHAPE_ENTRIES))
+    def test_scalar_zero_d_and_list(self, entry):
+        f, x, kind = SHAPE_ENTRIES[entry]
+        for scalar, zero_d, listed in zip(*(_parts(f(v)) for v in (x, np.array(x), [x]))):
+            assert type(scalar) is kind and type(zero_d) is kind
+            assert isinstance(listed, np.ndarray) and listed.shape == (1,)
+            assert scalar == zero_d
+            # a scalar takes numpy's scalar power, which can differ from the
+            # array loop's in the last bit (riesz_k, weierstrass_K and
+            # legendre_weighted of complex order)
+            np.testing.assert_allclose(listed, scalar, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("entry", sorted(SHAPE_ENTRIES))
+    def test_array_keeps_its_shape(self, entry):
+        f, x, _ = SHAPE_ENTRIES[entry]
+        for listed, block in zip(_parts(f([x])), _parts(f(np.full((2, 1), x)))):
+            assert block.shape == (2, 1) and np.all(block == listed[0])
+
+    def test_helper(self):
+        assert type(scalar_or_array(np.float64(2.5))) is float
+        assert type(scalar_or_array(np.array(2.5 + 1j))) is complex
+        assert scalar_or_array([1.0, 2.0]).tolist() == [1.0, 2.0]
+        assert scalar_or_array(np.zeros((2, 1))).shape == (2, 1)
 
 
 class TestProblemParams:
