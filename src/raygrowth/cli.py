@@ -166,10 +166,32 @@ def _thetas(args, params: ProblemParams) -> list:
     return thetas
 
 
-def _quad_from(tol: float | None) -> QuadratureSpec:
-    if tol is None:
-        return QuadratureSpec()
-    return QuadratureSpec(rel_tol=min(tol, 1e-8), abs_tol=min(tol, 1e-10) * 1e-2)
+def _quad_from(tol: float) -> QuadratureSpec:
+    """indicator's quadrature: the default spec, tightened to a smaller tol."""
+    return QuadratureSpec(rel_tol=min(tol, 1e-10), abs_tol=min(tol, 1e-10) * 1e-2)
+
+
+# the order and the type constant of a command that is not given them;
+# simulate takes a density model's own instead
+_ORDER_DEFAULTS = {"rho": 0.5, "delta": 1.0}
+
+
+def _model_params(args, model) -> ProblemParams:
+    """simulate's parameters: each of rho and delta that the density model
+    declares comes from it, and a --rho or --delta that repeats it must equal
+    it; the rest take the option or its default.  The values are written
+    back, so that the header echoes what ran."""
+    for key, default in _ORDER_DEFAULTS.items():
+        given, declared = getattr(args, key), getattr(model, key, None)
+        if declared is None:
+            value = default if given is None else given
+        elif given is None or given == declared:
+            value = declared
+        else:
+            raise ParseError(f"--{key} {_fmt(given)} differs from the model's "
+                             f"{key}={_fmt(declared)}")
+        setattr(args, key, value)
+    return ProblemParams(args.n, args.rho, args.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +201,7 @@ def cmd_indicator(args) -> int:
     params = ProblemParams(args.n, args.rho, args.delta)
     tol = args.tol if args.tol is not None else 1e-6
     thetas = _thetas(args, params)
-    quad = _quad_from(args.tol)
+    quad = _quad_from(tol)
     rows = []
     failed = False
     for th in thetas:
@@ -225,6 +247,7 @@ _MELLIN_GRID_LAM = (0.5, 1.0, 1.5, 2.5)
 _MELLIN_GRID_Q = (0, 1, 2)
 _MELLIN_GRID_XI = (-0.8, -0.3, 0.0, 0.4, 0.9)
 _MELLIN_VERIFY_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
+_SIMULATE_QUAD = QuadratureSpec()
 
 
 def cmd_mellin_verify(args) -> int:
@@ -268,9 +291,9 @@ def cmd_simulate(args) -> int:
     args.grid = f"{_fmt(grid[0])}:{_fmt(grid[1])}:{grid[2]}"
     with open(args.model, "r", encoding="utf-8") as fh:
         model = parse_mass_model(fh.read())
-    params = ProblemParams(args.n, args.rho, args.delta)
+    params = _model_params(args, model)
     thetas = _thetas(args, params)
-    quad = _quad_from(None)
+    quad = _SIMULATE_QUAD
     probe = ratio_probe if args.ratios else scaled_limit
     rows = []
     flagged = 0
@@ -384,15 +407,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def params(p, delta=True):
         p.add_argument("--n", type=int, default=3, help="space dimension (>= 3)")
-        p.add_argument("--rho", type=float, default=0.5, help="non-integer growth order")
+        p.add_argument("--rho", type=float, default=_ORDER_DEFAULTS["rho"],
+                       help="non-integer growth order")
         if delta:
-            p.add_argument("--delta", type=float, default=1.0, help="type constant")
+            p.add_argument("--delta", type=float, default=_ORDER_DEFAULTS["delta"],
+                           help="type constant")
 
     p = command("indicator", cmd_indicator, "closed vs integral indicator table")
     params(p)
     p.add_argument("--theta", default="0.0", help=_THETA_HELP)
     p.add_argument("--tol", type=_positive, default=None,
-                   help="cross-check tolerance (default 1e-6); also tightens the quadrature")
+                   help="cross-check tolerance (default 1e-6); below 1e-10 it also "
+                        "tightens the quadrature")
 
     p = command("zeros", cmd_zeros, "exceptional angles of the indicator")
     params(p, delta=False)
@@ -403,7 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed of the random cases")
 
     p = command("simulate", cmd_simulate, "radial sweep of a mass-model potential")
-    params(p)
+    p.add_argument("--n", type=int, default=3, help="space dimension (>= 3)")
+    p.add_argument("--rho", type=float, default=None,
+                   help="non-integer growth order: a density model's own rho, which a given "
+                        "value must equal (default 0.5 for atom models)")
+    p.add_argument("--delta", type=float, default=None,
+                   help="type constant: a powerlaw or perturbed model's own delta, which a "
+                        "given value must equal (default 1 otherwise)")
     p.add_argument("--model", required=True, help="mass-model file")
     p.add_argument("--theta", default="0.0", help=_THETA_HELP)
     p.add_argument("--grid", default="1e2:1e6:9", help="lo:hi:num geometric radial grid")
@@ -416,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-bar", type=float, required=True)
 
     p = command("counterexample", cmd_counterexample, "oscillating potential over a log-log grid")
-    p.add_argument("--rho", type=float, default=0.5)
+    p.add_argument("--rho", type=float, default=_ORDER_DEFAULTS["rho"])
     p.add_argument("--theta", default="0.0", help=_THETA_HELP)
     p.add_argument("--points", type=_at_least(1), default=65)
     return parser

@@ -1,6 +1,6 @@
-"""Exception hierarchy shared across the package, the two argument checks
-that raise its :class:`DomainError`, and :func:`scalar_or_array`, the one
-rule for the shape of a result."""
+"""Exception hierarchy shared across the package, the argument checks that
+raise its :class:`DomainError`, and :func:`scalar_or_array`, the one rule
+for the shape of a result."""
 
 import math
 
@@ -99,6 +99,19 @@ def check_real(x, name, lo=-math.inf, hi=math.inf, closed="[]"):
             return scalar_or_array(arr)
         bad = arr[~inside].flat[0]
     raise DomainError(f"{name} {_interval_text(lo, hi, closed)}, got {bad}")
+
+
+def check_scalar(x, name, lo=-math.inf, hi=math.inf, closed="[]") -> float:
+    """:func:`check_real` for an argument that takes one value: x as a float.
+
+    A 0-d array counts as one value.  A list or an array of any other shape
+    raises :class:`DomainError` naming the argument, once its values have
+    passed the interval check.
+    """
+    x = check_real(x, name, lo, hi, closed)
+    if isinstance(x, np.ndarray):
+        raise DomainError(f"{name} must be one value, got an array of shape {x.shape}")
+    return x
 
 
 def scalar_or_array(out):

@@ -23,9 +23,11 @@ from .errors import (
     ExceptionalAngleError,
     OutOfRangeError,
     check_real,
+    check_scalar,
     scalar_or_array,
 )
-from .kernels import ProblemParams, check_angle, check_dimension, h_value, log_kernel_signed_ln
+from .kernels import (ProblemParams, check_angle, check_dimension, check_one_angle, h_value,
+                      log_kernel_signed_ln)
 from .mellin import MellinResult, MellinStrip, QuadratureSpec, integrate, mellin_numeric
 from .specfun import EULER_GAMMA, digamma, gamma, legendre_weighted, rising_ratio
 
@@ -189,7 +191,7 @@ def indicator_integral(params: ProblemParams, theta1, quad: QuadratureSpec = Qua
     with the quadrature error estimate and convergence flag when
     ``full_output`` is set.
     """
-    xi = math.cos(check_angle(theta1))
+    xi = math.cos(check_one_angle(theta1))
     lam, q = params.lam, params.q
     res = mellin_numeric(lambda u: h_value(lam, q, u, xi), -params.rho, quad,
                          MellinStrip.principal_for_h(q))
@@ -214,7 +216,7 @@ def indicator_near_pi(params: ProblemParams, theta1):
     numerically to the size of the neglected O((1+cos) ln) term.  Valid on
     the approach window theta1 in (pi - 1/2, pi).
     """
-    theta1 = check_real(theta1, "theta1 of the asymptotic form", math.pi - 0.5, math.pi, "()")
+    theta1 = check_scalar(theta1, "theta1 of the asymptotic form", math.pi - 0.5, math.pi, "()")
     n, rho, delta = params.n, params.rho, params.delta
     if n == 3:
         return (rho + 1.0) * delta * (
@@ -283,7 +285,7 @@ def tauberian_constant(params: ProblemParams, phi):
     root of the angular factor (there the constant is infinite and the
     transfer genuinely fails).
     """
-    phi = check_angle(phi, name="phi")
+    phi = check_one_angle(phi, name="phi")
     zset = zero_set(params)
     if zset.contains(phi):
         raise ExceptionalAngleError(
@@ -322,7 +324,7 @@ def transfer_indicator(params: ProblemParams, phi, H_phi, theta1):
     phi = 0) is an ordinary point.  phi must stay away from the exceptional
     roots (division by S(phi)); a target theta1 on a root simply receives 0.
     """
-    phi = check_angle(phi, name="phi")
+    phi = check_one_angle(phi, name="phi")
     theta1 = check_angle(theta1)
     if zero_set(params).contains(phi):
         raise ExceptionalAngleError(f"source angle phi={phi} is exceptional")
@@ -448,7 +450,7 @@ def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec = Q
     strip edges.  Raises :class:`StripViolationError` outside the
     numerically determined existence strip.
     """
-    theta1 = check_angle(theta1, upper=math.pi / 2, closed=True)
+    theta1 = check_one_angle(theta1, upper=math.pi / 2, closed=True)
     laplace_strip(n, theta1).check(s)
 
     def f(t):

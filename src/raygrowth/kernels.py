@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, check_integer, check_real, scalar_or_array
+from .errors import (ConvergenceError, DomainError, check_integer, check_real, check_scalar,
+                     scalar_or_array)
 from .specfun import gegenbauer_terms, series_converged
 
 # Below this radial ratio the subtracted kernel is evaluated through its
@@ -54,6 +55,13 @@ def check_angle(theta, name="theta1", upper=math.pi, closed=False):
     neither.
     """
     return check_real(theta, name, 0.0, upper, "[]" if closed else "[)")
+
+
+def check_one_angle(theta, name="theta1", upper=math.pi, closed=False) -> float:
+    """:func:`check_angle` for an entry point that takes one angle: the angle
+    as a float, and a list or an array of any shape but 0-d raises
+    :class:`DomainError` too (see :func:`check_scalar`)."""
+    return check_scalar(theta, name, 0.0, upper, "[]" if closed else "[)")
 
 
 @dataclass(frozen=True)

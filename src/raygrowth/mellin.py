@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConvergenceError, DomainError, PoleError, StripViolationError,
-                     check_integer, check_real, scalar_or_array)
-from .kernels import ProblemParams, check_angle
+                     check_integer, check_real, check_scalar, scalar_or_array)
+from .kernels import ProblemParams, check_one_angle
 from .specfun import _maybe_real, gamma, legendre_weighted, rising_ratio
 
 # poles of the continued transforms are excluded within this radius
@@ -482,8 +482,8 @@ def tauberian_symbol(params: ProblemParams, phi, v):
     transform; for v != 0 the Legendre degree acquires an imaginary part and
     the factor stays away from zero.
     """
-    xi = math.cos(check_angle(phi, name="phi"))
-    s = -params.rho - 1j * check_real(v, "imaginary shift v")
+    xi = math.cos(check_one_angle(phi, name="phi"))
+    s = -params.rho - 1j * check_scalar(v, "imaginary shift v")
     val = mellin_h_closed(params.lam, params.q, s, xi)
     return (1.0 - 1j * v) * val
 

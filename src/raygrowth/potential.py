@@ -22,9 +22,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParseError, check_real, scalar_or_array
+from .errors import (ConvergenceError, DomainError, ParseError, check_real, check_scalar,
+                     scalar_or_array)
 from .indicator import angular_shape
-from .kernels import ProblemParams, check_angle, check_dimension, h_value, poisson_Pn
+from .kernels import (ProblemParams, check_angle, check_dimension, check_one_angle, h_value,
+                      poisson_Pn)
 from .mellin import MellinResult, QuadratureSpec, integrate
 
 _E = math.e
@@ -270,8 +272,8 @@ def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float
     integrated with the power substitution k = 1/min(1, q+1-rho).  With
     ``full_output`` returns (u, error estimate, converged).
     """
-    xi = math.cos(check_angle(theta1))
-    r = check_real(r, "radius r", 0.0)
+    xi = math.cos(check_one_angle(theta1))
+    r = check_scalar(r, "radius r", 0.0)
     lam, q, n = params.lam, params.q, params.n
     if r == 0.0:
         return (0.0, 0.0, True) if full_output else 0.0
@@ -319,11 +321,11 @@ def u_poisson(model: MassModel, n: int, r: float, theta1: float,
     estimate adds N's own error estimates carried through the same
     representation.
     """
-    theta1 = check_angle(theta1, upper=math.pi / 2, closed=True)
+    theta1 = check_one_angle(theta1, upper=math.pi / 2, closed=True)
     ordr = 0.0 if isinstance(model, Atomic) else model.rho  # finitely many atoms: order 0
     if ordr >= 1.0:
         raise DomainError(f"Poisson representation needs order < 1, got {ordr}")
-    r = check_real(r, "radius r", 0.0)
+    r = check_scalar(r, "radius r", 0.0)
     if r == 0.0:
         return (0.0, 0.0, True) if full_output else 0.0
     c = math.cos(theta1)
@@ -446,12 +448,18 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     extrapolated limit applies one Aitken delta-squared step to the tail
     (errors decay geometrically on a geometric grid, which is exactly
     Aitken's model).  ``r_grid`` is either an increasing array or a
-    (lo, hi, num) tuple.  A counting function that is negative at a grid
-    radius is not a mass and raises :class:`DomainError`.
+    (lo, hi, num) tuple.  The scaling r^{-rho} and the genus q of the
+    kernel come from ``params``, so a density model whose own rho differs
+    from ``params.rho`` raises :class:`DomainError`, as does a counting
+    function that is negative at a grid radius (that is not a mass).
     """
-    theta1 = check_angle(theta1)
+    model_rho = getattr(model, "rho", params.rho)  # atomic models declare no order
+    if model_rho != params.rho:
+        raise DomainError(f"the model's order rho={model_rho!r} differs from "
+                          f"params.rho={params.rho!r}")
+    theta1 = check_one_angle(theta1)
     grid = _resolve_grid(r_grid)
-    sweep_tol = check_real(sweep_tol, "sweep_tol", 0.0, math.inf, "()")
+    sweep_tol = check_scalar(sweep_tol, "sweep_tol", 0.0, math.inf, "()")
     n_grid = counting_n(model, params.n, grid)
     negative = n_grid < 0.0
     if negative.any():
@@ -498,10 +506,12 @@ def ratio_probe(model: MassModel, params: ProblemParams, theta1, r_grid,
                 quad: QuadratureSpec = QuadratureSpec(), sweep_tol: float = 0.05) -> SweepResult:
     """Sweep of u/n(r) and u/N(r) along a direction.
 
-    Requires the counting function to be positive on the whole grid.  For
-    the power-law model the extrapolated ratios reproduce the closed-form
-    limits of :func:`raygrowth.indicator.ratio_limits`; for other models
-    they land between the integral sandwich bounds.
+    Requires the counting function to be positive on the whole grid and,
+    as :func:`scaled_limit` does, a density model's rho equal to
+    ``params.rho``.  For the power-law model the extrapolated ratios
+    reproduce the closed-form limits of
+    :func:`raygrowth.indicator.ratio_limits`; for other models they land
+    between the integral sandwich bounds.
     """
     grid = _resolve_grid(r_grid)
     if counting_n(model, params.n, float(grid[0])) <= 0.0:
@@ -542,8 +552,8 @@ def laplacian_u0(rho: float, r: float, theta1: float):
     failure (estimate below the rounding floor) raises instead of returning
     noise.
     """
-    r = check_real(r, "radius r of the counterexample", _LAPLACIAN_R_MIN)
-    theta1 = check_angle(theta1)
+    r = check_scalar(r, "radius r of the counterexample", _LAPLACIAN_R_MIN)
+    theta1 = check_one_angle(theta1)
     hr = r * _LAPLACIAN_STEP
     u = lambda rr, th: counterexample_u0(rho, rr, th)
     u00 = u(r, theta1)

@@ -8,6 +8,7 @@ import pytest
 from raygrowth import cli
 from raygrowth.cli import main, parse_angle
 from raygrowth.errors import CountMismatchError, ParseError
+from raygrowth.indicator import indicator_closed
 from raygrowth.kernels import ProblemParams
 from raygrowth.mellin import QuadratureSpec
 
@@ -96,6 +97,14 @@ class TestIndicatorCommand:
         assert code == 2
         assert "quadrature flagged" in capsys.readouterr().err
         assert "H_integral" in text
+
+    @pytest.mark.parametrize("tol,spec", [
+        (1e-3, QuadratureSpec()), (1e-6, QuadratureSpec()), (1e-10, QuadratureSpec()),
+        (1e-12, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)),
+    ])
+    def test_tol_only_tightens_quadrature(self, tol, spec):
+        # the default tol 1e-6, given or not, runs the default quadrature
+        assert cli._quad_from(tol) == spec
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_theta_pi_row(self, tmp_path, fmt):
@@ -207,6 +216,13 @@ class TestMellinVerifyCommand:
         assert capsys.readouterr().err == ""
 
 
+# a perturbed model whose rho and delta differ from the options' defaults,
+# and a sweep of it
+SEED_103_RHO, SEED_103_DELTA = "0.424854216098004", "1.4530764280038793"
+SEED_103_MODEL = f"perturbed delta={SEED_103_DELTA} rho={SEED_103_RHO} eps=inv_log\n"
+SEED_103_SWEEP = ("--n", "3", "--theta", "1.3863826787568958", "--grid", "1e2:1e6:5")
+
+
 class TestSimulateCommand:
     def test_power_law_sweep(self, tmp_path):
         model = tmp_path / "model.txt"
@@ -234,7 +250,7 @@ class TestSimulateCommand:
         assert float(row["u"]) == pytest.approx(0.5 * (1 - 1.25 ** -0.5), rel=1e-10)
 
     def test_quadrature_flag_exit_code(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_quad_from", lambda tol: QuadratureSpec(max_level=2))
+        monkeypatch.setattr(cli, "_SIMULATE_QUAD", QuadratureSpec(max_level=2))
         model = tmp_path / "model.txt"
         model.write_text("perturbed delta=1.0 rho=0.5 eps=inv_log\n")
         code, text = run_cli(tmp_path, "simulate", "--model", str(model),
@@ -292,6 +308,57 @@ class TestSimulateCommand:
     def test_missing_model_file(self, tmp_path):
         code, _ = run_cli(tmp_path, "simulate", "--model", str(tmp_path / "nope.txt"))
         assert code == 4
+
+    def test_density_model_supplies_order_and_type(self, tmp_path):
+        model = tmp_path / "model.txt"
+        model.write_text(SEED_103_MODEL)
+        argv = ("simulate", "--model", str(model), *SEED_103_SWEEP)
+        code, text = run_cli(tmp_path, *argv)
+        assert code == 0
+        assert f"# rho={SEED_103_RHO}\n" in text and f"# delta={SEED_103_DELTA}\n" in text
+        _, repeated = run_cli(tmp_path, *argv, "--rho", SEED_103_RHO, "--delta", SEED_103_DELTA)
+        assert repeated == text
+        # at the model's own order the 1/log perturbation leaves about 5%; a
+        # sweep scaled by r^-0.5 instead missed the indicator by 97%
+        header = [l for l in text.splitlines() if l.startswith("theta")][0].split(",")
+        last = dict(zip(header, text.splitlines()[-1].split(",")))
+        assert float(last["rel_err_vs_indicator"]) < 0.1
+
+    @pytest.mark.parametrize("option,value,declared", [
+        ("--rho", "0.5", f"rho={SEED_103_RHO}"),
+        ("--delta", "1", f"delta={SEED_103_DELTA}"),
+    ])
+    def test_option_differing_from_model_exit_code(self, tmp_path, capsys, option, value,
+                                                   declared):
+        model = tmp_path / "model.txt"
+        model.write_text(SEED_103_MODEL)
+        code, text = run_cli(tmp_path, "simulate", "--model", str(model), *SEED_103_SWEEP,
+                             option, value)
+        assert code == 4
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"raygrowth: parse error: {option} {value} differs")
+        assert declared in err
+
+    def test_slowly_varying_takes_delta(self, tmp_path):
+        model = tmp_path / "model.txt"
+        model.write_text("slowlyvarying rho=0.5 psi=log\n")
+        code, text = run_cli(tmp_path, "simulate", "--model", str(model), "--delta", "2",
+                             "--theta", "0.3", "--grid", "1e2:1e4:5")
+        assert code == 0
+        assert "# delta=2\n" in text and "# rho=0.5\n" in text
+        header = [l for l in text.splitlines() if l.startswith("theta")][0].split(",")
+        row = dict(zip(header, text.splitlines()[-1].split(",")))
+        assert float(row["indicator"]) == pytest.approx(
+            2.0 * indicator_closed(ProblemParams(3, 0.5), 0.3), rel=1e-15)
+
+    def test_integer_model_order_exit_code(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("powerlaw delta=1.0 rho=2.0\n")
+        code, text = run_cli(tmp_path, "simulate", "--model", str(model), "--grid", "1e2:1e4:5")
+        assert code == 3
+        assert text == ""
+        assert "order rho must be non-integer, got 2.0" in capsys.readouterr().err
 
 
 class TestSolveOrderCommand:
@@ -459,7 +526,7 @@ class TestReproducibility:
         assert capsys.readouterr().out == text
 
     def test_unset_indicator_tol_not_echoed(self, tmp_path):
-        # an explicit tol also tightens the quadrature, so the default is left unset
+        # a table made without --tol keeps a header without it
         _, text = run_cli(tmp_path, "indicator", "--theta", "0.3")
         assert not any(l.startswith("# tol=") for l in text.splitlines())
 

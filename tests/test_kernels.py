@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from raygrowth.errors import (ConvergenceError, DomainError, check_integer, check_real,
-                              scalar_or_array)
+                              check_scalar, scalar_or_array)
 from raygrowth.indicator import (
     angular_shape,
     indicator_integral,
@@ -22,6 +22,7 @@ from raygrowth.kernels import (
     ProblemParams,
     check_angle,
     check_dimension,
+    check_one_angle,
     h_n,
     h_value,
     log_kernel,
@@ -77,7 +78,9 @@ DIMENSION_ENTRIES = {
 }
 
 # every entry point that takes an angle: (argument name, upper end, closed,
-# function of the angle alone)
+# function of the angle alone).  A " pair" entry passes a two-element array
+# to an entry point that takes one angle: a bad value in it is named first,
+# and two good ones are refused as an array.
 ANGLE_ENTRIES = {
     "h_n": ("theta1", math.pi, False, lambda th: h_n(P35, 0.3, th)),
     "weierstrass_K": ("theta1", math.pi, False, lambda th: weierstrass_K(P35, 0.5, 2.0, th)),
@@ -99,11 +102,30 @@ ANGLE_ENTRIES = {
     "counterexample_u0": ("theta1", math.pi, False, lambda th: counterexample_u0(0.5, 10.0, th)),
     "laplacian_u0": ("theta1", math.pi, False, lambda th: laplacian_u0(0.5, 10.0, th)),
     "poisson_Pn": ("theta1", math.pi, True, lambda th: poisson_Pn(3, 1.0, 2.0, th)),
+    "indicator_integral pair": ("theta1", math.pi, False,
+                                lambda th: indicator_integral(P35, np.array([0.3, th]))),
+    "tauberian_constant pair": ("phi", math.pi, False,
+                                lambda th: tauberian_constant(P35, np.array([0.3, th]))),
+    "transfer_indicator phi pair": ("phi", math.pi, False,
+                                    lambda th: transfer_indicator(P35, [0.3, th], 1.0, 0.3)),
+    "laplace_log_kernel pair": ("theta1", math.pi / 2, True,
+                                lambda th: laplace_log_kernel(3, np.array([0.3, th]), 0.2)),
+    "tauberian_symbol pair": ("phi", math.pi, False,
+                              lambda th: tauberian_symbol(P35, np.array([0.3, th]), 0.5)),
+    "u_canonical pair": ("theta1", math.pi, False,
+                         lambda th: u_canonical(PW, P35, 10.0, np.array([0.3, th]))),
+    "u_poisson pair": ("theta1", math.pi / 2, True,
+                       lambda th: u_poisson(PW, 3, 10.0, np.array([0.3, th]))),
+    "scaled_limit pair": ("theta1", math.pi, False,
+                          lambda th: scaled_limit(PW, P35, np.array([0.3, th]), (1e2, 1e4, 5))),
+    "laplacian_u0 pair": ("theta1", math.pi, False,
+                          lambda th: laplacian_u0(0.5, 10.0, np.array([0.3, th]))),
 }
 
 
 # every entry point that takes a radius: (argument name, lower end, which
-# belongs to the interval, function of the radius alone)
+# belongs to the interval, function of the radius alone); " pair" as for
+# the angles
 RADIUS_ENTRIES = {
     "counting_n": ("radius t", 0.0, lambda t: counting_n(PW, 3, t)),
     "counting_n atomic": ("radius t", 0.0, lambda t: counting_n(Atomic(((2.0, 1.0),)), 3, t)),
@@ -122,6 +144,10 @@ RADIUS_ENTRIES = {
     "laplacian_u0 inner sample": ("radius r of the counterexample", math.e / (1.0 - 1e-4),
                                   lambda r: laplacian_u0(0.5, r, 0.3)),
     "riesz_k": ("radial ratio t", 0.0, lambda t: riesz_k(1.5, t, 0.3)),
+    "u_canonical pair": ("radius r", 0.0, lambda r: u_canonical(PW, P35, [10.0, r], 0.3)),
+    "u_poisson pair": ("radius r", 0.0, lambda r: u_poisson(PW, 3, np.array([10.0, r]), 0.3)),
+    "laplacian_u0 pair": ("radius r of the counterexample", math.e / (1.0 - 1e-4),
+                          lambda r: laplacian_u0(0.5, np.array([10.0, r]), 0.3)),
 }
 
 # orders, kernel parameters and settings (ProblemParams' own are in
@@ -161,6 +187,12 @@ PARAMETER_ENTRIES = {
                            [NAN, INF, -INF]),
     "indicator_near_pi": ("theta1 of the asymptotic form", lambda v: indicator_near_pi(P35, v),
                           [math.pi - 0.5, math.pi, NAN]),
+    # a good value in a two-element array is refused as an array
+    "indicator_near_pi pair": ("theta1 of the asymptotic form",
+                               lambda v: indicator_near_pi(P35, np.array([3.0, v])), [3.0, NAN]),
+    "tauberian_symbol v pair": ("imaginary shift v",
+                                lambda v: tauberian_symbol(P35, 0.3, np.array([0.5, v])),
+                                [0.5, INF]),
     "QuadratureSpec rel_tol": ("rel_tol", lambda v: QuadratureSpec(rel_tol=v), [NAN, INF]),
     "QuadratureSpec abs_tol": ("abs_tol", lambda v: QuadratureSpec(abs_tol=v), [NAN, INF]),
     "QuadratureSpec max_level": ("max_level", lambda v: QuadratureSpec(max_level=v),
@@ -168,6 +200,10 @@ PARAMETER_ENTRIES = {
     "scaled_limit sweep_tol": ("sweep_tol",
                                lambda v: scaled_limit(PW, P35, 0.3, (1e2, 1e4, 5), sweep_tol=v),
                                [0.0, NAN, INF]),
+    "scaled_limit sweep_tol pair": ("sweep_tol",
+                                    lambda v: scaled_limit(PW, P35, 0.3, (1e2, 1e4, 5),
+                                                           sweep_tol=np.array([0.05, v])),
+                                    [0.05, 0.0]),
     "hyp2f1 x": ("2F1 argument x", lambda v: hyp2f1(0.3, 0.4, 0.5, v), [1.0, -1.0, NAN, INF]),
     "hyp2f1 a": ("special-function argument", lambda v: hyp2f1(v, 0.4, 0.5, 0.3), [NAN, INF]),
     "legendre_weighted x": ("legendre_weighted argument x",
@@ -237,6 +273,13 @@ class TestEnvelope:
         with pytest.raises(DomainError, match=rf"^{name} must lie in \[0, pi"):
             f(_outside(upper, closed)[where])
 
+    @pytest.mark.parametrize("entry", sorted(k for k in ANGLE_ENTRIES if k.endswith(" pair")))
+    def test_angle_pair_to_one_angle_entry(self, entry):
+        name, _, _, f = ANGLE_ENTRIES[entry]
+        with pytest.raises(DomainError, match=rf"^{name} must be one value, got an array of "
+                                              rf"shape \(2,\)$"):
+            f(0.3)
+
     @pytest.mark.parametrize("where", ["below", "nan", "inf"])
     @pytest.mark.parametrize("entry", sorted(RADIUS_ENTRIES))
     def test_radius_outside_envelope(self, entry, where):
@@ -245,12 +288,31 @@ class TestEnvelope:
         with pytest.raises(DomainError, match=rf"^{re.escape(name)} must be >= .* and finite, got"):
             f(r)
 
+    @pytest.mark.parametrize("entry", sorted(k for k in RADIUS_ENTRIES if k.endswith(" pair")))
+    def test_radius_pair_to_one_radius_entry(self, entry):
+        name, _, f = RADIUS_ENTRIES[entry]
+        with pytest.raises(DomainError, match=rf"^{re.escape(name)} must be one value, got an "
+                                              rf"array of shape \(2,\)$"):
+            f(10.0)
+
     @pytest.mark.parametrize("entry", sorted(PARAMETER_ENTRIES))
     def test_parameter_outside_envelope(self, entry):
         name, f, values = PARAMETER_ENTRIES[entry]
         for v in values:
             with pytest.raises(DomainError, match=rf"^{re.escape(name)} must"):
                 f(v)
+
+    def test_check_scalar(self):
+        for x in (3, 3.0, np.float64(3.0), np.int64(3), np.array(3.0)):
+            assert type(check_scalar(x, "x")) is float and check_scalar(x, "x") == 3.0
+        assert type(check_one_angle(np.array(0.5))) is float
+        for x, shape in (([0.5], r"\(1,\)"), (np.zeros((2, 1)), r"\(2, 1\)"), ([], r"\(0,\)")):
+            with pytest.raises(DomainError, match=rf"^x must be one value, got an array of "
+                                                  rf"shape {shape}$"):
+                check_scalar(x, "x", 0.0, 1.0)
+        # the values are checked first
+        with pytest.raises(DomainError, match=r"^x must lie in \[0, 1\], got 2\.0$"):
+            check_scalar([0.5, 2.0], "x", 0.0, 1.0)
 
     def test_check_real_types(self):
         for x in (3, 3.0, np.float64(3.0), np.int64(3), np.array(3.0)):

@@ -230,6 +230,17 @@ class TestSweeps:
         with pytest.raises(DomainError, match="radial grid"):
             scaled_limit(PW, P35, 0.3, grid)
 
+    @pytest.mark.parametrize("probe", [scaled_limit, ratio_probe])
+    def test_model_order_differing_from_params(self, probe):
+        # the scaling r^-rho and the genus q of the kernel come from params
+        with pytest.raises(DomainError, match=r"order rho=0\.7 differs from params\.rho=0\.5"):
+            probe(PowerLaw(1.0, 0.7), ProblemParams(3, 0.5), 0.3, (1e2, 1e4, 5))
+
+    def test_atomic_model_takes_any_order(self):
+        atoms = Atomic(((2.0, 1.0),))
+        for rho in (0.5, 1.5):
+            assert scaled_limit(atoms, ProblemParams(3, rho), 0.3, (1e2, 1e4, 5)).samples
+
 
 class TestRatioProbe:
     def test_power_law_ratios(self):
