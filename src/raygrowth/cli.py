@@ -202,6 +202,12 @@ def cmd_indicator(args) -> int:
     tol = args.tol if args.tol is not None else 1e-6
     thetas = _thetas(args, params)
     quad = _quad_from(tol)
+    finite = [th for th in thetas if th != math.pi]
+    # the closed form angle by angle, then the oracle for every angle in one
+    # call; a bad angle is reported by the closed form, as it comes first
+    closed = [float(indicator_closed(params, th)) for th in finite]
+    values, res = indicator_integral(params, finite, quad, full_output=True)
+    results = zip(closed, values.tolist(), res.converged.tolist(), res.message.tolist())
     rows = []
     failed = False
     for th in thetas:
@@ -212,14 +218,13 @@ def cmd_indicator(args) -> int:
                 "H_asymptotic": float("-inf"), "abs_diff": float("nan"),
             })
             continue
-        hc = float(indicator_closed(params, th))
-        hi, res = indicator_integral(params, th, quad, full_output=True)
+        hc, hi, converged, message = next(results)
         ha = float(indicator_near_pi(params, th)) if th > math.pi - 0.5 else float("nan")
         diff = abs(hc - hi)
         if diff > tol * max(1.0, abs(hc)):
             failed = True
-        if not res.converged:
-            print(f"raygrowth: quadrature flagged at theta1={_fmt(th)}: {res.message}", file=sys.stderr)
+        if not converged:
+            print(f"raygrowth: quadrature flagged at theta1={_fmt(th)}: {message}", file=sys.stderr)
             failed = True
         rows.append({
             "theta1_rad": th, "theta1_deg": math.degrees(th),

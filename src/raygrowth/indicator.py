@@ -153,7 +153,7 @@ def angular_shape(n, rho, theta):
     to sqrt(2/pi) cos(rho theta) and is used as a plane-case cross-check.
     """
     n = check_dimension(n, lowest=2)
-    rho = check_real(rho, "order rho", 0.0, math.inf, "()")
+    rho = check_scalar(rho, "order rho", 0.0, math.inf, "()")
     theta = check_angle(theta, name="theta")
     return legendre_weighted(rho + (n - 3.0) / 2.0, (3.0 - n) / 2.0, np.sin(0.5 * theta) ** 2)
 
@@ -187,14 +187,18 @@ def indicator_integral(params: ProblemParams, theta1, quad: QuadratureSpec = Qua
     int_0^inf s^{-rho-1} h_n(s, theta1, q) ds.
 
     This is the independent oracle for :func:`indicator_closed`: it never
-    touches the Legendre machinery.  Returns the value, or (value, result)
-    with the quadrature error estimate and convergence flag when
-    ``full_output`` is set.
+    touches the Legendre machinery.  Accepts a scalar or an array of
+    angles; an array is integrated in one pass, one row per angle.  Returns
+    the value, or (value, result) with the quadrature error estimate and
+    convergence flag when ``full_output`` is set; for an array these are
+    per angle.
     """
-    xi = math.cos(check_one_angle(theta1))
+    theta1 = check_angle(theta1)
+    # math.cos angle by angle: numpy's array cosine can differ in the last bit
+    xi = np.array([math.cos(t) for t in np.ravel(theta1)]).reshape(np.shape(theta1))
     lam, q = params.lam, params.q
-    res = mellin_numeric(lambda u: h_value(lam, q, u, xi), -params.rho, quad,
-                         MellinStrip.principal_for_h(q))
+    res = mellin_numeric(lambda u, xi: h_value(lam, q, u, xi), -params.rho, quad,
+                         MellinStrip.principal_for_h(q), args=(xi,))
     res = res.scaled((params.rho + params.n - 2.0) * params.delta)
     return (res.value, res) if full_output else res.value
 
@@ -401,7 +405,7 @@ def solve_order(n: int, delta_bar: float) -> float:
     interval from :func:`order_equation_range`) when delta_bar is outside
     the range of the right side.
     """
-    delta_bar = check_real(delta_bar, "delta_bar")
+    delta_bar = check_scalar(delta_bar, "delta_bar")
     x, status = _chandrupatla(lambda rho: order_equation_rhs(n, rho) - delta_bar,
                               _ORDER_EDGE, _order_branch_end(n), **_ROOT_TOLERANCES)
     if status[0] == -1:
@@ -451,6 +455,7 @@ def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec = Q
     numerically determined existence strip.
     """
     theta1 = check_one_angle(theta1, upper=math.pi / 2, closed=True)
+    s = check_scalar(s, "transform variable s")
     laplace_strip(n, theta1).check(s)
 
     def f(t):

@@ -80,12 +80,12 @@ class ProblemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_dimension(self.n))
-        rho = check_real(self.rho, "order rho", 0.0, math.inf, "()")
+        rho = check_scalar(self.rho, "order rho", 0.0, math.inf, "()")
         q = math.floor(rho)
         if rho == q:
             raise DomainError(f"order rho must be non-integer, got {self.rho}")
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "delta", check_real(self.delta, "type constant delta", 0.0))
+        object.__setattr__(self, "delta", check_scalar(self.delta, "type constant delta", 0.0))
         object.__setattr__(self, "q", q)
 
     @property
@@ -134,24 +134,28 @@ def h_value(lam, q, u, xi):
 
     Difference of the Riesz kernel and its degree-q Gegenbauer polynomial
     section, with the bound |h| <= C min(u^q, u^{q+1}).  For u below 1/2 the
-    value is computed from the tail series to avoid cancellation.
+    value is computed from the tail series to avoid cancellation.  An array
+    xi broadcasts against u, and the result takes their common shape.
     """
     lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
     q = check_integer(q, "subtraction degree q")
     xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0)
     u_arr = np.asarray(check_real(u, "radial ratio u", 0.0))
-    out = np.zeros_like(u_arr)
+    per_point = isinstance(xi, np.ndarray)
+    if per_point:
+        u_arr, xi = np.broadcast_arrays(u_arr, xi)
+    out = np.zeros(u_arr.shape)
     near = u_arr < _TAIL_SWITCH
     if np.any(near):
-        out[near] = _h_tail_series(lam, q, u_arr[near], xi)
+        out[near] = _h_tail_series(lam, q, u_arr[near], xi[near] if per_point else xi)
     far = ~near
     if np.any(far):
-        uf = u_arr[far]
-        base = 1.0 + uf * uf + 2.0 * uf * xi
+        uf, xf = u_arr[far], xi[far] if per_point else xi
+        base = 1.0 + uf * uf + 2.0 * uf * xf
         if np.any(base <= 0.0):
             raise DomainError("kernel singular: 1 + u^2 + 2 u xi <= 0 (u=1, xi=-1)")
         poly = np.zeros_like(uf)
-        for j, g in zip(range(q + 1), gegenbauer_terms(lam, xi)):
+        for j, g in zip(range(q + 1), gegenbauer_terms(lam, xf)):
             poly += (-uf) ** j * g
         out[far] = -(base ** (-lam)) + poly
     return scalar_or_array(out)

@@ -49,6 +49,21 @@ _TANHSINH_STATUS = {
 }
 
 
+def _join(messages) -> str:
+    """The non-empty messages joined by "; "."""
+    return "; ".join(m for m in messages if m)
+
+
+# row by row: a message for each pair of rows, as an object array
+_join_rows = np.frompyfunc(lambda a, b: _join((a, b)), 2, 1)
+
+
+def _flag_message(status, max_level) -> str:
+    """The reasons behind the non-zero status codes, or "" if there are none."""
+    reasons = sorted({_TANHSINH_STATUS[int(c)] for c in np.ravel(status) if c})
+    return f"tanh-sinh: {', '.join(reasons)} (max_level {max_level})" if reasons else ""
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and layout for improper-integral evaluation.
@@ -107,6 +122,8 @@ class MellinStrip:
 class MellinResult:
     """Quadrature value with its error estimate and convergence flag.
 
+    A result of one integral per row (see :func:`integrate`) holds a value,
+    an error, a flag and a message for each row, as arrays of one shape.
     ``evaluations`` counts the nodes at which the integrand was asked for a
     value, summed over every integral behind the result.
     """
@@ -119,24 +136,31 @@ class MellinResult:
 
     def require(self):
         """Return the value, or raise if the tolerance was not met."""
-        if not self.converged:
-            raise ConvergenceError(f"quadrature tolerance not met: {self.message}")
+        if not np.all(self.converged):
+            raise ConvergenceError(f"quadrature tolerance not met: {_join(np.ravel(self.message))}")
         return self.value
+
+    def __add__(self, other: "MellinResult") -> "MellinResult":
+        """Row-by-row sum of two results of one shape; a row converged if it
+        did in both, and its messages are joined."""
+        return MellinResult(
+            value=self.value + other.value, error=self.error + other.error,
+            converged=self.converged & other.converged,
+            message=_join_rows(self.message, other.message),
+            evaluations=self.evaluations + other.evaluations)
 
     @staticmethod
     def total(pieces) -> "MellinResult":
-        """Sum of a list of results, over the pieces and over the rows of
-        each; it converged if every piece did."""
-        def add(terms):
-            return functools.reduce(operator.add, [scalar_or_array(np.sum(t))
-                                                   if isinstance(t, np.ndarray) else t
-                                                   for t in terms])
-
+        """Sum of a list of results, over the pieces and then over the rows;
+        it converged if every row of every piece did."""
+        res = functools.reduce(operator.add, pieces)
+        if not isinstance(res.value, np.ndarray):
+            return res
         return MellinResult(
-            value=add(p.value for p in pieces), error=add(p.error for p in pieces),
-            converged=all(p.converged for p in pieces),
-            message="; ".join(p.message for p in pieces if p.message),
-            evaluations=sum(p.evaluations for p in pieces))
+            value=scalar_or_array(np.sum(res.value)), error=scalar_or_array(np.sum(res.error)),
+            converged=bool(np.all(res.converged)),
+            message=_join(np.ravel(res.message)),
+            evaluations=res.evaluations)
 
     def scaled(self, c) -> "MellinResult":
         """The result times the constant c."""
@@ -145,12 +169,12 @@ class MellinResult:
     def held_to(self, quad: "QuadratureSpec") -> "MellinResult":
         """The result, flagged unless its error estimate is within 10 times
         the tolerance of ``quad``: the rule for a sum of pieces."""
-        ok = self.error <= 10.0 * max(quad.abs_tol, quad.rel_tol * abs(self.value))
-        return replace(self, converged=self.converged and ok)
+        ok = self.error <= 10.0 * np.fmax(quad.abs_tol, quad.rel_tol * abs(self.value))
+        return replace(self, converged=scalar_or_array(self.converged & ok))
 
 
-def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0) -> MellinResult:
-    """Tanh-sinh quadrature of int_a^b f(u) du (Takahasi & Mori 1974).
+def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0, args=()) -> MellinResult:
+    """Tanh-sinh quadrature of int_a^b f(u, *args) du (Takahasi & Mori 1974).
 
     The one quadrature entry point of the package.  ``f`` maps an ndarray
     of nodes to an ndarray of values of the same shape, real or complex; a
@@ -161,6 +185,13 @@ def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0) -> MellinResult
     them converged.  The nodes and weights of each level are built once and
     cached; the rule, its error estimate and its status codes are those of
     ``scipy.integrate.tanhsinh`` (see :func:`_tanh_sinh`).
+
+    ``args`` are extra arguments of f, as in ``scipy.integrate.tanhsinh``:
+    each array among them broadcasts against ``a`` and ``b``, and f receives
+    each at the row of every node it is given, so its values broadcast
+    against the nodes.  With args every row is an integral of its own:
+    converged and message come back per row too, as arrays of the shape of
+    value unless that is a scalar.
 
     With ``power`` k > 1 the lower limit must be 0, and the integral is
     taken in x = u^(1/k) as int_0^(b^(1/k)) f(x^k) k x^(k-1) dx.  An
@@ -181,26 +212,30 @@ def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0) -> MellinResult
             raise DomainError("a power substitution needs the lower limit 0")
         b = np.asarray(b, dtype=float) ** (1.0 / power)
 
-        def g(x):
+        def g(x, *args):
             # f is not evaluated where x^k is subnormal: those nodes are nan
             # and take the value of the nearest node where u is normal
             u = x ** power
             normal = u >= _TINY
-            fu = f(u[normal])
+            fu = f(u[normal], *(np.broadcast_to(arg, u.shape)[normal] for arg in args))
             out = np.full(u.shape, np.nan, dtype=np.result_type(fu, float))
             out[normal] = power * x[normal] ** (power - 1.0) * fu
             return out
 
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b, *args = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                                      *args)
     with np.errstate(all="ignore"):
         value, error, status, evaluations = _tanh_sinh(
             g, a.ravel(), b.ravel(), quad.abs_tol, quad.rel_tol,
-            min(_FIRST_TEST_LEVEL, quad.max_level), quad.max_level)
-    converged = bool(np.all(status == 0))
-    message = ""
-    if not converged:
-        reasons = sorted({_TANHSINH_STATUS[int(c)] for c in status[status != 0]})
-        message = f"tanh-sinh: {', '.join(reasons)} (max_level {quad.max_level})"
+            min(_FIRST_TEST_LEVEL, quad.max_level), quad.max_level, [v.ravel() for v in args])
+    if args:
+        status = status.reshape(a.shape)
+        converged = scalar_or_array(status == 0)
+        message = scalar_or_array(
+            np.frompyfunc(lambda c: _flag_message(c, quad.max_level), 1, 1)(status))
+    else:
+        converged = bool(np.all(status == 0))
+        message = _flag_message(status, quad.max_level)
     return MellinResult(value=scalar_or_array(value.reshape(a.shape)),
                         error=scalar_or_array(error.reshape(a.shape)), converged=converged,
                         message=message, evaluations=evaluations)
@@ -239,7 +274,7 @@ def _nodes_through(k):
     return gap, weight
 
 
-def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel):
+def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel, args=()):
     """Tanh-sinh rule on the 1-D arrays of limits a, b, refined side by side.
 
     Follows ``scipy.integrate.tanhsinh`` step for step, so value, error and
@@ -252,8 +287,10 @@ def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel):
     is not finite takes the value of the outermost finite node on its side.
     Rows leave the loop as they meet ``atol`` or ``rtol`` under Bailey's
     error estimate (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005) or turn
-    non-finite.  The values take the dtype, float or complex, that f
-    returns at the first pass.
+    non-finite, and their entries of the 1-D arrays in ``args`` leave with
+    them; f(x, *args) receives each as a column against the nodes x of its
+    row.  The values take the dtype, float or complex, that f returns at
+    the first pass.
 
     Returns value, error, status (0 converged, -2 maximum level reached,
     -3 non-finite) and the number of nodes evaluated over all rows.
@@ -277,6 +314,7 @@ def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel):
     if rows.size == 0:
         return value, error, status, 0
     a, b, shift, both, lower, upper = (v[rows] for v in (a, b, shift, both, lower, upper))
+    args = [arg[rows] for arg in args]
     mapped = bool(np.any(both | upper))
     # abscissa, value and weight of the outermost node so far, on each side,
     # whose weighted value is finite
@@ -297,7 +335,7 @@ def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel):
             t[both] = t[both] / (1.0 - t[both] ** 2)
             t[upper] = 1.0 / t[upper] - 1.0 + shift[upper, None]
             t[lower] *= -1.0
-        fx = np.array(f(t))
+        fx = np.array(f(t, *(arg[:, None] for arg in args)))
         fx = fx.astype(np.result_type(fx, float), copy=False)
         if first:
             value, fr0, fl0 = (v.astype(fx.dtype) for v in (value, fr0, fl0))
@@ -352,13 +390,15 @@ def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel):
             rows, a, b, shift, both, lower, upper, xr0, fr0, wr0, xl0, fl0, wl0, s, s1 = (
                 v[keep] for v in (rows, a, b, shift, both, lower, upper,
                                   xr0, fr0, wr0, xl0, fl0, wl0, s, s1))
+            args = [arg[keep] for arg in args]
         s1, s2 = s, s1
     value[negative] *= -1.0
     return value, error, status, evaluations
 
 
-def mellin_numeric(integrand, s, quad: QuadratureSpec, strip: MellinStrip) -> MellinResult:
-    """Numeric Mellin transform int_0^inf f(u) u^{s-1} du.
+def mellin_numeric(integrand, s, quad: QuadratureSpec, strip: MellinStrip,
+                   args=()) -> MellinResult:
+    """Numeric Mellin transform int_0^inf f(u, *args) u^{s-1} du.
 
     The integral is split at u = 1 and the outer piece is mapped back to
     (0, 1] by the substitution u -> 1/u, so both pieces are proper up to
@@ -371,6 +411,9 @@ def mellin_numeric(integrand, s, quad: QuadratureSpec, strip: MellinStrip) -> Me
     integrals, and the value is complex.  An s with zero imaginary part is
     taken as real, and so is the value.
 
+    ``args`` are passed to :func:`integrate`: an array among them makes one
+    transform per row, each with its own value, error, flag and message.
+
     Raises :class:`StripViolationError` when Re s is outside the declared
     strip of the integrand -- never returns silently in that case.
     """
@@ -378,11 +421,12 @@ def mellin_numeric(integrand, s, quad: QuadratureSpec, strip: MellinStrip) -> Me
     s = _maybe_real(complex(s))
     k_in = 1.0 / min(1.0, s.real - strip.lower)
     k_out = 1.0 / min(1.0, strip.upper - s.real)
-    inner = integrate(lambda u: integrand(u) * u ** (s - 1.0), 0.0, 1.0, quad, power=k_in)
+    inner = integrate(lambda u, *args: integrand(u, *args) * u ** (s - 1.0), 0.0, 1.0, quad,
+                      power=k_in, args=args)
     # u = 1/w, du = -dw/w^2:  f(1/w) w^{-s-1}
-    outer = integrate(lambda w: integrand(1.0 / w) * w ** (-s - 1.0), 0.0, 1.0, quad,
-                      power=k_out)
-    return MellinResult.total([inner, outer]).held_to(quad)
+    outer = integrate(lambda w, *args: integrand(1.0 / w, *args) * w ** (-s - 1.0), 0.0, 1.0,
+                      quad, power=k_out, args=args)
+    return (inner + outer).held_to(quad)
 
 
 def _check_not_pole(s, lam):

@@ -528,7 +528,7 @@ def counterexample_u0(rho: float, r, theta1: float):
     identically r^rho -- the two behaviors that bracket what a one-direction
     growth assumption can and cannot force.
     """
-    rho = check_real(rho, "order rho", 0.0, 1.0, "()")
+    rho = check_scalar(rho, "order rho", 0.0, 1.0, "()")
     r_arr = np.atleast_1d(check_real(r, "radius r of the counterexample", _E))
     theta1 = check_angle(theta1)
     legendre_factor = angular_shape(3, rho, theta1)  # P_rho(cos theta1)

@@ -98,6 +98,31 @@ class TestIndicatorCommand:
         assert "quadrature flagged" in capsys.readouterr().err
         assert "H_integral" in text
 
+    @pytest.mark.parametrize("max_level", [2, 10])
+    def test_angles_table_equals_one_angle_runs(self, tmp_path, monkeypatch, capsys, max_level):
+        # the oracle runs once for every angle; each row, each flag line and
+        # the exit code are those of the angle's own run
+        monkeypatch.setattr(cli, "_quad_from", lambda tol: QuadratureSpec(max_level=max_level))
+        argv = ("indicator", "--n", "5", "--rho", "1.5")
+        angles = ("0.3", "root1", "180deg", "2.0", "3.1")
+
+        def data_rows(text):
+            return [l for l in text.splitlines() if not l.startswith(("#", "theta"))]
+
+        code, text = run_cli(tmp_path, *argv, "--theta", ",".join(angles))
+        err = capsys.readouterr().err
+        rows, errs, codes = [], [], []
+        for angle in angles:
+            one_code, one_text = run_cli(tmp_path, *argv, "--theta", angle)
+            rows += data_rows(one_text)
+            errs.append(capsys.readouterr().err)
+            codes.append(one_code)
+        assert data_rows(text) == rows and len(rows) == len(angles)
+        assert err == "".join(errs)
+        assert code == max(codes)
+        # two levels flag every angle but pi, one of them in one piece only
+        assert err.count("quadrature flagged") == (4 if max_level == 2 else 0)
+
     @pytest.mark.parametrize("tol,spec", [
         (1e-3, QuadratureSpec()), (1e-6, QuadratureSpec()), (1e-10, QuadratureSpec()),
         (1e-12, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)),

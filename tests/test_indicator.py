@@ -131,6 +131,49 @@ class TestIndicatorIntegral:
                 assert res.converged
                 assert val == pytest.approx(indicator_closed(p, th), rel=1e-10)
 
+    def test_scalar_angle_gives_scalars(self):
+        val, res = indicator_integral(P35, np.float64(1.0), full_output=True)
+        assert type(val) is float and val == res.value
+        assert type(res.error) is float
+        assert type(res.converged) is bool and type(res.message) is str
+
+    def test_array_of_angles_equals_one_angle_calls(self):
+        # the angles of `indicator --n 5 --rho 1.5 --theta 0.3,root1,2.0`
+        p = ProblemParams(5, 1.5)
+        thetas = [0.3, zero_set(p).roots[1], 2.0]
+        vals, res = indicator_integral(p, thetas, full_output=True)
+        for k, th in enumerate(thetas):
+            val, one = indicator_integral(p, th, full_output=True)
+            assert repr(float(vals[k])) == repr(val)
+            assert repr(float(res.error[k])) == repr(one.error)
+            assert res.converged[k] == one.converged
+
+    def test_array_of_angles_matches_one_angle_calls(self):
+        # on random draws, with flagged angles among them.  The tail series of
+        # h stops on every node of a call at once, so an angle integrated
+        # with others can take a few more terms: its value and its error
+        # estimate may move by an ulp or two of the value
+        rng = np.random.default_rng(7)
+        quads = (QuadratureSpec(), TIGHT, QuadratureSpec(max_level=3))
+        flags = set()
+        for i in range(12):
+            p = ProblemParams(int(rng.integers(3, 12)), float(rng.uniform(0.1, 6.0)))
+            thetas = rng.uniform(0.0, math.pi, (2, 3))
+            quad = quads[i % 3]
+            vals, res = indicator_integral(p, thetas, quad, full_output=True)
+            assert vals.shape == res.error.shape == res.converged.shape == res.message.shape == (2, 3)
+            evaluations = 0
+            for k in np.ndindex(thetas.shape):
+                val, one = indicator_integral(p, thetas[k], quad, full_output=True)
+                ulp = np.spacing(abs(val))
+                assert abs(vals[k] - val) <= 4 * ulp or np.isnan([vals[k], val]).all()
+                assert abs(res.error[k] - one.error) <= 4 * ulp or np.isnan([vals[k], val]).all()
+                assert (res.converged[k], res.message[k]) == (one.converged, one.message)
+                flags.add(one.converged)
+                evaluations += one.evaluations
+            assert res.evaluations == evaluations
+        assert flags == {True, False}
+
 
 class TestNearPiAsymptotics:
     def test_monotone_divergence_n4(self):

@@ -80,7 +80,8 @@ DIMENSION_ENTRIES = {
 # every entry point that takes an angle: (argument name, upper end, closed,
 # function of the angle alone).  A " pair" entry passes a two-element array
 # to an entry point that takes one angle: a bad value in it is named first,
-# and two good ones are refused as an array.
+# and two good ones are refused as an array.  An " array" entry passes one
+# to an entry point that takes arrays: a bad value in it is named.
 ANGLE_ENTRIES = {
     "h_n": ("theta1", math.pi, False, lambda th: h_n(P35, 0.3, th)),
     "weierstrass_K": ("theta1", math.pi, False, lambda th: weierstrass_K(P35, 0.5, 2.0, th)),
@@ -102,8 +103,8 @@ ANGLE_ENTRIES = {
     "counterexample_u0": ("theta1", math.pi, False, lambda th: counterexample_u0(0.5, 10.0, th)),
     "laplacian_u0": ("theta1", math.pi, False, lambda th: laplacian_u0(0.5, 10.0, th)),
     "poisson_Pn": ("theta1", math.pi, True, lambda th: poisson_Pn(3, 1.0, 2.0, th)),
-    "indicator_integral pair": ("theta1", math.pi, False,
-                                lambda th: indicator_integral(P35, np.array([0.3, th]))),
+    "indicator_integral array": ("theta1", math.pi, False,
+                                 lambda th: indicator_integral(P35, np.array([0.3, th]))),
     "tauberian_constant pair": ("phi", math.pi, False,
                                 lambda th: tauberian_constant(P35, np.array([0.3, th]))),
     "transfer_indicator phi pair": ("phi", math.pi, False,
@@ -151,8 +152,9 @@ RADIUS_ENTRIES = {
 }
 
 # orders, kernel parameters and settings (ProblemParams' own are in
-# TestProblemParams): (argument name, function of the argument alone,
-# values outside its interval)
+# TestProblemParams, all but its pairs): (argument name, function of the
+# argument alone, values outside its interval; for a " pair", a good value
+# and a bad one)
 NAN, INF = math.nan, math.inf
 PARAMETER_ENTRIES = {
     "angular_shape rho": ("order rho", lambda v: angular_shape(5, v, 0.3), [0.0, NAN, INF]),
@@ -187,7 +189,26 @@ PARAMETER_ENTRIES = {
                            [NAN, INF, -INF]),
     "indicator_near_pi": ("theta1 of the asymptotic form", lambda v: indicator_near_pi(P35, v),
                           [math.pi - 0.5, math.pi, NAN]),
+    "solve_order delta_bar": ("delta_bar", lambda v: solve_order(3, v), [NAN, INF]),
+    "laplace_log_kernel s": ("transform variable s", lambda v: laplace_log_kernel(3, 0.3, v),
+                             [NAN, -INF]),
     # a good value in a two-element array is refused as an array
+    "ProblemParams rho pair": ("order rho", lambda v: ProblemParams(3, np.array([0.3, v])),
+                               [0.3, 0.0]),
+    "ProblemParams delta pair": ("type constant delta",
+                                 lambda v: ProblemParams(3, 0.5, [1.0, v]), [1.0, -1.0]),
+    "angular_shape rho pair": ("order rho", lambda v: angular_shape(3, [0.3, v], 0.3),
+                               [0.4, NAN]),
+    "counterexample_u0 rho pair": ("order rho",
+                                   lambda v: counterexample_u0(np.array([0.3, v]), 10.0, 0.3),
+                                   [0.4, 1.0]),
+    "laplacian_u0 rho pair": ("order rho", lambda v: laplacian_u0([0.3, v], 10.0, 0.3),
+                              [0.4, INF]),
+    "laplace_log_kernel s pair": ("transform variable s",
+                                  lambda v: laplace_log_kernel(3, 0.3, np.array([0.1, v])),
+                                  [0.2, NAN]),
+    "solve_order delta_bar pair": ("delta_bar", lambda v: solve_order(3, np.array([0.9, v])),
+                                   [1.0, NAN]),
     "indicator_near_pi pair": ("theta1 of the asymptotic form",
                                lambda v: indicator_near_pi(P35, np.array([3.0, v])), [3.0, NAN]),
     "tauberian_symbol v pair": ("imaginary shift v",

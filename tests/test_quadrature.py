@@ -126,3 +126,56 @@ def test_cli_import_does_not_load_scipy_integrate():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# integrands with an argument c, one integral per value of c: (f, a, b,
+# power), over finite, mapped and power-substituted ranges
+ARGS_CASES = {
+    "finite": (lambda x, c: np.cos(c * x), 0.0, 2.0, 1.0),
+    "half_line": (lambda x, c: np.cos(c * x) * np.exp(-x), 0.0, INF, 1.0),
+    "power_substitution": (lambda u, c: u ** -0.7 * np.cos(c * u), 0.0, 1.0, 4.0),
+    "complex": (lambda x, c: np.exp(1j * c * x) * np.exp(-x), 0.0, INF, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGS_CASES))
+def test_rows_of_args_equal_one_row_calls(name):
+    # rows that differ only in their argument leave at different levels,
+    # and each is the integral its own call gives, to the last bit
+    f, a, b, power = ARGS_CASES[name]
+    c = np.array([0.5, 3.0, 40.0])
+    quad = QuadratureSpec()
+    rows = integrate(f, a, b, quad, power=power, args=(c,))
+    assert rows.value.shape == rows.error.shape == rows.converged.shape == rows.message.shape
+    ones = [integrate(f, a, b, quad, power=power, args=(ck,)) for ck in c.tolist()]
+    for k, (ck, one) in enumerate(zip(c.tolist(), ones)):
+        closure = integrate(lambda x: f(x, ck), a, b, quad, power=power)
+        assert repr(one) == repr(closure)
+        assert repr(rows.value[k]) == repr(np.asarray(one.value)[()])
+        assert repr(rows.error[k]) == repr(np.float64(one.error))
+        assert rows.converged[k] == one.converged is True
+        assert rows.message[k] == one.message == ""
+    assert rows.evaluations == sum(one.evaluations for one in ones)
+    assert len({one.evaluations for one in ones}) > 1
+
+
+def test_args_broadcast_against_limits():
+    # a (2, 1) argument against limits of shape (3,): six integrals
+    c = np.array([[1.0], [2.0]])
+    b = np.array([0.5, 1.0, 2.0])
+    res = integrate(lambda x, c: c * x, 0.0, b, QuadratureSpec(), args=(c,))
+    assert res.value.shape == res.converged.shape == (2, 3)
+    assert np.allclose(res.value, c * b ** 2 / 2, rtol=1e-14)
+
+
+def test_unconverged_row_flags_only_itself():
+    # 1/x diverges at 0; two levels settle the polynomial rows
+    quad = QuadratureSpec(max_level=2)
+    res = integrate(lambda x, k: x ** k, 0.0, 1.0, quad, args=(np.array([2.0, -1.0, 1.0]),))
+    assert res.converged.tolist() == [True, False, True]
+    assert res.message.tolist() == ["", "tanh-sinh: maximum level reached (max_level 2)", ""]
+    assert np.allclose(res.value[[0, 2]], [1 / 3, 1 / 2], rtol=1e-14)
+    # without args the rows are parts of one result, flagged as a whole
+    whole = integrate(lambda x: x ** np.array([[2.0], [-1.0], [1.0]]), 0.0, np.ones(3), quad)
+    assert whole.converged is False
+    assert whole.message == "tanh-sinh: maximum level reached (max_level 2)"
