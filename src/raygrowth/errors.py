@@ -133,8 +133,11 @@ def check_integer(x, name, lo=0) -> int:
     """x as a Python int: any integer value (3, 3.0, numpy.int64(3)) >= ``lo``.
 
     Raises :class:`DomainError` naming the argument for nan, +-inf, a
-    non-integer or a value below ``lo``.
+    non-integer, a value below ``lo``, or a list or an array of any shape
+    but 0-d (in the words of :func:`check_scalar`).
     """
+    if not isinstance(x, (int, float)) and np.ndim(x):
+        raise DomainError(f"{name} must be one value, got an array of shape {np.shape(x)}")
     if not (lo <= x < math.inf and x == math.floor(x)):
         raise DomainError(f"{name} must be an integer >= {lo}, got {x}")
     return int(x)

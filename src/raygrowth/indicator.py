@@ -28,7 +28,7 @@ from .errors import (
 )
 from .kernels import (ProblemParams, check_angle, check_dimension, check_one_angle, h_value,
                       log_kernel_signed_ln)
-from .mellin import MellinResult, MellinStrip, QuadratureSpec, integrate, mellin_numeric
+from .mellin import MellinStrip, QuadratureSpec, mellin_numeric
 from .specfun import EULER_GAMMA, digamma, gamma, legendre_weighted, rising_ratio
 
 # scan step (radians) for root bracketing and the guard band around each root
@@ -450,19 +450,19 @@ def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec = Q
     """Two-sided Laplace transform int e^{-s t} k(t) dt of the log kernel.
 
     For theta1 = 0 the closed value is Gamma(n-1-s) Gamma(1+s) / (n-2)!.
-    The integrand is assembled in log space, so no overflow occurs near the
-    strip edges.  Raises :class:`StripViolationError` outside the
-    numerically determined existence strip.
+    With u = e^t the transform is the Mellin transform of k(log u) at -s,
+    int_0^inf k(log u) u^{-s-1} du, taken by :func:`mellin_numeric` on the
+    mirrored strip.  Raises :class:`StripViolationError`, naming s, outside
+    the numerically determined existence strip.
     """
     theta1 = check_one_angle(theta1, upper=math.pi / 2, closed=True)
     s = check_scalar(s, "transform variable s")
-    laplace_strip(n, theta1).check(s)
+    strip = laplace_strip(n, theta1)
+    strip.check(s)
 
-    def f(t):
-        sign, ln_abs = log_kernel_signed_ln(n, theta1, t)
-        return sign * np.exp(-s * t + ln_abs)
+    def f(u):
+        sign, ln_abs = log_kernel_signed_ln(n, theta1, np.log(u))
+        return sign * np.exp(ln_abs)
 
-    # the two half-lines side by side in one call
-    res = integrate(f, np.array([-np.inf, 0.0]), np.array([0.0, np.inf]), quad)
-    res = MellinResult.total([res]).held_to(quad)
+    res = mellin_numeric(f, -s, quad, MellinStrip(-strip.upper, -strip.lower))
     return (res.value, res) if full_output else res.value

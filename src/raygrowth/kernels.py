@@ -140,17 +140,14 @@ def h_value(lam, q, u, xi):
     lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
     q = check_integer(q, "subtraction degree q")
     xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0)
-    u_arr = np.asarray(check_real(u, "radial ratio u", 0.0))
-    per_point = isinstance(xi, np.ndarray)
-    if per_point:
-        u_arr, xi = np.broadcast_arrays(u_arr, xi)
+    u_arr, xi = np.broadcast_arrays(check_real(u, "radial ratio u", 0.0), xi)
     out = np.zeros(u_arr.shape)
     near = u_arr < _TAIL_SWITCH
     if np.any(near):
-        out[near] = _h_tail_series(lam, q, u_arr[near], xi[near] if per_point else xi)
+        out[near] = _h_tail_series(lam, q, u_arr[near], xi[near])
     far = ~near
     if np.any(far):
-        uf, xf = u_arr[far], xi[far] if per_point else xi
+        uf, xf = u_arr[far], xi[far]
         base = 1.0 + uf * uf + 2.0 * uf * xf
         if np.any(base <= 0.0):
             raise DomainError("kernel singular: 1 + u^2 + 2 u xi <= 0 (u=1, xi=-1)")
@@ -239,7 +236,8 @@ def log_kernel_signed_ln(n, theta1, t):
     n = check_dimension(n)
     theta1 = check_angle(theta1, closed=True)
     t = np.asarray(t, dtype=float)
-    c = np.cos(theta1)
+    # cos(pi/2) rounds to 6e-17, not 0; laplace_strip measures the cos = 0 strip there
+    c = np.where(theta1 == math.pi / 2, 0.0, np.cos(theta1))
     half = n / 2.0 + 1.0
     # factor e^{-|t|} out of numerator and denominator on each side
     e = np.exp(-np.abs(t))

@@ -151,8 +151,12 @@ class MellinResult:
 
     @staticmethod
     def total(pieces) -> "MellinResult":
-        """Sum of a list of results, over the pieces and then over the rows;
-        it converged if every row of every piece did."""
+        """Sum of a list of results, over the pieces and then over the rows.
+
+        Every row of :func:`integrate` is an integral of its own, and this is
+        the one place where rows are added into one quantity.  The sum
+        converged if every row of every piece did.
+        """
         res = functools.reduce(operator.add, pieces)
         if not isinstance(res.value, np.ndarray):
             return res
@@ -179,19 +183,20 @@ def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0, args=()) -> Mel
     The one quadrature entry point of the package.  ``f`` maps an ndarray
     of nodes to an ndarray of values of the same shape, real or complex; a
     complex f gives a complex value, and its error is estimated in
-    modulus.  ``a`` and ``b`` may be infinite, and may be arrays of limits:
-    the integrals are then refined side by side, value and error come back
-    as arrays, and the result counts as converged only if every one of
-    them converged.  The nodes and weights of each level are built once and
-    cached; the rule, its error estimate and its status codes are those of
+    modulus.  ``a`` and ``b`` are finite limits a < b, and may be arrays of
+    limits; any other limits raise :class:`DomainError`.  A half-line is
+    first taken onto a finite interval, as :func:`mellin_numeric` does.
+    The nodes and weights of each level are built once and cached; the
+    rule, its error estimate and its status codes are those of
     ``scipy.integrate.tanhsinh`` (see :func:`_tanh_sinh`).
 
     ``args`` are extra arguments of f, as in ``scipy.integrate.tanhsinh``:
     each array among them broadcasts against ``a`` and ``b``, and f receives
     each at the row of every node it is given, so its values broadcast
-    against the nodes.  With args every row is an integral of its own:
-    converged and message come back per row too, as arrays of the shape of
-    value unless that is a scalar.
+    against the nodes.  Every row of the broadcast limits and args is an
+    integral of its own, and the rows are refined side by side: value,
+    error, converged and message come back per row, as arrays of that
+    shape unless it is a scalar.
 
     With ``power`` k > 1 the lower limit must be 0, and the integral is
     taken in x = u^(1/k) as int_0^(b^(1/k)) f(x^k) k x^(k-1) dx.  An
@@ -206,11 +211,16 @@ def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0, args=()) -> Mel
     :class:`MellinResult` with the error estimate, the convergence flag,
     the number of nodes evaluated and, when flagged, a message.
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    bad = ~(np.isfinite(a) & np.isfinite(b) & (a < b))
+    if bad.any():
+        lo, hi = (np.broadcast_to(v, bad.shape)[bad][0] for v in (a, b))
+        raise DomainError(f"integrate needs finite limits a < b, got a = {lo}, b = {hi}")
     g = f
     if power != 1.0:
-        if np.any(np.asarray(a) != 0.0):
+        if np.any(a != 0.0):
             raise DomainError("a power substitution needs the lower limit 0")
-        b = np.asarray(b, dtype=float) ** (1.0 / power)
+        b = b ** (1.0 / power)
 
         def g(x, *args):
             # f is not evaluated where x^k is subnormal: those nodes are nan
@@ -222,23 +232,18 @@ def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0, args=()) -> Mel
             out[normal] = power * x[normal] ** (power - 1.0) * fu
             return out
 
-    a, b, *args = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-                                      *args)
+    a, b, *args = np.broadcast_arrays(a, b, *args)
     with np.errstate(all="ignore"):
         value, error, status, evaluations = _tanh_sinh(
             g, a.ravel(), b.ravel(), quad.abs_tol, quad.rel_tol,
             min(_FIRST_TEST_LEVEL, quad.max_level), quad.max_level, [v.ravel() for v in args])
-    if args:
-        status = status.reshape(a.shape)
-        converged = scalar_or_array(status == 0)
-        message = scalar_or_array(
-            np.frompyfunc(lambda c: _flag_message(c, quad.max_level), 1, 1)(status))
-    else:
-        converged = bool(np.all(status == 0))
-        message = _flag_message(status, quad.max_level)
-    return MellinResult(value=scalar_or_array(value.reshape(a.shape)),
-                        error=scalar_or_array(error.reshape(a.shape)), converged=converged,
-                        message=message, evaluations=evaluations)
+    status = status.reshape(a.shape)
+    return MellinResult(
+        value=scalar_or_array(value.reshape(a.shape)),
+        error=scalar_or_array(error.reshape(a.shape)), converged=scalar_or_array(status == 0),
+        message=scalar_or_array(
+            np.frompyfunc(lambda c: _flag_message(c, quad.max_level), 1, 1)(status)),
+        evaluations=evaluations)
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,18 +280,16 @@ def _nodes_through(k):
 
 
 def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel, args=()):
-    """Tanh-sinh rule on the 1-D arrays of limits a, b, refined side by side.
+    """Tanh-sinh rule on the 1-D arrays of finite limits a < b, refined
+    side by side.
 
-    Follows ``scipy.integrate.tanhsinh`` step for step, so value, error and
-    status agree with it.  Reversed limits are swapped and the sign put
-    back at the end; an infinite upper limit is mapped onto (0, 1] by
-    x = 1/t - 1 + a, an infinite lower one is reflected onto it, and
-    (-inf, inf) is mapped onto (-1, 1) by x = t / (1 - t^2).  The first
-    pass evaluates every node through ``minlevel``; each later level adds
-    its odd nodes and halves the sum before.  A node whose weighted value
-    is not finite takes the value of the outermost finite node on its side.
-    Rows leave the loop as they meet ``atol`` or ``rtol`` under Bailey's
-    error estimate (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005) or turn
+    Follows ``scipy.integrate.tanhsinh`` step for step on finite intervals,
+    so value, error and status agree with it.  The first pass evaluates
+    every node through ``minlevel``; each later level adds its odd nodes
+    and halves the sum before.  A node whose weighted value is not finite
+    takes the value of the outermost finite node on its side.  Rows leave
+    the loop as they meet ``atol`` or ``rtol`` under Bailey's error
+    estimate (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005) or turn
     non-finite, and their entries of the 1-D arrays in ``args`` leave with
     them; f(x, *args) receives each as a column against the nodes x of its
     row.  The values take the dtype, float or complex, that f returns at
@@ -298,28 +301,13 @@ def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel, args=()):
     n = a.size
     value, error = np.zeros(n), np.zeros(n)
     status = np.zeros(n, dtype=int)
-    a, b = a.copy(), b.copy()
-    # equal limits, infinite ones included, integrate to 0 with no evaluation
-    same = a == b
-    negative = b < a
-    a[negative], b[negative] = b[negative], a[negative]
-    both = np.isinf(a) & np.isinf(b)
-    a[both], b[both] = -1.0, 1.0
-    lower = np.isinf(a)
-    a[lower], b[lower] = -b[lower], -a[lower]
-    upper = np.isinf(b)
-    shift = a.copy()
-    a[upper], b[upper] = 0.0, 1.0
-    rows = np.flatnonzero(~same)
-    if rows.size == 0:
+    if n == 0:
         return value, error, status, 0
-    a, b, shift, both, lower, upper = (v[rows] for v in (a, b, shift, both, lower, upper))
-    args = [arg[rows] for arg in args]
-    mapped = bool(np.any(both | upper))
+    rows = np.arange(n)
     # abscissa, value and weight of the outermost node so far, on each side,
     # whose weighted value is finite
-    xr0, fr0, wr0 = np.full(rows.size, -np.inf), np.full(rows.size, np.nan), np.zeros(rows.size)
-    xl0, fl0, wl0 = np.full(rows.size, np.inf), np.full(rows.size, np.nan), np.zeros(rows.size)
+    xr0, fr0, wr0 = np.full(n, -np.inf), np.full(n, np.nan), np.zeros(n)
+    xl0, fl0, wl0 = np.full(n, np.inf), np.full(n, np.nan), np.zeros(n)
     evaluations = 0
     for level in range(minlevel, maxlevel + 1):
         first = level == minlevel
@@ -329,20 +317,11 @@ def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel, args=()):
         x = np.concatenate((-half * gap + b[:, None], half * gap + a[:, None]), axis=1)
         w = np.concatenate((weight * half,) * 2, axis=1)
         w[(x <= a[:, None]) | (x >= b[:, None])] = 0.0
-        t = x
-        if mapped:
-            t = x.copy()
-            t[both] = t[both] / (1.0 - t[both] ** 2)
-            t[upper] = 1.0 / t[upper] - 1.0 + shift[upper, None]
-            t[lower] *= -1.0
-        fx = np.array(f(t, *(arg[:, None] for arg in args)))
+        fx = np.array(f(x, *(arg[:, None] for arg in args)))
         fx = fx.astype(np.result_type(fx, float), copy=False)
         if first:
             value, fr0, fl0 = (v.astype(fx.dtype) for v in (value, fr0, fl0))
         evaluations += fx.size
-        if mapped:
-            fx[both] *= (1.0 + x[both] ** 2) / (1.0 - x[both] ** 2) ** 2
-            fx[upper] *= x[upper] ** -2.0
 
         # right-side nodes come first, then the left-side ones
         m = x.shape[1] // 2
@@ -387,12 +366,10 @@ def _tanh_sinh(f, a, b, atol, rtol, minlevel, maxlevel, args=()):
             break
         if stop.any():
             keep = ~stop
-            rows, a, b, shift, both, lower, upper, xr0, fr0, wr0, xl0, fl0, wl0, s, s1 = (
-                v[keep] for v in (rows, a, b, shift, both, lower, upper,
-                                  xr0, fr0, wr0, xl0, fl0, wl0, s, s1))
+            rows, a, b, xr0, fr0, wr0, xl0, fl0, wl0, s, s1 = (
+                v[keep] for v in (rows, a, b, xr0, fr0, wr0, xl0, fl0, wl0, s, s1))
             args = [arg[keep] for arg in args]
         s1, s2 = s, s1
-    value[negative] *= -1.0
     return value, error, status, evaluations
 
 

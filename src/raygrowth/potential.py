@@ -25,8 +25,7 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, ParseError, check_real, check_scalar,
                      scalar_or_array)
 from .indicator import angular_shape
-from .kernels import (ProblemParams, check_angle, check_dimension, check_one_angle, h_value,
-                      poisson_Pn)
+from .kernels import ProblemParams, check_dimension, check_one_angle, h_value, poisson_Pn
 from .mellin import MellinResult, QuadratureSpec, integrate
 
 _E = math.e
@@ -252,7 +251,7 @@ def average_N(model: MassModel, n: int, r, quad: QuadratureSpec = QuadratureSpec
                             np.log(r_arr[live] / t0), quad)
             out[live] = (n - 2) * res.value
             err[live] = (n - 2) * res.error
-            ok = res.converged
+            ok = bool(np.all(res.converged))
     out, err = (scalar_or_array(v.reshape(np.shape(r))) for v in (out, err))
     return (out, err, ok) if full_output else out
 
@@ -530,7 +529,7 @@ def counterexample_u0(rho: float, r, theta1: float):
     """
     rho = check_scalar(rho, "order rho", 0.0, 1.0, "()")
     r_arr = np.atleast_1d(check_real(r, "radius r of the counterexample", _E))
-    theta1 = check_angle(theta1)
+    theta1 = check_one_angle(theta1)
     legendre_factor = angular_shape(3, rho, theta1)  # P_rho(cos theta1)
     out = r_arr ** rho * (1.0 + np.sin(np.log(np.log(r_arr))) * legendre_factor)
     return scalar_or_array(out.reshape(np.shape(r)))

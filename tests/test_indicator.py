@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import elementwise
@@ -572,6 +573,17 @@ class TestLaplaceLogKernel:
                 want = gamma(n - 1.0 - s) * gamma(1.0 + s) / math.factorial(n - 2)
                 assert laplace_log_kernel(n, 0.0, s) == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_axis_near_the_strip_edges(self, n):
+        # s 0.02 inside (-1, n-1): the Mellin transform's power substitution
+        # keeps 12 digits there
+        for s in (-1.0 + 0.02, n - 1.0 - 0.02):
+            val, res = laplace_log_kernel(n, 0.0, s, full_output=True)
+            s_mp = mpmath.mpf(s)
+            want = mpmath.gamma(n - 1 - s_mp) * mpmath.gamma(1 + s_mp) / mpmath.factorial(n - 2)
+            assert res.converged
+            assert abs(val - want) <= 1e-12 * want
+
     def test_unit_value_at_zero(self):
         assert laplace_log_kernel(3, 0.0, 0.0) == pytest.approx(1.0, rel=1e-9)
 
@@ -584,11 +596,11 @@ class TestLaplaceLogKernel:
             strip = laplace_strip(n, 0.0)
             assert strip.lower == pytest.approx(-1.0, abs=1e-6)
             assert strip.upper == pytest.approx(n - 1.0, abs=1e-6)
-        # at theta = pi/2 the slope measurement is limited by the float
-        # roundoff of cos(pi/2), so the tolerance is looser there
+        # at theta = pi/2 the kernel takes cos(theta1) = 0 exactly, not the
+        # rounded cos(pi/2) = 6e-17
         wide = laplace_strip(4, math.pi / 2)
-        assert wide.lower == pytest.approx(-2.0, abs=1e-5)
-        assert wide.upper == pytest.approx(4.0, abs=1e-5)
+        assert wide.lower == pytest.approx(-2.0, abs=1e-6)
+        assert wide.upper == pytest.approx(4.0, abs=1e-6)
 
     def test_strip_violation(self):
         with pytest.raises(StripViolationError):
@@ -600,6 +612,16 @@ class TestLaplaceLogKernel:
         vals = [laplace_log_kernel(5, math.pi / 4, s) for s in np.linspace(-0.5, 1.0, 7)]
         assert all(v > 0 for v in vals)
         assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
+
+    @pytest.mark.parametrize("n,s", [(5, 4.087), (3, -1.5)])
+    def test_half_pi_takes_cos_zero(self, n, s):
+        # with cos = 0, k(t) = n e^{nt} (1 + e^{2t})^{-n/2-1}, whose transform
+        # is (n/2) B((n-s)/2, 1+s/2) on (-2, n); the rounded cos(pi/2) once
+        # gave 1e302 here
+        want = n / 2 * mpmath.beta((n - mpmath.mpf(s)) / 2, 1 + mpmath.mpf(s) / 2)
+        val, res = laplace_log_kernel(n, math.pi / 2, s, full_output=True)
+        assert res.converged
+        assert abs(val - want) <= 1e-12 * want
 
     def test_full_output(self):
         val, res = laplace_log_kernel(4, 0.2, 0.4, full_output=True)

@@ -121,6 +121,8 @@ ANGLE_ENTRIES = {
                           lambda th: scaled_limit(PW, P35, np.array([0.3, th]), (1e2, 1e4, 5))),
     "laplacian_u0 pair": ("theta1", math.pi, False,
                           lambda th: laplacian_u0(0.5, 10.0, np.array([0.3, th]))),
+    "counterexample_u0 pair": ("theta1", math.pi, False,
+                               lambda th: counterexample_u0(0.5, 10.0, [0.3, th])),
 }
 
 
@@ -197,6 +199,15 @@ PARAMETER_ENTRIES = {
                                [0.3, 0.0]),
     "ProblemParams delta pair": ("type constant delta",
                                  lambda v: ProblemParams(3, 0.5, [1.0, v]), [1.0, -1.0]),
+    "ProblemParams n pair": ("dimension n", lambda v: ProblemParams([3, v], 0.5), [4, 2.5]),
+    "h_value q pair": ("subtraction degree q", lambda v: h_value(1.5, np.array([1, v]), 0.3, 0.3),
+                       [2, -1]),
+    "gegenbauer j pair": ("Gegenbauer degree j", lambda v: gegenbauer(1.5, [2, v], 0.3),
+                          [3, NAN]),
+    "rising_ratio m pair": ("number of factors m", lambda v: rising_ratio(0.5, np.array([2, v])),
+                            [3, 2.5]),
+    "QuadratureSpec max_level pair": ("max_level", lambda v: QuadratureSpec(max_level=[10, v]),
+                                      [10, INF]),
     "angular_shape rho pair": ("order rho", lambda v: angular_shape(3, [0.3, v], 0.3),
                                [0.4, NAN]),
     "counterexample_u0 rho pair": ("order rho",
@@ -377,8 +388,8 @@ class TestEnvelope:
 
 
 def _exp_integral(b):
-    """Value and error of the integral of e^u from -inf to b."""
-    res = tanh_sinh(np.exp, -INF, b, QuadratureSpec())
+    """Value and error of the integral of e^u from -1 to b."""
+    res = tanh_sinh(np.exp, -1.0, b, QuadratureSpec())
     return res.value, res.error
 
 

@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import tanhsinh
 
 import raygrowth
+from raygrowth.errors import DomainError
 from raygrowth.mellin import QuadratureSpec, _level_nodes, _nodes_through, integrate
 
 INF = np.inf
@@ -22,24 +23,18 @@ CASES = {
     "exp": (np.exp, 0.0, 1.0),
     "inverse_sqrt": (lambda x: x ** -0.5, 0.0, 1.0),
     "log": (np.log, 0.0, 1.0),
-    "cauchy_half_line": (lambda x: 1.0 / (1.0 + x * x), 0.0, INF),
-    "exp_left_half_line": (np.exp, -INF, 0.0),
-    "gauss_whole_line": (lambda x: np.exp(-x * x), -INF, INF),
     "mixed_limits": (lambda x: np.exp(-x * x),
-                     np.array([0.0, -INF, 1.0, -INF, 2.0, 3.0]),
-                     np.array([1.0, 0.0, INF, INF, 5.0, 2.0])),
+                     np.array([0.0, -3.0, 1.0, -2.0, 2.0, -1.0]),
+                     np.array([1.0, 0.0, 4.0, 2.0, 5.0, 3.0])),
     # rows converge at different levels and leave the loop one by one
     "rows_leave_at_different_levels": (np.cos, np.zeros(4), np.array([1.0, 10.0, 40.0, 1e3])),
     "nan_near_limit": (lambda x: np.where(x > 1.0 - 1e-9, np.nan, np.sqrt(1.0 - x)), 0.0, 1.0),
-    "nan_in_tails": (lambda x: np.where(np.abs(x) > 30.0, np.nan, np.exp(-x * x)), -INF, INF),
-    "equal_limits": (np.exp, 1.0, 1.0),
+    "nan_in_tails": (lambda x: np.where(np.abs(x) > 30.0, np.nan, np.exp(-x * x)), -40.0, 40.0),
     # complex integrands give complex values, as in scipy
     "complex_exp": (lambda x: np.exp(1j * x), 0.0, 1.0),
-    "complex_power_half_line": (lambda x: x ** (0.3 + 0.7j) * np.exp(-x), 0.0, INF),
-    "complex_gauss_whole_line": (lambda x: np.exp((-1.0 + 2.0j) * x * x), -INF, INF),
     "complex_mixed_limits": (lambda x: np.exp((-1.0 + 2.0j) * x * x),
-                             np.array([0.0, -INF, 1.0, -INF, 2.0, 3.0]),
-                             np.array([1.0, 0.0, INF, INF, 5.0, 2.0])),
+                             np.array([0.0, -3.0, 1.0, -2.0, 2.0, -1.0]),
+                             np.array([1.0, 0.0, 4.0, 2.0, 5.0, 3.0])),
 }
 
 
@@ -61,10 +56,12 @@ def assert_same_as_scipy(f, a, b, quad):
         ratio = error / ref.error
     assert np.all(both_zero | ((ratio >= 0.5) & (ratio <= 2.0))
                   | (np.isnan(error) & np.isnan(ref.error)))
-    status = np.atleast_1d(ref.status)
-    assert res.converged == bool(np.all(status == 0))
-    assert ("maximum level reached" in res.message) == bool(np.any(status == -2))
-    assert ("non-finite" in res.message) == bool(np.any(status == -3))
+    # every row is an integral of its own, with its own flag and message
+    for status, converged, message in zip(np.ravel(ref.status), np.ravel(res.converged),
+                                          np.ravel(res.message)):
+        assert converged == (status == 0)
+        assert ("maximum level reached" in message) == (status == -2)
+        assert ("non-finite" in message) == (status == -3)
     return res, ref
 
 
@@ -72,7 +69,21 @@ def assert_same_as_scipy(f, a, b, quad):
 def test_matches_scipy(name):
     f, a, b = CASES[name]
     res, _ = assert_same_as_scipy(f, a, b, QuadratureSpec())
-    assert res.converged
+    assert np.all(res.converged)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, INF), (-INF, 0.0), (-INF, INF), (0.0, np.nan),
+                                 (1.0, 0.0), (1.0, 1.0), (np.zeros(2), np.array([1.0, 0.0]))])
+def test_refuses_limits_other_than_finite_a_below_b(a, b):
+    # half-lines go through a substitution onto a finite interval first, as
+    # in mellin_numeric
+    with pytest.raises(DomainError, match=r"^integrate needs finite limits a < b, got a = "):
+        integrate(np.exp, a, b, QuadratureSpec())
+
+
+def test_no_rows_no_evaluations():
+    res = integrate(np.exp, np.zeros(0), np.ones(0), QuadratureSpec())
+    assert res.value.shape == res.converged.shape == (0,) and res.evaluations == 0
 
 
 def test_max_level_flag_matches_scipy():
@@ -129,12 +140,13 @@ def test_cli_import_does_not_load_scipy_integrate():
 
 
 # integrands with an argument c, one integral per value of c: (f, a, b,
-# power), over finite, mapped and power-substituted ranges
+# power), over finite and power-substituted ranges; the e^-x cases are cut
+# at 40, where e^-x is below 5e-18
 ARGS_CASES = {
     "finite": (lambda x, c: np.cos(c * x), 0.0, 2.0, 1.0),
-    "half_line": (lambda x, c: np.cos(c * x) * np.exp(-x), 0.0, INF, 1.0),
+    "half_line": (lambda x, c: np.cos(c * x) * np.exp(-x), 0.0, 40.0, 1.0),
     "power_substitution": (lambda u, c: u ** -0.7 * np.cos(c * u), 0.0, 1.0, 4.0),
-    "complex": (lambda x, c: np.exp(1j * c * x) * np.exp(-x), 0.0, INF, 1.0),
+    "complex": (lambda x, c: np.exp(1j * c * x) * np.exp(-x), 0.0, 40.0, 1.0),
 }
 
 
@@ -175,7 +187,7 @@ def test_unconverged_row_flags_only_itself():
     assert res.converged.tolist() == [True, False, True]
     assert res.message.tolist() == ["", "tanh-sinh: maximum level reached (max_level 2)", ""]
     assert np.allclose(res.value[[0, 2]], [1 / 3, 1 / 2], rtol=1e-14)
-    # without args the rows are parts of one result, flagged as a whole
-    whole = integrate(lambda x: x ** np.array([[2.0], [-1.0], [1.0]]), 0.0, np.ones(3), quad)
-    assert whole.converged is False
-    assert whole.message == "tanh-sinh: maximum level reached (max_level 2)"
+    # without args, rows of limits are integrals of their own just the same
+    rows = integrate(lambda x: x ** np.array([[2.0], [-1.0], [1.0]]), 0.0, np.ones(3), quad)
+    assert rows.converged.tolist() == res.converged.tolist()
+    assert rows.message.tolist() == res.message.tolist()
