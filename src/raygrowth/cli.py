@@ -203,11 +203,9 @@ def cmd_indicator(args) -> int:
     thetas = _thetas(args, params)
     quad = _quad_from(tol)
     finite = [th for th in thetas if th != math.pi]
-    # the closed form angle by angle, then the oracle for every angle in one
-    # call; a bad angle is reported by the closed form, as it comes first
-    closed = [float(indicator_closed(params, th)) for th in finite]
+    closed = indicator_closed(params, finite)
     values, res = indicator_integral(params, finite, quad, full_output=True)
-    results = zip(closed, values.tolist(), res.converged.tolist(), res.message.tolist())
+    results = zip(closed.tolist(), values.tolist(), res.converged.tolist(), res.message.tolist())
     rows = []
     failed = False
     for th in thetas:

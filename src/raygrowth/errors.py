@@ -114,7 +114,7 @@ def check_scalar(x, name, lo=-math.inf, hi=math.inf, closed="[]") -> float:
     return x
 
 
-def scalar_or_array(out):
+def scalar_or_array(out, *inputs):
     """A 0-d result as a Python float (or complex), any other as its ndarray.
 
     Every function of the package that takes a scalar or an array returns
@@ -122,10 +122,13 @@ def scalar_or_array(out):
     list or an array of any other shape gives an ndarray of that shape.
     Arithmetic on a 0-d array yields numpy scalars, whose power can differ
     from the array loop's in the last bit; a function that raises its whole
-    input to a power therefore works on a 1-d array and reshapes the result
-    to the input's shape before it returns here.
+    input to a power therefore works on ``np.atleast_1d`` of its inputs and
+    passes them as given in ``inputs``, and the result is reshaped to their
+    broadcast shape here.
     """
     out = np.asarray(out)
+    if inputs:
+        out = out.reshape(np.broadcast_shapes(*map(np.shape, inputs)))
     return out.item() if out.ndim == 0 else out
 
 

@@ -48,9 +48,10 @@ _ROOT_TOLERANCES = {"xatol": 1e-15, "xrtol": 4 * np.finfo(float).eps, "fatol": 0
 _ROOT_MAXITER = 2046
 
 
-def _chandrupatla(f, a, b, xatol, xrtol, fatol):
+def _chandrupatla(f, a, b, ends, xatol, xrtol, fatol):
     """Chandrupatla's bracketing method (Adv. Eng. Softw. 28 (1997) 145) on
-    every bracket [a, b] at once; returns (x, status) flattened.
+    every bracket [a, b] at once; returns (x, status) flattened.  ``ends``
+    are f at a and at b, or None to evaluate them.
 
     Follows ``scipy.optimize.elementwise.find_root`` step for step, so the
     roots agree with it bit for bit.  status is 0 for a root, -1 when a
@@ -59,7 +60,9 @@ def _chandrupatla(f, a, b, xatol, xrtol, fatol):
     leave the working arrays, so f only sees the ones still open.
     """
     x1, x2 = (v.flatten() for v in np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float)))
-    f1, f2 = np.asarray(f(x1), dtype=float), np.asarray(f(x2), dtype=float)
+    if ends is None:
+        ends = f(x1), f(x2)
+    f1, f2 = (np.broadcast_to(np.asarray(v, dtype=float), x1.shape) for v in ends)
     x, status = np.full(x1.size, np.nan), np.full(x1.size, -2)
     open_ = np.arange(x1.size)
     x3, f3 = x2, f2  # the third point; first read after the first step
@@ -106,13 +109,14 @@ def _chandrupatla(f, a, b, xatol, xrtol, fatol):
         nit += 1
 
 
-def _refine_roots(f, a, b):
+def _refine_roots(f, a, b, ends=None):
     """Roots of the elementwise function f in the sign-change brackets
     [a, b] (arrays, or scalars for one root), all refined together by
     Chandrupatla's method: each iteration makes one call of f on the array
-    of roots still open.
+    of roots still open.  ``ends``, the values of f at a and at b, are
+    evaluated unless the caller has them.
     """
-    x, status = _chandrupatla(f, a, b, **_ROOT_TOLERANCES)
+    x, status = _chandrupatla(f, a, b, ends, **_ROOT_TOLERANCES)
     if np.any(status):
         raise ConvergenceError(f"root refinement failed with status {np.unique(status)}")
     return x.reshape(np.broadcast_shapes(np.shape(a), np.shape(b)))[()]
@@ -155,7 +159,8 @@ def angular_shape(n, rho, theta):
     n = check_dimension(n, lowest=2)
     rho = check_scalar(rho, "order rho", 0.0, math.inf, "()")
     theta = check_angle(theta, name="theta")
-    return legendre_weighted(rho + (n - 3.0) / 2.0, (3.0 - n) / 2.0, np.sin(0.5 * theta) ** 2)
+    x = np.sin(0.5 * np.atleast_1d(theta)) ** 2
+    return scalar_or_array(legendre_weighted(rho + (n - 3.0) / 2.0, (3.0 - n) / 2.0, x), theta)
 
 
 def _indicator_coefficient(params: ProblemParams) -> float:
@@ -406,11 +411,8 @@ def solve_order(n: int, delta_bar: float) -> float:
     the range of the right side.
     """
     delta_bar = check_scalar(delta_bar, "delta_bar")
-    x, status = _chandrupatla(lambda rho: order_equation_rhs(n, rho) - delta_bar,
-                              _ORDER_EDGE, _order_branch_end(n), **_ROOT_TOLERANCES)
-    if status[0] == -1:
-        # no sign change over the branch: delta_bar is outside its range
-        lo, hi = order_equation_range(n)
+    lo, hi = order_equation_range(n)
+    if not lo <= delta_bar <= hi:
         if n == 3 and 0.0 < lo - delta_bar < 1e-9:
             return 0.5
         raise OutOfRangeError(
@@ -419,9 +421,8 @@ def solve_order(n: int, delta_bar: float) -> float:
             lo=lo,
             hi=hi,
         )
-    if status[0]:
-        raise ConvergenceError(f"root refinement failed with status {status}")
-    return float(x[0])
+    return float(_refine_roots(lambda rho: order_equation_rhs(n, rho) - delta_bar,
+                               _ORDER_EDGE, _order_branch_end(n), (hi - delta_bar, lo - delta_bar)))
 
 
 def laplace_strip(n: int, theta1: float) -> MellinStrip:
@@ -433,9 +434,12 @@ def laplace_strip(n: int, theta1: float) -> MellinStrip:
     comes out as (-1, n-1); at theta1 = pi/2 the cosine term dies and the
     strip widens to (-2, n).
     """
-    # T large enough for asymptopia, small enough that float roundoff in
-    # cos(theta1) cannot yet contaminate the tail
-    T = 25.0
+    # past t = ln(n / ((n-1) cos theta1)) the cosine term of k's numerator
+    # outweighs the next one, so the log-slope at T, 25 beyond it, is the
+    # decay rate to about e^-23; where cos theta1 <= 0, T is 25
+    n = check_dimension(n)
+    c = math.cos(theta1)
+    T = 25.0 + math.log(n / ((n - 1) * c)) if c > 0.0 else 25.0
     _, ln_a = log_kernel_signed_ln(n, theta1, T - 2.0)
     _, ln_b = log_kernel_signed_ln(n, theta1, T)
     rate_plus = 0.5 * (ln_a - ln_b)

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, check_integer, check_real, check_scalar,
-                     scalar_or_array)
-from .specfun import gegenbauer_terms, series_converged
+from .errors import DomainError, check_integer, check_real, check_scalar, scalar_or_array
+from .specfun import gegenbauer_terms, sum_series
 
 # Below this radial ratio the subtracted kernel is evaluated through its
 # polynomial tail series instead of the direct difference, which would lose
@@ -102,31 +101,22 @@ def riesz_k(lam, t, xi):
     """
     lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
     xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0)
-    t = np.asarray(check_real(t, "radial ratio t", 0.0))
-    base = 1.0 + t * t + 2.0 * t * xi
+    t = check_real(t, "radial ratio t", 0.0)
+    t1 = np.atleast_1d(t)
+    base = 1.0 + t1 * t1 + 2.0 * t1 * xi
     if np.any(base <= 0.0):
         raise DomainError("riesz_k undefined: 1 + t^2 + 2 t xi <= 0")
-    return scalar_or_array(base ** (-lam))
+    return scalar_or_array(base ** (-lam), t, xi, lam)
 
 
-def _h_tail_series(lam, q, u, xi):
-    """h via its Gegenbauer tail -sum_{j>q} (-u)^j G_j(xi); needs u < 1."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    terms = gegenbauer_terms(lam, np.broadcast_to(xi, u.shape))
-    next(terms)  # G_0 is in the section for every q >= 0
-    pw = -u  # (-u)^j starting at j=1
-    term = -pw * next(terms)
-    total = term.copy() if q == 0 else np.zeros_like(u)
-    for j, g in zip(range(2, _TAIL_MAX_TERMS), terms):
-        pw = pw * (-u)
+def _h_tail_terms(lam, q, u, xi):
+    """Yield the terms -(-u)^j G_j(xi), j = q+1, q+2, ..., of the Gegenbauer
+    tail of h, whose sum is h for u < 1."""
+    pw, step = np.ones_like(u), -u
+    for j, g in enumerate(gegenbauer_terms(lam, xi)):
         if j > q:
-            prev, term = term, -pw * g
-            total += term
-            # the last two terms are both in the tail once j > q + 1
-            if j > q + 1 and series_converged(j, prev, term, total, _TAIL_RTOL):
-                return total
-    raise ConvergenceError(f"h tail series did not converge within {_TAIL_MAX_TERMS} terms "
-                           f"(lam={lam}, q={q}, worst u={float(np.max(u))})")
+            yield -pw * g
+        pw = pw * step
 
 
 def h_value(lam, q, u, xi):
@@ -144,7 +134,9 @@ def h_value(lam, q, u, xi):
     out = np.zeros(u_arr.shape)
     near = u_arr < _TAIL_SWITCH
     if np.any(near):
-        out[near] = _h_tail_series(lam, q, u_arr[near], xi[near])
+        un = u_arr[near]
+        out[near] = sum_series(_h_tail_terms(lam, q, un, xi[near]), "h tail series", lambda: (
+            f"lam={lam}, q={q}, worst u={float(np.max(un))}"), _TAIL_RTOL, _TAIL_MAX_TERMS, q + 1)
     far = ~near
     if np.any(far):
         uf, xf = u_arr[far], xi[far]
@@ -182,16 +174,17 @@ def weierstrass_K(params: ProblemParams, r, t, theta1):
     t = check_real(t, "mass radius t", 0.0, math.inf, "()")
     n, q = params.n, params.q
     lam = params.lam
-    r = np.asarray(check_real(r, "radius r", 0.0))
+    r = check_real(r, "radius r", 0.0)
+    r1, t1 = np.atleast_1d(r), np.atleast_1d(t)
     cos_psi = -np.cos(theta1)  # angle between x and the negative axis
-    dist2 = r * r + t * t - 2.0 * r * t * cos_psi
+    dist2 = r1 * r1 + t1 * t1 - 2.0 * r1 * t1 * cos_psi
     if np.any(dist2 <= 0.0):
         raise DomainError("observation point coincides with the mass point")
     out = -(dist2 ** (-lam))
-    tp = t ** (2 - n)
+    tp = t1 ** (2 - n)
     for j, g in zip(range(q + 1), gegenbauer_terms(lam, cos_psi)):
-        out = out + tp * (r / t) ** j * g
-    return scalar_or_array(out)
+        out = out + tp * (r1 / t1) ** j * g
+    return scalar_or_array(out, r, t, theta1)
 
 
 def poisson_Pn(n, r, t, theta1):

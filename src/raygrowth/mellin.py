@@ -151,20 +151,8 @@ class MellinResult:
 
     @staticmethod
     def total(pieces) -> "MellinResult":
-        """Sum of a list of results, over the pieces and then over the rows.
-
-        Every row of :func:`integrate` is an integral of its own, and this is
-        the one place where rows are added into one quantity.  The sum
-        converged if every row of every piece did.
-        """
-        res = functools.reduce(operator.add, pieces)
-        if not isinstance(res.value, np.ndarray):
-            return res
-        return MellinResult(
-            value=scalar_or_array(np.sum(res.value)), error=scalar_or_array(np.sum(res.error)),
-            converged=bool(np.all(res.converged)),
-            message=_join(np.ravel(res.message)),
-            evaluations=res.evaluations)
+        """Sum of a list of results; it converged if every piece did."""
+        return functools.reduce(operator.add, pieces)
 
     def scaled(self, c) -> "MellinResult":
         """The result times the constant c."""

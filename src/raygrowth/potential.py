@@ -209,7 +209,7 @@ def counting_n(model: MassModel, n: int, t):
         out = np.zeros_like(t_arr)
         live = t_arr > model.t0
         out[live] = model.profile(t_arr[live])
-    return scalar_or_array(out.reshape(np.shape(t)))
+    return scalar_or_array(out, t)
 
 
 def average_N(model: MassModel, n: int, r, quad: QuadratureSpec = QuadratureSpec(),
@@ -252,7 +252,7 @@ def average_N(model: MassModel, n: int, r, quad: QuadratureSpec = QuadratureSpec
             out[live] = (n - 2) * res.value
             err[live] = (n - 2) * res.error
             ok = bool(np.all(res.converged))
-    out, err = (scalar_or_array(v.reshape(np.shape(r))) for v in (out, err))
+    out, err = (scalar_or_array(v, r) for v in (out, err))
     return (out, err, ok) if full_output else out
 
 
@@ -532,7 +532,7 @@ def counterexample_u0(rho: float, r, theta1: float):
     theta1 = check_one_angle(theta1)
     legendre_factor = angular_shape(3, rho, theta1)  # P_rho(cos theta1)
     out = r_arr ** rho * (1.0 + np.sin(np.log(np.log(r_arr))) * legendre_factor)
-    return scalar_or_array(out.reshape(np.shape(r)))
+    return scalar_or_array(out, r)
 
 
 def laplacian_u0(rho: float, r: float, theta1: float):

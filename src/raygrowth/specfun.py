@@ -197,37 +197,48 @@ def gegenbauer(lam, j, xi):
     return scalar_or_array(next(itertools.islice(gegenbauer_terms(lam, xi), j, None)))
 
 
-def series_converged(k, prev, term, total, rtol) -> bool:
-    """Stopping rule shared by every series in the package.
+def sum_series(terms, name, detail, rtol, max_terms, first=0):
+    """Sum of the series whose terms, from index ``first`` on, the iterator
+    ``terms`` yields as arrays of one shape; the one loop of the package
+    that sums a series.
 
-    True when ``k`` is a multiple of :data:`SERIES_CHECK_STRIDE` and the
-    last two terms ``prev`` and ``term`` are at most ``rtol * |total|`` at
-    every point.  A series thus stops at most ``SERIES_CHECK_STRIDE - 1``
-    terms after the first index where both terms are small.
+    Every point stops on its own, at the first index k > ``first`` that is
+    a multiple of :data:`SERIES_CHECK_STRIDE` where its last two terms are
+    at most ``rtol`` times its partial sum, and keeps the sum it has there;
+    so a point's value does not depend on the other points of the call.  If
+    a point is still open at index ``max_terms``, the call raises
+    :class:`ConvergenceError` "<name> did not converge within <max_terms>
+    terms (<detail()>)".
     """
-    if k % SERIES_CHECK_STRIDE:
-        return False
-    bound = rtol * np.maximum(np.abs(total), 1e-300)
-    return bool(np.all((np.abs(prev) <= bound) & (np.abs(term) <= bound)))
+    for k, term in zip(range(first, max_terms), terms):
+        if k == first:
+            total, out, open_ = np.zeros_like(term), np.empty_like(term), np.ones(term.shape, bool)
+        total += term
+        if k > first and k % SERIES_CHECK_STRIDE == 0:
+            bound = rtol * np.maximum(np.abs(total), 1e-300)
+            done = (np.maximum(np.abs(prev), np.abs(term)) <= bound) & open_
+            if np.count_nonzero(done):
+                np.putmask(out, done, total)
+                open_ ^= done
+            if not np.count_nonzero(open_):
+                return out
+        prev = term
+    raise ConvergenceError(f"{name} did not converge within {max_terms} terms ({detail()})")
 
 
 def _series_2f1(a, b, c, x):
     """Plain power series for 2F1 at argument array x (|x| < 1)."""
     x = np.asarray(x)
     cplx = any(isinstance(v, complex) for v in (a, b, c)) or np.iscomplexobj(x)
-    dtype = complex if cplx else float
-    term = np.ones(x.shape, dtype=dtype)
-    total = np.ones(x.shape, dtype=dtype)
-    for k in range(SERIES_MAX_TERMS):
-        prev = term
-        term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k))) * x
-        total += term
-        if series_converged(k + 1, prev, term, total, SERIES_RTOL):
-            return total
-    raise ConvergenceError(
-        f"2F1 series did not converge within {SERIES_MAX_TERMS} terms "
-        f"(a={a}, b={b}, c={c}, worst |x|={float(np.max(np.abs(x)))})"
-    )
+
+    def terms():
+        term = np.ones(x.shape, dtype=complex if cplx else float)
+        for k in itertools.count():
+            yield term
+            term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k))) * x
+
+    return sum_series(terms(), "2F1 series", lambda: (
+        f"a={a}, b={b}, c={c}, worst |x|={float(np.max(np.abs(x)))}"), SERIES_RTOL, SERIES_MAX_TERMS)
 
 
 def _2f1_near_one_nonint(a, b, c, x):
@@ -265,31 +276,25 @@ def _2f1_near_one_logcase(a, b, m, x):
         part1 = part1 * gamma(m) * rgamma(a + m) * rgamma(b + m)
     # logarithmic series
     lnw = np.log(w)
-    fac = 1.0
-    for k in range(2, m + 1):
-        fac *= k
-    coef = 1.0 / fac  # (a+m)_0 (b+m)_0 / (0! m!)
-    wk = np.ones(w.shape, dtype=dtype)
-    total = np.zeros(w.shape, dtype=dtype)
-    psi_a = digamma(a + m)
-    psi_b = digamma(b + m)
-    psi_k1 = -EULER_GAMMA          # psi(1)
-    psi_km1 = digamma(m + 1.0)
-    term = np.zeros(w.shape, dtype=dtype)
-    for k in range(SERIES_MAX_TERMS):
-        prev = term
-        term = coef * wk * (lnw - psi_k1 - psi_km1 + psi_a + psi_b)
-        total = total + term
-        if k and series_converged(k, prev, term, total, SERIES_RTOL):
-            break
-        coef *= (a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))
-        wk = wk * w
-        psi_k1 += 1.0 / (k + 1.0)
-        psi_km1 += 1.0 / (k + m + 1.0)
-        psi_a += 1.0 / (a + m + k)
-        psi_b += 1.0 / (b + m + k)
-    else:
-        raise ConvergenceError("2F1 log-case series did not converge")
+
+    def terms():
+        coef = 1.0 / math.prod(range(2, m + 1), start=1.0)  # (a+m)_0 (b+m)_0 / (0! m!)
+        wk = np.ones(w.shape, dtype=dtype)
+        psi_a = digamma(a + m)
+        psi_b = digamma(b + m)
+        psi_k1 = -EULER_GAMMA          # psi(1)
+        psi_km1 = digamma(m + 1.0)
+        for k in itertools.count():
+            yield coef * wk * (lnw - psi_k1 - psi_km1 + psi_a + psi_b)
+            coef *= (a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))
+            wk = wk * w
+            psi_k1 += 1.0 / (k + 1.0)
+            psi_km1 += 1.0 / (k + m + 1.0)
+            psi_a += 1.0 / (a + m + k)
+            psi_b += 1.0 / (b + m + k)
+
+    total = sum_series(terms(), "2F1 log-case series", lambda: (
+        f"a={a}, b={b}, m={m}, worst |1-x|={float(np.max(np.abs(w)))}"), SERIES_RTOL, SERIES_MAX_TERMS)
     sign = -1.0 if m % 2 else 1.0
     part2 = sign * rgamma(a) * rgamma(b) * np.exp(m * lnw) * total
     return gamma(a + b + m) * (part1 - part2)
@@ -364,9 +369,10 @@ def legendre_weighted(nu, mu, x):
     :func:`legendre_p_cut` recurs in the order for those.  ``x`` may be a
     scalar or ndarray.
     """
-    x = np.asarray(check_real(x, "legendre_weighted argument x", 0.0, 1.0, "[)"))
-    return scalar_or_array(rgamma(1.0 - mu) * (2.0 * (1.0 - x)) ** mu
-                           * hyp2f1(-nu, nu + 1.0, 1.0 - mu, x))
+    x = check_real(x, "legendre_weighted argument x", 0.0, 1.0, "[)")
+    x1 = np.atleast_1d(x)
+    out = rgamma(1.0 - mu) * (2.0 * (1.0 - x1)) ** mu * hyp2f1(-nu, nu + 1.0, 1.0 - mu, x1)
+    return scalar_or_array(out, x)
 
 
 def legendre_p_cut(nu, mu, xi):
@@ -407,4 +413,4 @@ def legendre_p_cut(nu, mu, xi):
 
     if not np.all(np.isfinite(out)):
         raise ConvergenceError("legendre_p_cut produced a non-finite value")
-    return _maybe_real(scalar_or_array(out.reshape(np.shape(xi))))
+    return _maybe_real(scalar_or_array(out, xi))

@@ -123,6 +123,19 @@ class TestIndicatorCommand:
         # two levels flag every angle but pi, one of them in one piece only
         assert err.count("quadrature flagged") == (4 if max_level == 2 else 0)
 
+    def test_closed_forms_table_equals_one_angle_runs(self, tmp_path):
+        # both columns are computed in one call for all angles; each row is
+        # still the angle's own run
+        argv = ("indicator", "--n", "4", "--rho", "5.58")
+        angles = ("0.26", "0.43", "2.85")
+
+        def data_rows(text):
+            return [l for l in text.splitlines() if not l.startswith(("#", "theta"))]
+
+        _, text = run_cli(tmp_path, *argv, "--theta", ",".join(angles))
+        rows = [row for angle in angles for row in data_rows(run_cli(tmp_path, *argv, "--theta", angle)[1])]
+        assert data_rows(text) == rows and len(rows) == len(angles)
+
     @pytest.mark.parametrize("tol,spec", [
         (1e-3, QuadratureSpec()), (1e-6, QuadratureSpec()), (1e-10, QuadratureSpec()),
         (1e-12, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)),
@@ -133,17 +146,21 @@ class TestIndicatorCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_theta_pi_row(self, tmp_path, fmt):
-        # the closed form is -inf at theta1 = pi; the integral is not run there
-        code, text = run_cli(tmp_path, "indicator", "--theta", "180deg", "--format", fmt)
-        assert code == 0
-        if fmt == "csv":
-            row = [l for l in text.splitlines() if not l.startswith(("#", "theta"))][0]
-            assert row.split(",")[2:] == ["-inf", "nan", "-inf", "nan"]
-        else:
-            (row,) = json.loads(text)["rows"]
-            assert row["theta1_deg"] == 180.0
-            assert [row[c] for c in ("H_closed", "H_integral", "H_asymptotic", "abs_diff")] \
-                == ["-inf", "nan", "-inf", "nan"]
+        # the closed form is -inf at theta1 = pi; the integral is not run
+        # there.  With pi the only angle, the closed forms are called on no
+        # angle at all; at n = 4 (rho = 1/2) their series terminates
+        for n in ("3", "4"):
+            code, text = run_cli(tmp_path, "indicator", "--n", n, "--theta", "180deg",
+                                 "--format", fmt)
+            assert code == 0
+            if fmt == "csv":
+                row = [l for l in text.splitlines() if not l.startswith(("#", "theta"))][0]
+                assert row.split(",")[2:] == ["-inf", "nan", "-inf", "nan"]
+            else:
+                (row,) = json.loads(text)["rows"]
+                assert row["theta1_deg"] == 180.0
+                assert [row[c] for c in ("H_closed", "H_integral", "H_asymptotic", "abs_diff")] \
+                    == ["-inf", "nan", "-inf", "nan"]
 
     def test_series_failure_exit_code(self, capsys):
         # at n = 172 the tail series of h stops at its term cap: a tolerance

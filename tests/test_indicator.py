@@ -150,10 +150,7 @@ class TestIndicatorIntegral:
             assert res.converged[k] == one.converged
 
     def test_array_of_angles_matches_one_angle_calls(self):
-        # on random draws, with flagged angles among them.  The tail series of
-        # h stops on every node of a call at once, so an angle integrated
-        # with others can take a few more terms: its value and its error
-        # estimate may move by an ulp or two of the value
+        # on random draws, with flagged angles among them
         rng = np.random.default_rng(7)
         quads = (QuadratureSpec(), TIGHT, QuadratureSpec(max_level=3))
         flags = set()
@@ -166,9 +163,8 @@ class TestIndicatorIntegral:
             evaluations = 0
             for k in np.ndindex(thetas.shape):
                 val, one = indicator_integral(p, thetas[k], quad, full_output=True)
-                ulp = np.spacing(abs(val))
-                assert abs(vals[k] - val) <= 4 * ulp or np.isnan([vals[k], val]).all()
-                assert abs(res.error[k] - one.error) <= 4 * ulp or np.isnan([vals[k], val]).all()
+                assert repr(float(vals[k])) == repr(val)
+                assert repr(float(res.error[k])) == repr(one.error)
                 assert (res.converged[k], res.message[k]) == (one.converged, one.message)
                 flags.add(one.converged)
                 evaluations += one.evaluations
@@ -283,7 +279,8 @@ class TestZeroSet:
             zero_set(P35)
 
 
-def _scipy_refine(f, a, b):
+def _scipy_refine(f, a, b, ends=None):
+    # find_root evaluates f at the bracket ends itself
     res = elementwise.find_root(f, (a, b), tolerances=indicator._ROOT_TOLERANCES)
     assert np.all(res.success)
     return res.x
@@ -458,8 +455,8 @@ class TestOrderEquation:
 
     @pytest.mark.parametrize("n,delta_bar,calls", [
         (4, 0.7, 9), (3, 0.9, 9), (10, 0.3, 10), (172, 0.05, 11),
-        # no sign change: the two bracket ends, then the two ends of the range
-        (4, 5.0, 4), (3, 0.7853981628974482, 4),
+        # out of range: the two ends of the range only
+        (4, 5.0, 2), (3, 0.7853981628974482, 2),
     ])
     def test_bracket_ends_evaluated_once(self, monkeypatch, n, delta_bar, calls):
         seen = []
@@ -601,6 +598,16 @@ class TestLaplaceLogKernel:
         wide = laplace_strip(4, math.pi / 2)
         assert wide.lower == pytest.approx(-2.0, abs=1e-6)
         assert wide.upper == pytest.approx(4.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    def test_strip_next_to_half_pi(self, n):
+        # the cosine term of the kernel takes over ever further out as
+        # theta1 nears pi/2; the probe follows it
+        for d in (1e-15, 1e-13, 1e-10, 1e-6, 1e-2):
+            strip = laplace_strip(n, math.pi / 2 - d)
+            assert (strip.lower, strip.upper) == (-1.0, n - 1.0)
+        with pytest.raises(StripViolationError):
+            laplace_log_kernel(5, math.pi / 2 - 1e-10, -1.2826)
 
     def test_strip_violation(self):
         with pytest.raises(StripViolationError):

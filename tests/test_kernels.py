@@ -9,6 +9,7 @@ from raygrowth.errors import (ConvergenceError, DomainError, check_integer, chec
                               check_scalar, scalar_or_array)
 from raygrowth.indicator import (
     angular_shape,
+    indicator_closed,
     indicator_integral,
     indicator_near_pi,
     laplace_log_kernel,
@@ -407,9 +408,12 @@ SHAPE_ENTRIES = {
     "legendre_p_cut": (lambda x: legendre_p_cut(1.5, -0.5, x), 0.3, float),
     "legendre_p_cut integer order": (lambda x: legendre_p_cut(2.5, 1.0, x), 0.3, float),
     "riesz_k": (lambda t: riesz_k(1.5, t, 0.3), 0.4, float),
+    "riesz_k xi": (lambda xi: riesz_k(1.5, 0.4, xi), 0.3, float),
     "h_value": (lambda u: h_value(1.5, 1, u, 0.3), 0.3, float),
     "h_value far": (lambda u: h_value(1.5, 1, u, 0.3), 2.0, float),
     "weierstrass_K": (lambda r: weierstrass_K(P35, r, 2.0, 0.3), 0.5, float),
+    "weierstrass_K t": (lambda t: weierstrass_K(P35, 0.5, t, 0.3), 2.0, float),
+    "weierstrass_K theta1": (lambda th: weierstrass_K(P35, 0.5, 2.0, th), 0.3, float),
     "poisson_Pn": (lambda r: poisson_Pn(3, r, 2.0, 0.3), 1.0, float),
     "log_kernel_signed_ln": (lambda t: log_kernel_signed_ln(3, 0.3, t), 0.5, float),
     "log_kernel": (lambda t: log_kernel(3, 0.3, t), 0.5, float),
@@ -438,10 +442,7 @@ class TestShapeRule:
             assert type(scalar) is kind and type(zero_d) is kind
             assert isinstance(listed, np.ndarray) and listed.shape == (1,)
             assert scalar == zero_d
-            # a scalar takes numpy's scalar power, which can differ from the
-            # array loop's in the last bit (riesz_k, weierstrass_K and
-            # legendre_weighted of complex order)
-            np.testing.assert_allclose(listed, scalar, rtol=1e-15, atol=0.0)
+            assert repr(listed.item()) == repr(scalar)
 
     @pytest.mark.parametrize("entry", sorted(SHAPE_ENTRIES))
     def test_array_keeps_its_shape(self, entry):
@@ -454,6 +455,68 @@ class TestShapeRule:
         assert type(scalar_or_array(np.array(2.5 + 1j))) is complex
         assert scalar_or_array([1.0, 2.0]).tolist() == [1.0, 2.0]
         assert scalar_or_array(np.zeros((2, 1))).shape == (2, 1)
+        # with inputs, the shape is theirs broadcast
+        assert type(scalar_or_array(np.ones(1), 2.0, np.array(3.0))) is float
+        assert scalar_or_array(np.ones(2), 2.0, [1.0, 2.0]).shape == (2,)
+        assert scalar_or_array(np.ones((2, 3)), [[1.0], [2.0]], np.ones(3)).shape == (2, 3)
+
+
+def _hyp2f1_draw(rng, branch):
+    a, b, c = (float(v) for v in (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.1, 4)))
+    if branch == "central":
+        return (a, b, c), rng.uniform(-0.5, 0.75, 6)
+    if branch == "Pfaff":
+        return (a, b, c), rng.uniform(-0.999, -0.5, 6)
+    if branch == "nonint connection":
+        return (a, b, c), rng.uniform(0.75, 0.999, 6)
+    b = abs(b) + 0.1  # log case: c - a - b an integer, of either sign
+    return (a, b, a + b + int(rng.integers(-3, 4))), rng.uniform(0.75, 0.999, 6)
+
+
+class TestArrayEqualsOnePointCalls:
+    """Every element of an array call is its one-point call, bit for bit:
+    each point of a series stops on its own."""
+
+    @staticmethod
+    def _check(f, *points):
+        whole = f(*points)
+        for k in range(len(points[0])):
+            assert repr(float(whole[k])) == repr(f(*(float(p[k]) for p in points)))
+
+    @pytest.mark.parametrize("branch", ["central", "Pfaff", "nonint connection", "log case"])
+    def test_hyp2f1(self, branch):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            (a, b, c), x = _hyp2f1_draw(rng, branch)
+            self._check(lambda x: hyp2f1(a, b, c, x), x)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 0.5), (0.5, 3.0)])
+    def test_h_value(self, lo, hi):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            lam, q = float(rng.choice([0.5, 1.0, 1.5, 2.5, 4.0, 7.5])), int(rng.integers(0, 6))
+            self._check(lambda u, xi: h_value(lam, q, u, xi),
+                        rng.uniform(lo, hi, 6), rng.uniform(-1.0, 1.0, 6))
+
+    def test_angular_shape(self):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            n, rho = int(rng.integers(3, 14)), float(rng.uniform(0.05, 12.0))
+            self._check(lambda t: angular_shape(n, rho, t), rng.uniform(0.0, math.pi, 6))
+
+    def test_closed_forms_and_kernels(self):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            n, rho = int(rng.integers(3, 14)), float(rng.uniform(0.05, 12.0))
+            nu, mu = rho + (n - 3.0) / 2.0, (3.0 - n) / 2.0
+            self._check(lambda x: legendre_weighted(nu, mu, x), rng.uniform(0.0, 0.999, 6))
+            self._check(lambda th: indicator_closed(ProblemParams(n, rho), th),
+                        rng.uniform(0.0, 3.1, 6))
+            lam = float(rng.uniform(0.3, 6.0))
+            self._check(lambda t, xi: riesz_k(lam, t, xi), rng.uniform(0.0, 3.0, 6),
+                        rng.uniform(-0.9, 1.0, 6))
+            self._check(lambda r, th: weierstrass_K(ProblemParams(n, 0.5 + n % 3), r, 1.3, th),
+                        rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 3.1, 6))
 
 
 class TestProblemParams:

@@ -1,9 +1,13 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from raygrowth.errors import ConvergenceError, DomainError, PoleError
+import raygrowth.specfun as specfun
+from raygrowth.kernels import h_value
 from raygrowth.specfun import (
     EULER_GAMMA,
     SERIES_CHECK_STRIDE,
@@ -15,7 +19,7 @@ from raygrowth.specfun import (
     legendre_p_cut,
     legendre_weighted,
     rising_ratio,
-    series_converged,
+    sum_series,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -77,20 +81,64 @@ class TestGamma:
         assert gamma(z) == pytest.approx(float(mp.gamma(z)), rel=1e-13)
 
 
+def _pulled(terms, counter):
+    """The iterator ``terms``, counting in counter[0] the terms taken."""
+    for term in terms:
+        counter[0] += 1
+        yield np.asarray(term, dtype=float)
+
+
 class TestSeriesStoppingRule:
     def test_checked_on_stride_only(self):
-        tiny, total = np.array([1e-20]), np.array([1.0])
-        assert series_converged(SERIES_CHECK_STRIDE, tiny, tiny, total, 1e-13)
-        for k in range(1, SERIES_CHECK_STRIDE):
-            assert not series_converged(k, tiny, tiny, total, 1e-13)
+        # every term after the first is tiny, but the test runs only at the
+        # first multiple of the stride past ``first``
+        for first, stop in ((0, SERIES_CHECK_STRIDE), (3, SERIES_CHECK_STRIDE),
+                            (SERIES_CHECK_STRIDE, 2 * SERIES_CHECK_STRIDE)):
+            pulled = [0]
+            terms = ([1.0] if k == first else [1e-20] for k in itertools.count(first))
+            total = sum_series(_pulled(terms, pulled), "test series", str, 1e-13, 1000, first)
+            assert pulled[0] == stop - first + 1
+            assert total.tolist() == [1.0]
 
     def test_needs_both_terms_small_at_every_point(self):
-        total = np.array([1.0, 2.0])
-        small, mixed = np.array([1e-20, 1e-20]), np.array([1e-20, 1e-3])
-        k = 2 * SERIES_CHECK_STRIDE
-        assert series_converged(k, small, small, total, 1e-13)
-        assert not series_converged(k, mixed, small, total, 1e-13)
-        assert not series_converged(k, small, mixed, total, 1e-13)
+        # point 0: small terms at 1..8, then large ones it must not take;
+        # point 1: a term of 1e-3 at index 8 keeps it open until 16
+        def terms():
+            yield [1.0, 2.0]
+            for k in itertools.count(1):
+                yield [1e-20 if k <= SERIES_CHECK_STRIDE else 1.0,
+                       1e-3 if k == SERIES_CHECK_STRIDE else 1e-20]
+
+        pulled = [0]
+        total = sum_series(_pulled(terms(), pulled), "test series", str, 1e-13, 1000)
+        assert pulled[0] == 2 * SERIES_CHECK_STRIDE + 1
+        # each point keeps the sum it had when it stopped
+        assert total.tolist() == [1.0 + SERIES_CHECK_STRIDE * 1e-20,
+                                  2.0 + 1e-3 + (2 * SERIES_CHECK_STRIDE - 1) * 1e-20]
+
+    def test_no_points(self):
+        # an empty call has no point left open at the first stride check
+        pulled = [0]
+        total = sum_series(_pulled(iter(lambda: [], None), pulled), "test series", str, 1e-13, 1000)
+        assert total.shape == (0,) and pulled[0] == SERIES_CHECK_STRIDE + 1
+        # the terminating 2F1 series has no guard against an empty x
+        assert hyp2f1(-1.0, 2.0, 1.0, np.array([])).shape == (0,)
+        assert legendre_weighted(1.0, 0.0, []).shape == (0,)
+
+    def test_term_cap_message(self, monkeypatch):
+        # at lam = 85 the tail series at u = 0.49 has not converged after its
+        # 400 terms
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "h tail series did not converge within 400 terms (lam=85.0, q=0, worst u=0.49)")):
+            h_value(85.0, 0, np.array([0.1, 0.49]), 1.0)
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 16)
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "2F1 series did not converge within 16 terms "
+                "(a=0.3, b=0.4, c=0.5, worst |x|=0.7)")):
+            hyp2f1(0.3, 0.4, 0.5, [0.1, 0.7])
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "2F1 log-case series did not converge within 16 terms (a=0.3, b=0.4, m=1, ")):
+            hyp2f1(0.3, 0.4, 1.7, 0.76)
 
 
 class TestDigamma:
