@@ -435,11 +435,15 @@ def laplace_strip(n: int, theta1: float) -> MellinStrip:
     strip widens to (-2, n).
     """
     # past t = ln(n / ((n-1) cos theta1)) the cosine term of k's numerator
-    # outweighs the next one, so the log-slope at T, 25 beyond it, is the
-    # decay rate to about e^-23; where cos theta1 <= 0, T is 25
+    # outweighs the next one, so the log-slope at T, 25 + ln(n+2) beyond it,
+    # is the decay rate to about e^-23: the denominator's share of the
+    # slope, about 3 (n+2) cos(theta1) e^-T, shrinks with n too.  Where
+    # cos theta1 <= 0, T is 25 + ln(n+2)
     n = check_dimension(n)
     c = math.cos(theta1)
-    T = 25.0 + math.log(n / ((n - 1) * c)) if c > 0.0 else 25.0
+    T = 25.0 + math.log(n + 2.0)
+    if c > 0.0:
+        T += math.log(n / ((n - 1) * c))
     _, ln_a = log_kernel_signed_ln(n, theta1, T - 2.0)
     _, ln_b = log_kernel_signed_ln(n, theta1, T)
     rate_plus = 0.5 * (ln_a - ln_b)

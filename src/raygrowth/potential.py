@@ -35,6 +35,14 @@ _LAPLACIAN_STEP = 1e-4
 # its lowest radius: the inner sample r - r * _LAPLACIAN_STEP is then e exactly
 _LAPLACIAN_R_MIN = _E / (1.0 - _LAPLACIAN_STEP)
 
+# Below r = 2^-200 t0 every kernel argument r/t of the potential is below
+# 2^-200, where the first term of h outweighs the rest by about 2^200, so u
+# is homogeneous of degree q+1 in r far below rounding.  Computed directly,
+# such an r has subnormal kernel arguments, whose lost digits the far piece
+# divides by v: at r/t0 = 1e-308 that costs 8 digits.  u_canonical takes
+# such an r at 2^m r instead, just below the bound
+_HOMOGENEOUS_EXP = -200
+
 # Slowly-varying building blocks: name -> (f, f', default support start).
 # Support starts are chosen so the handle is finite and nonnegative-where-
 # it-matters from the edge on.  Each handle maps arrays elementwise.
@@ -256,52 +264,73 @@ def average_N(model: MassModel, n: int, r, quad: QuadratureSpec = QuadratureSpec
     return (out, err, ok) if full_output else out
 
 
-def u_canonical(model: MassModel, params: ProblemParams, r: float, theta1: float,
+def u_canonical(model: MassModel, params: ProblemParams, r, theta1: float,
                 quad: QuadratureSpec = QuadratureSpec(), full_output: bool = False):
     """Potential from the canonical kernel integral.
 
     u(r, theta1) = int t^{2-n} h_n(r/t, theta1, q) d(t^{n-2} n(t)).
 
-    Atomic models sum mass_i times the canonical kernel exactly (through the
-    numerically robust t^{2-n} h_n(r/t) form of it).  Density models add the
-    boundary-atom term n(t0+) h_n(r/t0) and integrate the density
-    d/dt[t^{n-2} n(t)]: over (t0, r] in log(t/t0), and beyond max(t0, r)
-    as u = r/t over a finite interval, so no truncation is involved.  Near
-    u = 0 that piece behaves like u^{q-rho} for a model of order rho, and is
-    integrated with the power substitution k = 1/min(1, q+1-rho).  With
-    ``full_output`` returns (u, error estimate, converged).
+    ``r`` is a radius or an array of radii; a scalar gives a scalar.  An
+    array call makes one pass for all radii, and each of its values is that
+    of the radius's own call.  Atomic models sum mass_i times the canonical
+    kernel exactly (through the numerically robust t^{2-n} h_n(r/t) form of
+    it), on one (radius x atom) grid.  Density models add the boundary-atom
+    term n(t0+) h_n(r/t0) and integrate the density d/dt[t^{n-2} n(t)], one
+    integral per radius: over (t0, r] in log(t/t0), and beyond max(t0, r)
+    as u = r/t, so no truncation is involved.  That piece, u in
+    [0, min(1, r/t0)], is taken in v = u / min(1, r/t0) over (0, 1].  Near
+    u = 0 it behaves like u^{q-rho} for a model of order rho, and is
+    integrated with the power substitution k = 1/min(1, q+1-rho).  Below
+    r = 2^-200 t0, where u is homogeneous of degree q+1 in r, a radius is
+    taken at 2^m r, just below that bound, and its result scaled back by
+    2^(-m (q+1)).  r = 0 gives 0.  With ``full_output`` returns (u, error
+    estimate, converged), each per radius.
     """
     xi = math.cos(check_one_angle(theta1))
-    r = check_scalar(r, "radius r", 0.0)
+    r_arr = np.atleast_1d(check_real(r, "radius r", 0.0))
     lam, q, n = params.lam, params.q, params.n
-    if r == 0.0:
-        return (0.0, 0.0, True) if full_output else 0.0
+    out, err = np.zeros_like(r_arr), np.zeros_like(r_arr)
+    ok = np.ones(r_arr.shape, dtype=bool)
+    live = r_arr > 0.0
+    _, e = np.frexp(r_arr[live] / model.t0)
+    m = np.maximum(0, _HOMOGENEOUS_EXP - e)
+    rl = np.ldexp(r_arr[live], m)
 
     def h(u):
         return h_value(lam, q, u, xi)
 
     if isinstance(model, Atomic):
-        t_arr = model.radii
-        total = float(np.sum(model.masses * t_arr ** (2 - n) * h(r / t_arr)))
-        return (total, 0.0, True) if full_output else total
+        t_at = model.radii
+        out[live] = np.sum(model.masses * t_at ** (2 - n) * h(rl[:, None] / t_at), axis=1)
+    elif rl.size:
+        t0 = model.t0
 
-    t0 = model.t0
-    total = float(model.profile(t0) * h(r / t0))  # boundary atom, raw mass t0^{n-2} n(t0+)
+        def qw(t):
+            return (n - 2) * model.profile(t) + t * model.profile_derivative(t)
 
-    def qw(t):
-        return (n - 2) * model.profile(t) + t * model.profile_derivative(t)
-
-    pieces = []
-    if r > t0:
-        # t = t0 e^z, dt/t = dz
-        pieces.append(integrate(lambda z: h(r / t0 * np.exp(-z)) * qw(t0 * np.exp(z)),
-                                0.0, math.log(r / t0), quad))
-    d = q + 1.0 - model.rho
-    pieces.append(integrate(lambda u: h(u) * qw(r / u) / u, 0.0, min(1.0, r / t0), quad,
-                            power=1.0 / min(1.0, d) if d > 0 else 1.0))
-    res = MellinResult.total(pieces)
-    total += res.value
-    return (total, res.error, res.converged) if full_output else total
+        # u = c v with c = min(1, r/t0), and r/u = s/v with s = max(r, t0)
+        d = q + 1.0 - model.rho
+        far = integrate(lambda v, c, s: h(c * v) * qw(s / v) / v, 0.0, 1.0, quad,
+                        power=1.0 / min(1.0, d) if d > 0 else 1.0,
+                        args=(np.minimum(1.0, rl / t0), np.maximum(rl, t0)))
+        value, error, conv = far.value, far.error, far.converged  # arrays: one row per radius
+        beyond = rl > t0
+        if beyond.any():
+            rb = rl[beyond]
+            # t = t0 e^z, dt/t = dz.  The limits take math.log: numpy's log
+            # differs from it in the last bit at a few radii in 10^4
+            near = integrate(lambda z, r: h(r / t0 * np.exp(-z)) * qw(t0 * np.exp(z)), 0.0,
+                             np.array([math.log(x) for x in (rb / t0).tolist()]), quad,
+                             args=(rb,))
+            value[beyond] = near.value + value[beyond]
+            error[beyond] = near.error + error[beyond]
+            conv[beyond] &= near.converged
+        # boundary atom, raw mass t0^{n-2} n(t0+)
+        out[live] = model.profile(t0) * h(rl / t0) + value
+        err[live], ok[live] = error, conv
+    out[live], err[live] = (np.ldexp(v[live], -m * (q + 1)) for v in (out, err))
+    out, err, ok = (scalar_or_array(v, r) for v in (out, err, ok))
+    return (out, err, ok) if full_output else out
 
 
 def u_poisson(model: MassModel, n: int, r: float, theta1: float,
@@ -389,8 +418,8 @@ class SweepResult:
     ``extrapolated_un`` / ``extrapolated_uN`` to the mass-ratio columns.
     The convergence flag is set only when the last three scaled values agree
     pairwise within the sweep tolerance.  ``quadrature_flags`` counts the
-    calls of :func:`u_canonical` and :func:`average_N` whose quadrature did
-    not meet its tolerance.
+    radii whose :func:`u_canonical` quadrature did not meet its tolerance,
+    plus one if the :func:`average_N` call for the whole grid did not.
     """
 
     samples: tuple
@@ -450,7 +479,9 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     (lo, hi, num) tuple.  The scaling r^{-rho} and the genus q of the
     kernel come from ``params``, so a density model whose own rho differs
     from ``params.rho`` raises :class:`DomainError`, as does a counting
-    function that is negative at a grid radius (that is not a mass).
+    function that is negative at a grid radius (that is not a mass).  u
+    and N are each one call for the whole grid: :func:`u_canonical` and
+    :func:`average_N` on the array of radii.
     """
     model_rho = getattr(model, "rho", params.rho)  # atomic models declare no order
     if model_rho != params.rho:
@@ -465,11 +496,10 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
         i = int(np.argmax(negative))
         raise DomainError(f"the counting function is negative at r={grid[i]:g}: n(r) = {n_grid[i]:.6g}")
     N_grid, _, ok_N = average_N(model, params.n, grid, quad, full_output=True)
+    u_grid, _, ok_u = u_canonical(model, params, grid, theta1, quad, full_output=True)
+    flagged = int(not ok_N) + int(np.count_nonzero(~ok_u))
     rows = []
-    flagged = int(not ok_N)
-    for r, Nr, nr in zip(grid, N_grid.tolist(), n_grid.tolist()):
-        u, _, ok = u_canonical(model, params, float(r), theta1, quad, full_output=True)
-        flagged += not ok
+    for r, u, Nr, nr in zip(grid, u_grid.tolist(), N_grid.tolist(), n_grid.tolist()):
         rows.append(SweepSample(
             r=float(r), theta1=theta1, u=u,
             scaled=u * r ** (-params.rho),

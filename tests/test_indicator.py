@@ -34,7 +34,7 @@ from raygrowth.indicator import (
     zero_set,
 )
 from raygrowth.kernels import MAX_DIMENSION, ProblemParams
-from raygrowth.mellin import QuadratureSpec
+from raygrowth.mellin import MellinStrip, QuadratureSpec
 from raygrowth.specfun import gamma
 
 P35 = ProblemParams(3, 0.5)
@@ -608,6 +608,14 @@ class TestLaplaceLogKernel:
             assert (strip.lower, strip.upper) == (-1.0, n - 1.0)
         with pytest.raises(StripViolationError):
             laplace_log_kernel(5, math.pi / 2 - 1e-10, -1.2826)
+
+    def test_strip_exact_up_to_max_dimension(self):
+        # the denominator's share of the probe's slope grows like n + 2; the
+        # probe distance grows with ln(n + 2), so it stays below the rounding
+        wrong = [(n, theta1) for n in range(3, MAX_DIMENSION + 1)
+                 for theta1 in np.linspace(0.0, 1.0, 21).tolist()
+                 if laplace_strip(n, theta1) != MellinStrip(-1.0, n - 1.0)]
+        assert wrong == []
 
     def test_strip_violation(self):
         with pytest.raises(StripViolationError):

@@ -44,6 +44,7 @@ from raygrowth.potential import (
     Atomic,
     Perturbed,
     PowerLaw,
+    SlowlyVarying,
     average_N,
     counterexample_u0,
     counting_n,
@@ -142,13 +143,13 @@ RADIUS_ENTRIES = {
     "poisson_Pn t": ("mass radius t", 0.0, lambda t: poisson_Pn(3, 1.0, t, 0.3)),
     "h_value": ("radial ratio u", 0.0, lambda u: h_value(1.5, 1, u, 0.3)),
     "h_value array": ("radial ratio u", 0.0, lambda u: h_value(1.5, 1, np.array([0.3, u]), 0.3)),
+    "u_canonical array": ("radius r", 0.0, lambda r: u_canonical(PW, P35, [10.0, r], 0.3)),
     "counterexample_u0": ("radius r of the counterexample", math.e,
                           lambda r: counterexample_u0(0.5, r, 0.3)),
     "laplacian_u0": ("radius r of the counterexample", math.e, lambda r: laplacian_u0(0.5, r, 0.3)),
     "laplacian_u0 inner sample": ("radius r of the counterexample", math.e / (1.0 - 1e-4),
                                   lambda r: laplacian_u0(0.5, r, 0.3)),
     "riesz_k": ("radial ratio t", 0.0, lambda t: riesz_k(1.5, t, 0.3)),
-    "u_canonical pair": ("radius r", 0.0, lambda r: u_canonical(PW, P35, [10.0, r], 0.3)),
     "u_poisson pair": ("radius r", 0.0, lambda r: u_poisson(PW, 3, np.array([10.0, r]), 0.3)),
     "laplacian_u0 pair": ("radius r of the counterexample", math.e / (1.0 - 1e-4),
                           lambda r: laplacian_u0(0.5, np.array([10.0, r]), 0.3)),
@@ -424,6 +425,9 @@ SHAPE_ENTRIES = {
     "average_N": (lambda r: average_N(Perturbed(1.0, 0.5), 3, r, full_output=True)[:2],
                   10.0, float),
     "counterexample_u0": (lambda r: counterexample_u0(0.5, r, 0.3), 10.0, float),
+    "u_canonical": (lambda r: u_canonical(PW, P35, r, 0.3, full_output=True)[:2], 10.0, float),
+    "u_canonical flag": (lambda r: u_canonical(PW, P35, r, 0.3, full_output=True)[2], 10.0, bool),
+    "u_canonical atomic": (lambda r: u_canonical(Atomic(((2.0, 1.0),)), P35, r, 0.3), 10.0, float),
 }
 
 
@@ -517,6 +521,19 @@ class TestArrayEqualsOnePointCalls:
                         rng.uniform(-0.9, 1.0, 6))
             self._check(lambda r, th: weierstrass_K(ProblemParams(n, 0.5 + n % 3), r, 1.3, th),
                         rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 3.1, 6))
+
+    @pytest.mark.parametrize("model", [
+        PowerLaw(1.3, 0.45), Perturbed(0.8, 0.6, "log"), SlowlyVarying(1.7, "loglog"),
+        Atomic(((1.5, 2.0), (3.0, 0.5), (40.0, 1.0)))], ids=lambda m: type(m).__name__)
+    def test_u_canonical(self, model):
+        t0 = model.t0
+        radii = np.array([0.0, 5e-324, 1e-300, 0.3, 0.9 * t0, t0, 1.1 * t0, 50.0, 3e4])
+        for n, theta1 in ((3, 0.3), (6, 2.0)):
+            params = ProblemParams(n, getattr(model, "rho", 1.6))
+            whole = u_canonical(model, params, radii, theta1, full_output=True)
+            for k, r in enumerate(radii.tolist()):
+                one = u_canonical(model, params, r, theta1, full_output=True)
+                assert [repr(part[k].item()) for part in whole] == [repr(v) for v in one]
 
 
 class TestProblemParams:

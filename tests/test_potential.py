@@ -149,6 +149,16 @@ class TestCanonicalPotential:
         with pytest.raises(DomainError):
             u_canonical(PW, P35, 1.0, math.pi)
 
+    def test_tiny_radii(self):
+        # below 2^-200 t0 u is homogeneous of degree q+1 = 1 in r; at
+        # r / t0 subnormal the kernel arguments would be subnormal too
+        slope = u_canonical(PW, P35, 1e-300, 0.3) / 1e-300
+        for r in (1e-308, 2.3e-308):
+            u, _, ok = u_canonical(PW, P35, r, 0.3, full_output=True)
+            assert ok and u / r == pytest.approx(slope, rel=1e-12)
+        u, _, ok = u_canonical(PW, P35, 5e-324, 0.3, full_output=True)
+        assert ok and math.isfinite(u)
+
 
 class TestPoissonRepresentation:
     @pytest.mark.parametrize("n", [3, 4])
@@ -235,6 +245,17 @@ class TestSweeps:
         # the scaling r^-rho and the genus q of the kernel come from params
         with pytest.raises(DomainError, match=r"order rho=0\.7 differs from params\.rho=0\.5"):
             probe(PowerLaw(1.0, 0.7), ProblemParams(3, 0.5), 0.3, (1e2, 1e4, 5))
+
+    @pytest.mark.parametrize("model", [PW, Perturbed(delta=1.0, rho=0.5, eps="inv_log")])
+    def test_quadrature_flags_count_radii(self, model):
+        quad = QuadratureSpec(max_level=2)
+        grid = np.geomspace(1e2, 1e4, 5)
+        res = scaled_limit(model, P35, 1.0, grid, quad)
+        flags = [u_canonical(model, P35, r, 1.0, quad, full_output=True)[2] for r in grid]
+        _, _, ok_N = average_N(model, 3, grid, quad, full_output=True)
+        assert res.quadrature_flags == flags.count(False) + (not ok_N)
+        assert res.quadrature_flags > 0
+        assert f"; {res.quadrature_flags} quadrature flags;" in res.diagnostics
 
     def test_atomic_model_takes_any_order(self):
         atoms = Atomic(((2.0, 1.0),))
