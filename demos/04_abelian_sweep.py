@@ -42,7 +42,7 @@ print(f"  quotient law (u/N)/(u/n) = {probe.extrapolated_uN / probe.extrapolated
       f"vs rho/(n-2) = {0.5:.6f}")
 
 print("\ntwo representations of the same potential (canonical vs Poisson form):")
-for r in (1e2, 1e3):
-    uc = u_canonical(power, params, r, math.pi / 4)
-    up = u_poisson(power, 3, r, math.pi / 4)
+radii = [1e2, 1e3]
+for r, uc, up in zip(radii, u_canonical(power, params, radii, math.pi / 4),
+                     u_poisson(power, 3, radii, math.pi / 4)):
     print(f"  r={r:>7.0f}: canonical={uc:.10f}  poisson={up:.10f}  rel={abs(uc-up)/up:.1e}")

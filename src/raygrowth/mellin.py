@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -148,11 +147,6 @@ class MellinResult:
             converged=self.converged & other.converged,
             message=_join_rows(self.message, other.message),
             evaluations=self.evaluations + other.evaluations)
-
-    @staticmethod
-    def total(pieces) -> "MellinResult":
-        """Sum of a list of results; it converged if every piece did."""
-        return functools.reduce(operator.add, pieces)
 
     def scaled(self, c) -> "MellinResult":
         """The result times the constant c."""

@@ -26,7 +26,7 @@ from .errors import (ConvergenceError, DomainError, ParseError, check_real, chec
                      scalar_or_array)
 from .indicator import angular_shape
 from .kernels import ProblemParams, check_dimension, check_one_angle, h_value, poisson_Pn
-from .mellin import MellinResult, QuadratureSpec, integrate
+from .mellin import QuadratureSpec, integrate
 
 _E = math.e
 
@@ -35,12 +35,7 @@ _LAPLACIAN_STEP = 1e-4
 # its lowest radius: the inner sample r - r * _LAPLACIAN_STEP is then e exactly
 _LAPLACIAN_R_MIN = _E / (1.0 - _LAPLACIAN_STEP)
 
-# Below r = 2^-200 t0 every kernel argument r/t of the potential is below
-# 2^-200, where the first term of h outweighs the rest by about 2^200, so u
-# is homogeneous of degree q+1 in r far below rounding.  Computed directly,
-# such an r has subnormal kernel arguments, whose lost digits the far piece
-# divides by v: at r/t0 = 1e-308 that costs 8 digits.  u_canonical takes
-# such an r at 2^m r instead, just below the bound
+# below r = 2^-200 t0 a potential is taken through its homogeneity in r
 _HOMOGENEOUS_EXP = -200
 
 # Slowly-varying building blocks: name -> (f, f', default support start).
@@ -234,13 +229,13 @@ def average_N(model: MassModel, n: int, r, quad: QuadratureSpec = QuadratureSpec
     by side.  (A running sum over the gaps between sorted radii would need
     gaps a few ulps wide where the radii cluster, and tanh-sinh flags or
     returns nan on those.)  With ``full_output`` returns (N, error
-    estimate, converged); the exact models report (N, 0, True).
+    estimate, converged), each per radius; the exact models report
+    (N, 0, True).
     """
     n = check_dimension(n)
     r_arr = np.atleast_1d(check_real(r, "radius r", 0.0))
-    out = np.zeros_like(r_arr)
-    err = np.zeros_like(r_arr)
-    ok = True
+    out, err = np.zeros_like(r_arr), np.zeros_like(r_arr)
+    ok = np.ones(r_arr.shape, dtype=bool)
     if isinstance(model, Atomic):
         # sum of mass_i (t_i^{2-n} - r^{2-n}) over the k atoms with t_i < r
         t_at, m_at = model.radii, model.masses
@@ -259,8 +254,56 @@ def average_N(model: MassModel, n: int, r, quad: QuadratureSpec = QuadratureSpec
                             np.log(r_arr[live] / t0), quad)
             out[live] = (n - 2) * res.value
             err[live] = (n - 2) * res.error
-            ok = bool(np.all(res.converged))
-    out, err = (scalar_or_array(v, r) for v in (out, err))
+            ok[live] = res.converged
+    out, err, ok = (scalar_or_array(v, r) for v in (out, err, ok))
+    return (out, err, ok) if full_output else out
+
+
+def _radial_integral(far, near, r, t0, d, quad, *rows):
+    """A potential's integral over t in (t0, inf) at the radii r > 0.
+
+    Beyond s = max(r, t0) it is int_0^1 far(v, c, s, *rows) dv in v = s/t,
+    with c = min(1, r/t0), so the kernel argument r/t is c v; near v = 0 the
+    integrand is like v^(d-1), taken with the power substitution
+    k = 1/min(1, d) (none for d <= 0).  Over (t0, r] it is
+    int near(z, r, *rows) dz in z = log(t/t0).  The arrays in ``rows``
+    broadcast against the radii: value, error and flag per row and radius.
+    """
+    *rows, _ = np.broadcast_arrays(*rows, r)
+    res = integrate(far, 0.0, 1.0, quad, power=1.0 / min(1.0, d) if d > 0 else 1.0,
+                    args=(np.minimum(1.0, r / t0), np.maximum(r, t0), *rows))
+    value, error, conv = res.value, res.error, res.converged
+    beyond = r > t0
+    if beyond.any():
+        # math.log, not np.log: the two differ in the last bit at a few radii in 10^4
+        res = integrate(near, 0.0, np.array([math.log(x) for x in (r[beyond] / t0).tolist()]),
+                        quad, args=(r[beyond], *(row[..., beyond] for row in rows)))
+        value[..., beyond] = res.value + value[..., beyond]
+        error[..., beyond] = res.error + error[..., beyond]
+        conv[..., beyond] &= res.converged
+    return value, error, conv
+
+
+def _by_radius(r, t0, degree, integral, full_output):
+    """A potential at a radius or an array of radii (a scalar gives a scalar).
+
+    ``integral`` maps a 1-D array of radii r > 0 to value, error and flag.
+    r = 0 gives 0.  Below r = 2^-200 t0 every kernel argument r/t is below
+    2^-200, where u is homogeneous of the given degree in r far below
+    rounding; such an r, whose kernel arguments may be subnormal, is taken
+    at 2^m r, just below the bound, and scaled back by 2^(-m degree).  With
+    ``full_output`` returns (u, error estimate, converged), each per radius.
+    """
+    r_arr = np.atleast_1d(check_real(r, "radius r", 0.0))
+    out, err = np.zeros_like(r_arr), np.zeros_like(r_arr)
+    ok = np.ones(r_arr.shape, dtype=bool)
+    live = r_arr > 0.0
+    if live.any():
+        _, e = np.frexp(r_arr[live] / t0)
+        m = np.maximum(0, _HOMOGENEOUS_EXP - e)
+        value, error, ok[live] = integral(np.ldexp(r_arr[live], m))
+        out[live], err[live] = (np.ldexp(v, -m * degree) for v in (value, error))
+    out, err, ok = (scalar_or_array(v, r) for v in (out, err, ok))
     return (out, err, ok) if full_output else out
 
 
@@ -270,70 +313,41 @@ def u_canonical(model: MassModel, params: ProblemParams, r, theta1: float,
 
     u(r, theta1) = int t^{2-n} h_n(r/t, theta1, q) d(t^{n-2} n(t)).
 
-    ``r`` is a radius or an array of radii; a scalar gives a scalar.  An
-    array call makes one pass for all radii, and each of its values is that
-    of the radius's own call.  Atomic models sum mass_i times the canonical
-    kernel exactly (through the numerically robust t^{2-n} h_n(r/t) form of
-    it), on one (radius x atom) grid.  Density models add the boundary-atom
-    term n(t0+) h_n(r/t0) and integrate the density d/dt[t^{n-2} n(t)], one
-    integral per radius: over (t0, r] in log(t/t0), and beyond max(t0, r)
-    as u = r/t, so no truncation is involved.  That piece, u in
-    [0, min(1, r/t0)], is taken in v = u / min(1, r/t0) over (0, 1].  Near
-    u = 0 it behaves like u^{q-rho} for a model of order rho, and is
-    integrated with the power substitution k = 1/min(1, q+1-rho).  Below
-    r = 2^-200 t0, where u is homogeneous of degree q+1 in r, a radius is
-    taken at 2^m r, just below that bound, and its result scaled back by
-    2^(-m (q+1)).  r = 0 gives 0.  With ``full_output`` returns (u, error
-    estimate, converged), each per radius.
+    ``r`` is a radius or an array of radii, taken by :func:`_by_radius`
+    (degree q+1); each value of an array call is the radius's own.  Atomic
+    models sum mass_i times the canonical kernel exactly (through the
+    numerically robust t^{2-n} h_n(r/t) form of it), on one (radius x atom)
+    grid.  Density models add the boundary-atom term n(t0+) h_n(r/t0) and
+    integrate the density d/dt[t^{n-2} n(t)] by :func:`_radial_integral`,
+    with no truncation; the far piece behaves like v^{q-rho}, so d = q+1-rho.
     """
     xi = math.cos(check_one_angle(theta1))
-    r_arr = np.atleast_1d(check_real(r, "radius r", 0.0))
     lam, q, n = params.lam, params.q, params.n
-    out, err = np.zeros_like(r_arr), np.zeros_like(r_arr)
-    ok = np.ones(r_arr.shape, dtype=bool)
-    live = r_arr > 0.0
-    _, e = np.frexp(r_arr[live] / model.t0)
-    m = np.maximum(0, _HOMOGENEOUS_EXP - e)
-    rl = np.ldexp(r_arr[live], m)
 
     def h(u):
         return h_value(lam, q, u, xi)
 
-    if isinstance(model, Atomic):
-        t_at = model.radii
-        out[live] = np.sum(model.masses * t_at ** (2 - n) * h(rl[:, None] / t_at), axis=1)
-    elif rl.size:
+    def integral(r):
+        if isinstance(model, Atomic):
+            t_at = model.radii
+            return np.sum(model.masses * t_at ** (2 - n) * h(r[:, None] / t_at), axis=1), 0.0, True
         t0 = model.t0
 
         def qw(t):
             return (n - 2) * model.profile(t) + t * model.profile_derivative(t)
 
-        # u = c v with c = min(1, r/t0), and r/u = s/v with s = max(r, t0)
-        d = q + 1.0 - model.rho
-        far = integrate(lambda v, c, s: h(c * v) * qw(s / v) / v, 0.0, 1.0, quad,
-                        power=1.0 / min(1.0, d) if d > 0 else 1.0,
-                        args=(np.minimum(1.0, rl / t0), np.maximum(rl, t0)))
-        value, error, conv = far.value, far.error, far.converged  # arrays: one row per radius
-        beyond = rl > t0
-        if beyond.any():
-            rb = rl[beyond]
-            # t = t0 e^z, dt/t = dz.  The limits take math.log: numpy's log
-            # differs from it in the last bit at a few radii in 10^4
-            near = integrate(lambda z, r: h(r / t0 * np.exp(-z)) * qw(t0 * np.exp(z)), 0.0,
-                             np.array([math.log(x) for x in (rb / t0).tolist()]), quad,
-                             args=(rb,))
-            value[beyond] = near.value + value[beyond]
-            error[beyond] = near.error + error[beyond]
-            conv[beyond] &= near.converged
+        # t = s/v, dt/t = dv/v; t = t0 e^z, dt/t = dz
+        value, error, conv = _radial_integral(
+            lambda v, c, s: h(c * v) * qw(s / v) / v,
+            lambda z, r: h(r / t0 * np.exp(-z)) * qw(t0 * np.exp(z)),
+            r, t0, q + 1.0 - model.rho, quad)
         # boundary atom, raw mass t0^{n-2} n(t0+)
-        out[live] = model.profile(t0) * h(rl / t0) + value
-        err[live], ok[live] = error, conv
-    out[live], err[live] = (np.ldexp(v[live], -m * (q + 1)) for v in (out, err))
-    out, err, ok = (scalar_or_array(v, r) for v in (out, err, ok))
-    return (out, err, ok) if full_output else out
+        return model.profile(t0) * h(r / t0) + value, error, conv
+
+    return _by_radius(r, model.t0, q + 1, integral, full_output)
 
 
-def u_poisson(model: MassModel, n: int, r: float, theta1: float,
+def u_poisson(model: MassModel, n: int, r, theta1: float,
               quad: QuadratureSpec = QuadratureSpec(), full_output: bool = False):
     """Potential through the Poisson-type representation
 
@@ -341,64 +355,56 @@ def u_poisson(model: MassModel, n: int, r: float, theta1: float,
 
     valid for masses of order below 1 and 0 <= theta1 <= pi/2.  Uses the
     same averaged counting function as :func:`average_N`, so agreement with
-    :func:`u_canonical` is a genuine two-representation cross-check.  Each
-    evaluation of the integrand takes N at all its nodes in one array call.
-    The piece t >= r is integrated in w = r/t, where it behaves like
-    w^{-rho} for a model of order rho (power substitution k = 1/(1-rho)).
-    With ``full_output`` returns (u, error estimate, converged); the
-    estimate adds N's own error estimates carried through the same
-    representation.
+    :func:`u_canonical` is a genuine two-representation cross-check.  Radii
+    are taken as there, by :func:`_by_radius` (degree 1) and
+    :func:`_radial_integral` (d = 1-rho), and N once at each distinct node.
+    With ``full_output`` returns (u, error estimate, converged), each per
+    radius: the estimate adds N's own, carried through the representation
+    as a second row of the quadrature, and N flagged at a node flags its
+    radius.
     """
     theta1 = check_one_angle(theta1, upper=math.pi / 2, closed=True)
     ordr = 0.0 if isinstance(model, Atomic) else model.rho  # finitely many atoms: order 0
     if ordr >= 1.0:
         raise DomainError(f"Poisson representation needs order < 1, got {ordr}")
-    r = check_scalar(r, "radius r", 0.0)
-    if r == 0.0:
-        return (0.0, 0.0, True) if full_output else 0.0
-    c = math.cos(theta1)
-    lo = model.t0
-    inner_ok = []
+    xi, t0 = math.cos(theta1), model.t0
+    parts = np.arange(2 if full_output else 1)[:, None]  # row 0 N, row 1 its error estimate
 
-    def averaged(t, part):
-        # part 0 is N(t), part 1 its error estimate.  t = r/w overflows to inf
-        # where w underflows; the value is left nan there, and the quadrature
-        # takes the value at the nearest finite node
-        out = np.full(t.shape, np.nan)
-        fin = np.isfinite(t)
-        res = average_N(model, n, t[fin], quad, full_output=True)
-        out[fin] = res[part]
-        inner_ok.append(res[2])
-        return out
+    def integral(r):
+        flagged = np.zeros(r.shape, dtype=bool)
 
-    def integrals(part):
-        def near(z):
-            # t = lo e^z <= r, scaled by powers of r: P_n(r, t) = r^{n+1} P_n(1, t/r);
-            # dt = t dz
-            t = lo * np.exp(z)
+        def averaged(t, part, i):
+            # t = s/v overflows to inf where v underflows: left nan, the value
+            # there is that of the nearest finite node
+            out = np.full(t.shape, np.nan)
+            fin = np.isfinite(t)
+            nodes, at = np.unique(t[fin], return_inverse=True)
+            N, err, ok = average_N(model, n, nodes, quad, full_output=True)
+            out[fin] = np.where(np.broadcast_to(part, t.shape)[fin] == 0, N[at], err[at])
+            flagged[np.broadcast_to(i, t.shape)[fin][~ok[at]]] = True
+            return out
+
+        def far(v, c, s, part, i):
+            # t = s/v, scaled by powers of t: P_n(r, t) = t^{n+1} P_n(r/t, 1); dt = s dv / v^2
+            w, t = c * v, s / v
+            f_t = poisson_Pn(n, w, 1.0, theta1) * averaged(t, part, i) / (
+                t * (1.0 + 2.0 * w * xi + w * w) ** (n / 2.0 + 1.0))
+            return f_t * s / (v * v)
+
+        def near(z, r, part, i):
+            # t = t0 e^z <= r, scaled by powers of r: P_n(r, t) = r^{n+1} P_n(1, t/r); dt = t dz
+            t = t0 * np.exp(z)
             u = t / r
-            pn = poisson_Pn(n, 1.0, u, theta1)
-            return pn * averaged(t, part) * u / (1.0 + 2.0 * u * c + u * u) ** (n / 2.0 + 1.0)
+            return poisson_Pn(n, 1.0, u, theta1) * averaged(t, part, i) * u / (
+                1.0 + 2.0 * u * xi + u * u) ** (n / 2.0 + 1.0)
 
-        def far(w):
-            # t = r/w >= r branch, scaled by powers of t: P_n(r, t) = t^{n+1} P_n(r/t, 1);
-            # integrand * dt with dt = r dw / w^2
-            t = r / w
-            pn = poisson_Pn(n, w, 1.0, theta1)
-            f_t = pn * averaged(t, part) / (t * (1.0 + 2.0 * w * c + w * w) ** (n / 2.0 + 1.0))
-            return f_t * r / (w * w)
+        value, error, conv = _radial_integral(far, near, r, t0, 1.0 - ordr, quad, parts,
+                                              np.arange(r.size))  # i, the row's radius
+        # row 1 carries N's error estimates through the representation
+        error = error[0] + np.abs(value[1]) if full_output else error[0]
+        return value[0], error, conv[0] & ~flagged
 
-        out = [integrate(far, 0.0, min(1.0, r / lo), quad,
-                         power=1.0 / (1.0 - ordr))]
-        if lo < r:
-            out.append(integrate(near, 0.0, math.log(r / lo), quad))
-        return out
-
-    res = MellinResult.total(integrals(0))
-    if not full_output:
-        return res.value
-    err = res.error + abs(MellinResult.total(integrals(1)).value)
-    return res.value, err, res.converged and all(inner_ok)
+    return _by_radius(r, t0, 1, integral, full_output)
 
 
 class SweepSample(NamedTuple):
@@ -419,7 +425,7 @@ class SweepResult:
     The convergence flag is set only when the last three scaled values agree
     pairwise within the sweep tolerance.  ``quadrature_flags`` counts the
     radii whose :func:`u_canonical` quadrature did not meet its tolerance,
-    plus one if the :func:`average_N` call for the whole grid did not.
+    plus one if :func:`average_N` did not at any radius of the grid.
     """
 
     samples: tuple
@@ -497,7 +503,7 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
         raise DomainError(f"the counting function is negative at r={grid[i]:g}: n(r) = {n_grid[i]:.6g}")
     N_grid, _, ok_N = average_N(model, params.n, grid, quad, full_output=True)
     u_grid, _, ok_u = u_canonical(model, params, grid, theta1, quad, full_output=True)
-    flagged = int(not ok_N) + int(np.count_nonzero(~ok_u))
+    flagged = int(not np.all(ok_N)) + int(np.count_nonzero(~ok_u))
     rows = []
     for r, u, Nr, nr in zip(grid, u_grid.tolist(), N_grid.tolist(), n_grid.tolist()):
         rows.append(SweepSample(

@@ -144,13 +144,13 @@ RADIUS_ENTRIES = {
     "h_value": ("radial ratio u", 0.0, lambda u: h_value(1.5, 1, u, 0.3)),
     "h_value array": ("radial ratio u", 0.0, lambda u: h_value(1.5, 1, np.array([0.3, u]), 0.3)),
     "u_canonical array": ("radius r", 0.0, lambda r: u_canonical(PW, P35, [10.0, r], 0.3)),
+    "u_poisson array": ("radius r", 0.0, lambda r: u_poisson(PW, 3, [10.0, r], 0.3)),
     "counterexample_u0": ("radius r of the counterexample", math.e,
                           lambda r: counterexample_u0(0.5, r, 0.3)),
     "laplacian_u0": ("radius r of the counterexample", math.e, lambda r: laplacian_u0(0.5, r, 0.3)),
     "laplacian_u0 inner sample": ("radius r of the counterexample", math.e / (1.0 - 1e-4),
                                   lambda r: laplacian_u0(0.5, r, 0.3)),
     "riesz_k": ("radial ratio t", 0.0, lambda t: riesz_k(1.5, t, 0.3)),
-    "u_poisson pair": ("radius r", 0.0, lambda r: u_poisson(PW, 3, np.array([10.0, r]), 0.3)),
     "laplacian_u0 pair": ("radius r of the counterexample", math.e / (1.0 - 1e-4),
                           lambda r: laplacian_u0(0.5, np.array([10.0, r]), 0.3)),
 }
@@ -428,6 +428,10 @@ SHAPE_ENTRIES = {
     "u_canonical": (lambda r: u_canonical(PW, P35, r, 0.3, full_output=True)[:2], 10.0, float),
     "u_canonical flag": (lambda r: u_canonical(PW, P35, r, 0.3, full_output=True)[2], 10.0, bool),
     "u_canonical atomic": (lambda r: u_canonical(Atomic(((2.0, 1.0),)), P35, r, 0.3), 10.0, float),
+    "u_poisson": (lambda r: u_poisson(Perturbed(1.0, 0.5), 3, r, 0.3, full_output=True)[:2],
+                  10.0, float),
+    "u_poisson flag": (lambda r: u_poisson(Perturbed(1.0, 0.5), 3, r, 0.3, full_output=True)[2],
+                       10.0, bool),
 }
 
 
@@ -534,6 +538,22 @@ class TestArrayEqualsOnePointCalls:
             for k, r in enumerate(radii.tolist()):
                 one = u_canonical(model, params, r, theta1, full_output=True)
                 assert [repr(part[k].item()) for part in whole] == [repr(v) for v in one]
+
+    @pytest.mark.parametrize("model", [
+        PowerLaw(1.3, 0.45), Perturbed(0.8, 0.6, "log"), SlowlyVarying(0.7, "loglog"),
+        Atomic(((1.5, 2.0), (3.0, 0.5), (40.0, 1.0)))], ids=lambda m: type(m).__name__)
+    def test_u_poisson(self, model):
+        t0 = model.t0
+        radii = np.array([0.0, 5e-324, 1e-300, 0.3, 0.9 * t0, t0, 1.1 * t0, 50.0, 3e4])
+        for n, theta1 in ((3, 0.3), (6, 1.2)):
+            for quad in (QuadratureSpec(), QuadratureSpec(max_level=3)):
+                whole = u_poisson(model, n, radii, theta1, quad, full_output=True)
+                values = u_poisson(model, n, radii, theta1, quad)
+                for k, r in enumerate(radii.tolist()):
+                    one = u_poisson(model, n, r, theta1, quad, full_output=True)
+                    assert [repr(part[k].item()) for part in whole] == [repr(v) for v in one]
+                    assert repr(values[k].item()) == repr(u_poisson(model, n, r, theta1, quad))
+                    assert repr(one[0]) == repr(values[k].item())
 
 
 class TestProblemParams:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from raygrowth import potential
 from raygrowth.errors import DomainError, ParseError
 from raygrowth.indicator import indicator_closed, ratio_limits, zero_set
 from raygrowth.kernels import ProblemParams
@@ -98,7 +99,7 @@ class TestCountingFunctions:
         sv = SlowlyVarying(rho=0.5, psi="log", t0=1.0)
         radii = np.array([0.5, 50.0, 3.0, 1e4, 3.0])
         vals, err, ok = average_N(sv, 4, radii, full_output=True)
-        assert ok and vals.shape == radii.shape and np.all(err >= 0)
+        assert ok.all() and vals.shape == radii.shape and np.all(err >= 0)
         for r, v in zip(radii, vals):
             assert v == pytest.approx(average_N(sv, 4, float(r)), rel=1e-12)
         assert isinstance(average_N(sv, 4, 50.0), float)
@@ -199,6 +200,30 @@ class TestPoissonRepresentation:
         up = u_poisson(at, 3, 100.0, 0.4)
         assert abs(uc - up) <= 1e-6 * abs(up)
 
+    def test_tiny_radii(self):
+        # below 2^-200 t0 u is homogeneous of degree 1 in r, as for
+        # u_canonical; taken directly, such radii would give nan
+        slope = u_poisson(PW, 3, 1e-300, 0.3) / 1e-300
+        for r in (1e-308, 2.3e-308):
+            u, _, ok = u_poisson(PW, 3, r, 0.3, full_output=True)
+            assert ok and abs(u / r - slope) <= 4 * math.ulp(slope)
+        u, _, ok = u_poisson(PW, 3, 5e-324, 0.3, full_output=True)
+        assert ok and math.isfinite(u)
+
+    def test_averaged_counting_function_once_per_node(self, monkeypatch):
+        # the error estimate is a second row of the same quadrature, so N is
+        # taken once at each distinct node of both rows
+        points = []
+
+        def counted(model, n, r, *args, **kwargs):
+            points.append(np.size(r))
+            return average_N(model, n, r, *args, **kwargs)
+
+        monkeypatch.setattr(potential, "average_N", counted)
+        _, _, ok = u_poisson(Perturbed(1.0, 0.5, "inv_log"), 4, 1e4, 0.5, full_output=True)
+        # half the 1002 points of taking N at every node of each row and piece
+        assert ok and 0 < sum(points) <= 501
+
 
 class TestSweeps:
     def test_power_law_extrapolates_to_indicator(self):
@@ -253,7 +278,7 @@ class TestSweeps:
         res = scaled_limit(model, P35, 1.0, grid, quad)
         flags = [u_canonical(model, P35, r, 1.0, quad, full_output=True)[2] for r in grid]
         _, _, ok_N = average_N(model, 3, grid, quad, full_output=True)
-        assert res.quadrature_flags == flags.count(False) + (not ok_N)
+        assert res.quadrature_flags == flags.count(False) + (not ok_N.all())
         assert res.quadrature_flags > 0
         assert f"; {res.quadrature_flags} quadrature flags;" in res.diagnostics
 
