@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Subcommands: indicator, zeros, mellin-verify, simulate, solve-order,
-counterexample.  Each subparser in :func:`build_parser` is the one place that
-knows its command's options: a ``--config`` file is parsed by the same
-subparser, and every table carries a provenance header echoing the parsed
-options and the library version, so re-running from that echoed
-configuration reproduces the output byte for byte.  Exit codes: 0 success,
-2 tolerance/verification failure, 3 domain or strip error, 4 parse or usage
-error.
+counterexample.  Each command's options are declared once, in its row of
+``_COMMANDS``, and a call declares only the subparser of the command it
+names.  A ``--config`` file is parsed by the same subparser, and every table
+carries a provenance header echoing the parsed options and the library
+version, so re-running from that echoed configuration reproduces the output
+byte for byte.  Exit codes: 0 success, 2 tolerance/verification failure,
+3 domain or strip error, 4 parse or usage error.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from .errors import (
     ConvergenceError,
     CountMismatchError,
     DomainError,
+    ExceptionalAngleError,
     ParseError,
     RayGrowthError,
 )
 from .indicator import (
+    ROOT_BRACKET_WIDTH,
     angular_shape,
     indicator_closed,
     indicator_integral,
@@ -305,7 +307,17 @@ def cmd_simulate(args) -> int:
         if res.quadrature_flags:
             print(f"raygrowth: quadrature flagged at theta1={_fmt(th)}: {res.diagnostics}", file=sys.stderr)
             flagged += res.quadrature_flags
-        oracle = float(indicator_closed(params, th))
+        # H on both sides of the angle too: a zero or a sign change there is
+        # a root of S, where u grows like r^q and no error relative to H is
+        # defined.  The upper side keeps a width below pi, where sin^2(theta/2)
+        # would round to 1, unless the angle itself lies closer.
+        lo = max(th - ROOT_BRACKET_WIDTH, 0.0)
+        hi = min(th + ROOT_BRACKET_WIDTH, max(th, math.pi - ROOT_BRACKET_WIDTH))
+        h_lo, oracle, h_hi = indicator_closed(params, [lo, th, hi]).tolist()
+        if params.delta and (oracle == 0 or min(h_lo, h_hi) <= 0 <= max(h_lo, h_hi)):
+            raise ExceptionalAngleError(
+                f"theta1={_fmt(th)} is within {ROOT_BRACKET_WIDTH} rad of an exceptional "
+                f"angle, where the indicator is 0")
         denom = max(1e-300, abs(oracle))
         for s in res.samples:
             rows.append({
@@ -389,49 +401,29 @@ def _positive(text):
 _THETA_HELP = "comma list: radians, 'Xdeg', or 'rootK'"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser; each subparser declares exactly the options its command reads."""
-    parser = _Parser(
-        prog="raygrowth",
-        description="Growth indicators, kernels and Mellin transforms for "
-                    "potentials with masses on a ray.",
-    )
-    parser.add_argument("--version", action="version", version=f"raygrowth {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _zeros_options(p):
+    p.add_argument("--n", type=int, default=3, help="space dimension (>= 3)")
+    p.add_argument("--rho", type=float, default=_ORDER_DEFAULTS["rho"],
+                   help="non-integer growth order")
 
-    def command(name, func, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None,
-                       help="key=value config file; options on the command line win")
-        return p
 
-    def params(p, delta=True):
-        p.add_argument("--n", type=int, default=3, help="space dimension (>= 3)")
-        p.add_argument("--rho", type=float, default=_ORDER_DEFAULTS["rho"],
-                       help="non-integer growth order")
-        if delta:
-            p.add_argument("--delta", type=float, default=_ORDER_DEFAULTS["delta"],
-                           help="type constant")
-
-    p = command("indicator", cmd_indicator, "closed vs integral indicator table")
-    params(p)
+def _indicator_options(p):
+    _zeros_options(p)
+    p.add_argument("--delta", type=float, default=_ORDER_DEFAULTS["delta"],
+                   help="type constant")
     p.add_argument("--theta", default="0.0", help=_THETA_HELP)
     p.add_argument("--tol", type=_positive, default=None,
                    help="cross-check tolerance (default 1e-6); below 1e-10 it also "
                         "tightens the quadrature")
 
-    p = command("zeros", cmd_zeros, "exceptional angles of the indicator")
-    params(p, delta=False)
 
-    p = command("mellin-verify", cmd_mellin_verify, "numeric vs closed transform of the kernel")
+def _mellin_verify_options(p):
     p.add_argument("--tol", type=_positive, default=1e-8, help="relative tolerance")
     p.add_argument("--samples", type=_at_least(0), default=0, help="extra random cases")
     p.add_argument("--seed", type=int, default=0, help="seed of the random cases")
 
-    p = command("simulate", cmd_simulate, "radial sweep of a mass-model potential")
+
+def _simulate_options(p):
     p.add_argument("--n", type=int, default=3, help="space dimension (>= 3)")
     p.add_argument("--rho", type=float, default=None,
                    help="non-integer growth order: a density model's own rho, which a given "
@@ -446,14 +438,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", type=int, nargs="?", const=1, default=0, choices=(0, 1),
                    help="1 (or bare --ratios): also require mass inside the smallest radius")
 
-    p = command("solve-order", cmd_solve_order, "invert the transcendental order equation")
+
+def _solve_order_options(p):
     p.add_argument("--n", type=int, default=3, help="space dimension (>= 3)")
     p.add_argument("--delta-bar", type=float, required=True)
 
-    p = command("counterexample", cmd_counterexample, "oscillating potential over a log-log grid")
+
+def _counterexample_options(p):
     p.add_argument("--rho", type=float, default=_ORDER_DEFAULTS["rho"])
     p.add_argument("--theta", default="0.0", help=_THETA_HELP)
     p.add_argument("--points", type=_at_least(1), default=65)
+
+
+# one row per command: name, function, help, and the function that declares
+# the options the command reads
+_COMMANDS = (
+    ("indicator", cmd_indicator, "closed vs integral indicator table", _indicator_options),
+    ("zeros", cmd_zeros, "exceptional angles of the indicator", _zeros_options),
+    ("mellin-verify", cmd_mellin_verify, "numeric vs closed transform of the kernel",
+     _mellin_verify_options),
+    ("simulate", cmd_simulate, "radial sweep of a mass-model potential", _simulate_options),
+    ("solve-order", cmd_solve_order, "invert the transcendental order equation",
+     _solve_order_options),
+    ("counterexample", cmd_counterexample, "oscillating potential over a log-log grid",
+     _counterexample_options),
+)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of argv.  When argv[0] names a command, only that command's
+    subparser is declared; otherwise (help, version, no command, an unknown
+    one, an option first) all of them are, so every message is the full
+    parser's."""
+    parser = _Parser(
+        prog="raygrowth",
+        description="Growth indicators, kernels and Mellin transforms for "
+                    "potentials with masses on a ray.",
+    )
+    parser.add_argument("--version", action="version", version=f"raygrowth {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv else None
+    for name, func, help, options in [row for row in _COMMANDS if row[0] == named] or _COMMANDS:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--config", default=None,
+                       help="key=value config file; options on the command line win")
+        options(p)
     return parser
 
 
@@ -472,7 +504,7 @@ def main(argv=None) -> int:
     try:
         # the file's options go between the command and the command line's
         # options, so the subparser reads both and the command line wins
-        args = build_parser().parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
+        args = build_parser(argv).parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
         return args.func(args)
     except ParseError as exc:
         print(f"raygrowth: parse error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -522,16 +523,23 @@ DOMAIN_ERRORS = [
     (("counterexample", "--theta", "-1e-12"), "theta1 must lie in [0, pi), got -1e-12"),
     (("indicator", "--rho", "-2e-1"), "order rho must be positive and finite, got -0.2"),
     (("solve-order", "--delta-bar", "-1e-3"), "delta_bar=-0.001 is outside the attainable range"),
+    # H = 0 at a root of S: no error relative to it is defined
+    (("simulate", "--model", "MODEL_RHO_1.5", "--n", "4", "--theta", "root1",
+      "--grid", "1e2:1e6:5"),
+     "theta1=2.5132741228718345 is within 1e-06 rad of an exceptional angle"),
 ]
+
+# the mass-model files the runs above name
+MODELS = {"MODEL": "powerlaw delta=1.0 rho=0.5\n", "MODEL_RHO_1.5": "powerlaw delta=1.0 rho=1.5\n"}
 
 
 class TestDomainErrors:
     @pytest.mark.parametrize("argv,message", DOMAIN_ERRORS,
                              ids=[" ".join(argv) for argv, _ in DOMAIN_ERRORS])
     def test_exit_code(self, tmp_path, capsys, argv, message):
-        model = tmp_path / "model.txt"
-        model.write_text("powerlaw delta=1.0 rho=0.5\n")
-        code, err = _failed_run(capsys, *(str(model) if a == "MODEL" else a for a in argv))
+        for name, text in MODELS.items():
+            (tmp_path / name).write_text(text)
+        code, err = _failed_run(capsys, *(str(tmp_path / a) if a in MODELS else a for a in argv))
         assert code == 3
         assert message in err
 
@@ -600,6 +608,52 @@ class TestReproducibility:
         assert doc["config"]["command"] == "zeros"
         assert len(doc["rows"]) == 1
         assert 129.0 <= doc["rows"][0]["beta_deg"] <= 131.0
+
+
+def _subparsers(parser):
+    """The subparser of each command that parser declares."""
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestOneCommandParser:
+    """A call declares only the subparser of the command it names; that
+    subparser is the one the parser of every command holds."""
+
+    @pytest.mark.parametrize("command", sorted(ROUND_TRIPS))
+    def test_same_help(self, command):
+        alone = _subparsers(cli.build_parser([command]))
+        assert list(alone) == [command]
+        assert alone[command].format_help() == _subparsers(cli.build_parser())[command].format_help()
+
+    @pytest.mark.parametrize("command", sorted(ROUND_TRIPS))
+    def test_same_namespace(self, command):
+        argv = [command, *ROUND_TRIPS[command]]
+        if command == "simulate":
+            argv += ["--model", "m.txt"]
+        assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv,code,subparsers", [
+        (["zeros", "--n", "5", "--rho", "2.7"], 0, 1),
+        (["--help"], None, 6),
+        (["nosuch"], 4, 6),
+    ], ids=["zeros", "help", "unknown command"])
+    def test_subparsers_declared(self, monkeypatch, argv, code, subparsers):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        if code is None:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+        else:
+            assert main(argv) == code
+        assert len(calls) == subparsers
 
 
 def test_console_script_entry_point():
