@@ -297,6 +297,10 @@ def cmd_simulate(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = parse_mass_model(fh.read())
     params = _model_params(args, model)
+    if not params.delta:
+        # H is 0 at every angle, and a massless density model's u/n and u/N
+        # are 0/0: no error column would have a value
+        raise DomainError("simulate needs delta > 0, got delta=0: the indicator is 0 at every angle")
     thetas = _thetas(args, params)
     quad = _SIMULATE_QUAD
     probe = ratio_probe if args.ratios else scaled_limit
@@ -314,7 +318,7 @@ def cmd_simulate(args) -> int:
         lo = max(th - ROOT_BRACKET_WIDTH, 0.0)
         hi = min(th + ROOT_BRACKET_WIDTH, max(th, math.pi - ROOT_BRACKET_WIDTH))
         h_lo, oracle, h_hi = indicator_closed(params, [lo, th, hi]).tolist()
-        if params.delta and (oracle == 0 or min(h_lo, h_hi) <= 0 <= max(h_lo, h_hi)):
+        if oracle == 0 or min(h_lo, h_hi) <= 0 <= max(h_lo, h_hi):
             raise ExceptionalAngleError(
                 f"theta1={_fmt(th)} is within {ROOT_BRACKET_WIDTH} rad of an exceptional "
                 f"angle, where the indicator is 0")

@@ -152,9 +152,22 @@ def angular_shape(n, rho, theta):
         S(theta) = (1 + cos theta)^mu / Gamma(1-mu)
                    * 2F1(-nu, nu+1; 1-mu; sin^2(theta/2)),
 
-    so the axis value S(0) = 2^mu / Gamma(1-mu) comes out exactly instead of
-    as a 0 * inf limit.  n = 2 is allowed here (mu = 1/2), which reduces S
-    to sqrt(2/pi) cos(rho theta) and is used as a plane-case cross-check.
+    so the axis value S(0) = 2^mu / Gamma(1-mu) comes out without a 0 * inf
+    limit.  n = 2 is allowed here (mu = 1/2), which reduces S to
+    sqrt(2/pi) cos(rho theta) and is used as a plane-case cross-check.
+
+    From rho = 3 on, the 2F1 series at degree nu would cancel (its terms
+    grow to about nu^(2k) / (k!)^2), so S is summed at the degrees
+    nu - floor(rho) and nu - floor(rho) + 1 only, in one array call, and
+    raised to nu by the three-term recurrence in the degree
+    (DLMF 14.10.3); next to pi, where that recurrence loses digits, S is
+    summed at nu itself, which there takes few terms.  From rho = 2 on, an
+    integer degree is summed in cos^2(theta/2) next to pi, where its
+    polynomial in sin^2(theta/2) cancels.  For n <= 10 and rho <= 40 S is
+    within 1e-12 of the largest |S| on [0.05, 3], but for rho within about
+    1e-4 of an integer, where the connection formula next to pi loses up to
+    1e-9 (9e-10 at n = 9, rho = 8.000001).  An array of angles gives each
+    angle's one-angle value.
     """
     n = check_dimension(n, lowest=2)
     rho = check_scalar(rho, "order rho", 0.0, math.inf, "()")

@@ -68,13 +68,20 @@ _DIGAMMA_ASYMP = (
 )
 
 
+def _finite(z):
+    """complex(z), once z is known to be finite: a non-finite argument
+    raises :class:`DomainError`."""
+    zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise DomainError(f"special-function argument must be finite, got {z}")
+    return zc
+
+
 def _is_nonpositive_integer(z, tol=1e-12):
     """True at the poles of gamma; every gamma, rgamma, digamma and 2F1
     parameter passes through here, so a non-finite one raises
     :class:`DomainError`."""
-    zc = complex(z)
-    if not cmath.isfinite(zc):
-        raise DomainError(f"special-function argument must be finite, got {z}")
+    zc = _finite(z)
     if abs(zc.imag) > tol:
         return False
     k = round(zc.real)
@@ -226,78 +233,190 @@ def sum_series(terms, name, detail, rtol, max_terms, first=0):
     raise ConvergenceError(f"{name} did not converge within {max_terms} terms ({detail()})")
 
 
-def _series_2f1(a, b, c, x):
-    """Plain power series for 2F1 at argument array x (|x| < 1)."""
+# legendre_weighted raises F_nu by the degree recurrence from
+# m = floor(nu + mu) = RECURRENCE_FROM on.  Below it the series at nu itself
+# keeps every root of a zero set within 1e-12 for n <= 10 (at worst 8.5e-14
+# on 84 draws at m = 2, against 1.3e-12 at m = 3 and 6.6e-12 at m = 4), and a
+# zero set costs less than through the two start degrees (5.4 against 10 ms
+# at n = 3, rho = 2.6, on a 2-vCPU x86 host).
+RECURRENCE_FROM = 3
+
+# Per-row coefficients are taken this many terms at a time, so a series
+# calls numpy once per block of terms for them, not once per term.
+COEF_BLOCK = 32
+
+# Up to this many points, all rows of a 2F1 call go in one pass of each
+# series; past it, each row goes in a call of its own.  Gathering the rows'
+# term ratios point by point costs more than the numpy calls one pass saves
+# there.  Timed with two rows on a 2-vCPU x86 host, the two break even at
+# 1000-2000 points, and the 6282-point scan of a zero set at (6, 12.7)
+# takes 2.4 ms a row at a time against 3.9 ms in one pass.
+ONE_PASS_POINTS = 1024
+
+# The log-case series takes its terms a block at a time up to this many
+# points, and a check stride at a time past it.  Timed on a 2-vCPU x86 host,
+# a stride at a time costs 7-14% more of a three-angle indicator_closed
+# call, and a block at a time 5-20% more of a zero set, whose scan puts
+# about a thousand points in the log case.
+LOG_SPAN_POINTS = 128
+
+
+def _per_row(values, row_of):
+    """Per-row scalars at each point: gathered by each point's row, or, for
+    one row (``row_of`` None), the scalar itself, so that a one-row call
+    keeps Python's scalar-times-array arithmetic."""
+    return values[0] if row_of is None else np.array(values)[row_of]
+
+
+def _block_at_points(block, row_of):
+    """A block of per-row coefficients, one column per row, at each point:
+    the one column as it stands for one row, else gathered by each point's
+    row."""
+    return block[..., :1] if row_of is None else block[..., row_of]
+
+
+def _ratio_blocks(rows):
+    """The term ratios (a+k)(b+k) / ((c+k)(1+k)) of each row (a, b, c), for
+    k = 0, 1, ..., in blocks of shape (COEF_BLOCK, rows).  numpy takes real
+    rows at once, in IEEE arithmetic as Python's scalars do; complex rows go
+    one scalar at a time, since numpy divides complex numbers another way."""
+    if any(isinstance(v, complex) for row in rows for v in row):
+        for k0 in itertools.count(0, COEF_BLOCK):
+            yield np.array([[(a + k) * (b + k) / ((c + k) * (1.0 + k)) for a, b, c in rows]
+                            for k in range(k0, k0 + COEF_BLOCK)])
+    a, b, c = (np.array(col, dtype=float) for col in zip(*rows))
+    for k0 in itertools.count(0, COEF_BLOCK):
+        k = np.arange(k0, k0 + COEF_BLOCK, dtype=float)[:, None]
+        yield (a + k) * (b + k) / ((c + k) * (1.0 + k))
+
+
+def _series_2f1(rows, row_of, x):
+    """Plain power series for 2F1 at the points x (|x| < 1), each with the
+    parameters (a, b, c) of its row of ``rows``."""
     x = np.asarray(x)
-    cplx = any(isinstance(v, complex) for v in (a, b, c)) or np.iscomplexobj(x)
+    cplx = any(isinstance(v, complex) for row in rows for v in row) or np.iscomplexobj(x)
 
     def terms():
         term = np.ones(x.shape, dtype=complex if cplx else float)
-        for k in itertools.count():
-            yield term
-            term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k))) * x
+        if row_of is None:
+            (a, b, c), = rows
+            for k in itertools.count():
+                yield term
+                term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k))) * x
+        for block in _ratio_blocks(rows):
+            for ratio in block[:, row_of]:
+                yield term
+                term = term * ratio * x
 
-    return sum_series(terms(), "2F1 series", lambda: (
-        f"a={a}, b={b}, c={c}, worst |x|={float(np.max(np.abs(x)))}"), SERIES_RTOL, SERIES_MAX_TERMS)
+    return sum_series(terms(), "2F1 series", lambda: "; ".join(
+        f"a={a}, b={b}, c={c}" for a, b, c in rows) + f", worst |x|={float(np.max(np.abs(x)))}",
+        SERIES_RTOL, SERIES_MAX_TERMS)
 
 
-def _2f1_near_one_nonint(a, b, c, x):
-    """Connection formula at x -> 1 when c - a - b is not an integer."""
-    s = c - a - b
+def _2f1_near_one_nonint(rows, row_of, x):
+    """Connection formula at x -> 1 when c - a - b is not an integer, for
+    rows (a, b, c) that share c."""
     w = 1.0 - x
-    t1 = gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b) * _series_2f1(a, b, 1.0 - s, w)
-    t2 = gamma(c) * gamma(-s) * rgamma(a) * rgamma(b) * np.exp(
-        s * np.log(w)
-    ) * _series_2f1(c - a, c - b, 1.0 + s, w)
+    gc = gamma(rows[0][2])
+    s = [c - a - b for a, b, c in rows]
+    t1 = _per_row([gc * gamma(sr) * rgamma(c - a) * rgamma(c - b)
+                   for (a, b, c), sr in zip(rows, s)], row_of) * _series_2f1(
+        [(a, b, 1.0 - sr) for (a, b, c), sr in zip(rows, s)], row_of, w)
+    t2 = _per_row([gc * gamma(-sr) * rgamma(a) * rgamma(b)
+                   for (a, b, c), sr in zip(rows, s)], row_of) * np.exp(
+        _per_row(s, row_of) * np.log(w)) * _series_2f1(
+        [(c - a, c - b, 1.0 + sr) for (a, b, c), sr in zip(rows, s)], row_of, w)
     return t1 + t2
 
 
-def _2f1_near_one_logcase(a, b, m, x):
-    """Connection formula at x -> 1 for c = a + b + m, integer m >= 0."""
+def _2f1_near_one_logcase(rows, row_of, m, x):
+    """Connection formula at x -> 1 for c = a + b + m, integer m >= 0, one
+    row per (a, b) of ``rows``."""
     w = 1.0 - x
-    c = a + b + m
-    for arg in (a + m, b + m, a, b):
-        if _is_nonpositive_integer(arg):
-            raise ConvergenceError(
-                "2F1 near x=1: degenerate parameters (gamma pole) not supported"
-            )
-    cplx = any(isinstance(v, complex) for v in (a, b))
+    for a, b in rows:
+        for arg in (a + m, b + m, a, b):
+            if _is_nonpositive_integer(arg):
+                raise ConvergenceError(
+                    "2F1 near x=1: degenerate parameters (gamma pole) not supported"
+                )
+    cplx = any(isinstance(v, complex) for row in rows for v in row)
     dtype = complex if cplx else float
     # finite part, empty when m == 0
     part1 = np.zeros(w.shape, dtype=dtype)
     if m >= 1:
-        coef = 1.0
+        def finite_coefs(a, b):
+            coef = 1.0
+            for k in range(m):
+                yield coef
+                if k < m - 1:
+                    coef *= (a + k) * (b + k) / ((k + 1.0) * (1.0 - m + k))
+
         wk = np.ones(w.shape, dtype=dtype)
-        for k in range(m):
+        for coef in _block_at_points(np.array([list(finite_coefs(a, b)) for a, b in rows]).T, row_of):
             part1 = part1 + coef * wk
-            if k < m - 1:
-                coef *= (a + k) * (b + k) / ((k + 1.0) * (1.0 - m + k))
-                wk = wk * w
-        part1 = part1 * gamma(m) * rgamma(a + m) * rgamma(b + m)
+            wk = wk * w
+        part1 = (part1 * gamma(m) * _per_row([rgamma(a + m) for a, _ in rows], row_of)
+                 * _per_row([rgamma(b + m) for _, b in rows], row_of))
     # logarithmic series
     lnw = np.log(w)
 
-    def terms():
+    def row_coefs(a, b):
         coef = 1.0 / math.prod(range(2, m + 1), start=1.0)  # (a+m)_0 (b+m)_0 / (0! m!)
-        wk = np.ones(w.shape, dtype=dtype)
         psi_a = digamma(a + m)
         psi_b = digamma(b + m)
-        psi_k1 = -EULER_GAMMA          # psi(1)
-        psi_km1 = digamma(m + 1.0)
         for k in itertools.count():
-            yield coef * wk * (lnw - psi_k1 - psi_km1 + psi_a + psi_b)
+            yield coef, psi_a, psi_b
             coef *= (a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))
-            wk = wk * w
-            psi_k1 += 1.0 / (k + 1.0)
-            psi_km1 += 1.0 / (k + m + 1.0)
             psi_a += 1.0 / (a + m + k)
             psi_b += 1.0 / (b + m + k)
 
-    total = sum_series(terms(), "2F1 log-case series", lambda: (
-        f"a={a}, b={b}, m={m}, worst |1-x|={float(np.max(np.abs(w)))}"), SERIES_RTOL, SERIES_MAX_TERMS)
+    def shared_coefs():
+        psi_k1 = -EULER_GAMMA          # psi(1)
+        psi_km1 = digamma(m + 1.0)
+        for k in itertools.count():
+            yield psi_k1, psi_km1
+            psi_k1 += 1.0 / (k + 1.0)
+            psi_km1 += 1.0 / (k + m + 1.0)
+
+    def terms():
+        # a few terms at once, each by the operations of one term alone (the
+        # powers of w are real, and exact in a complex row too): a block at
+        # a few points, where numpy's fixed cost per call dominates, and one
+        # check stride at many, where terms computed past convergence cost
+        # most (see LOG_SPAN_POINTS)
+        span = COEF_BLOCK if w.size <= LOG_SPAN_POINTS else SERIES_CHECK_STRIDE
+        rows_k, shared_k = [row_coefs(a, b) for a, b in rows], shared_coefs()
+        wk = np.ones(w.shape)
+        while True:
+            coef, psi_a, psi_b = _block_at_points(np.array(
+                [list(itertools.islice(it, span)) for it in rows_k]).transpose(2, 1, 0), row_of)
+            psi_k1, psi_km1 = np.array(list(itertools.islice(shared_k, span))).T[..., None]
+            wks = np.multiply.accumulate(np.vstack([wk, np.broadcast_to(w, (span - 1,) + w.shape)]))
+            wk = wks[-1] * w
+            yield from coef * wks * (lnw - psi_k1 - psi_km1 + psi_a + psi_b)
+
+    total = sum_series(terms(), "2F1 log-case series", lambda: "; ".join(
+        f"a={a}, b={b}" for a, b in rows) + f", m={m}, worst |1-x|={float(np.max(np.abs(w)))}",
+        SERIES_RTOL, SERIES_MAX_TERMS)
     sign = -1.0 if m % 2 else 1.0
-    part2 = sign * rgamma(a) * rgamma(b) * np.exp(m * lnw) * total
-    return gamma(a + b + m) * (part1 - part2)
+    part2 = _per_row([sign * rgamma(a) * rgamma(b) for a, b in rows], row_of) * np.exp(m * lnw) * total
+    return _per_row([gamma(a + b + m) for a, b in rows], row_of) * (part1 - part2)
+
+
+def _rows(a, b, x):
+    """The rows (a, b) of a call, as Python scalars, and each point's row:
+    a row is a run of points of x with one (a, b).  ``row_of`` is None for
+    a single row, which keeps Python's scalar arithmetic."""
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return [(_maybe_real(a), _maybe_real(b))], None
+    a, b = np.asarray(a), np.asarray(b)
+    if not x.ndim == 1 or a.shape != x.shape or b.shape != x.shape:
+        raise DomainError(f"2F1 parameter arrays must be flat, as x is, and of its size {x.size}")
+    new = np.empty(x.size, bool)
+    new[:1] = True
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    rows = [(_maybe_real(a[i].item()), _maybe_real(b[i].item())) for i in np.flatnonzero(new)]
+    return rows, None if len(rows) == 1 else np.cumsum(new) - 1
 
 
 def hyp2f1(a, b, c, x):
@@ -309,48 +428,107 @@ def hyp2f1(a, b, c, x):
     x -> 1-x connection formulas (including the logarithmic case for integer
     c - a - b) near the right endpoint, so convergence stays geometric over
     the whole open interval.
+
+    ``a`` and ``b`` may also be flat arrays of x's size, for a flat x.  A
+    run of points with one (a, b) is a row; all rows must share c - a - b,
+    and terminate all or none, so that each point takes the branch it would
+    alone.  Each point's value equals by ``repr`` that of its one-row call:
+    every series sums all rows in one pass, with each row's own scalar
+    coefficients, and the connection formulas take their gammas row by row.
+    At a few points, where numpy's fixed cost per operation dominates, two
+    rows cost about what one does; past :data:`ONE_PASS_POINTS` points each
+    row goes in its own call.
     """
     if _is_nonpositive_integer(c):
         raise PoleError(f"2F1 parameter pole: c={c}")
     x_arr = np.asarray(check_real(x, "2F1 argument x", -1.0, 1.0, "()"))
-    a = _maybe_real(a)
-    b = _maybe_real(b)
     c = _maybe_real(c)
-    cplx = any(isinstance(v, complex) for v in (a, b, c))
+    rows, row_of = _rows(a, b, x_arr)
+    if not rows:  # no points, and so no row
+        return np.zeros(0, dtype=np.result_type(a, b, c, float))
+    terminating = [_is_nonpositive_integer(ai) or _is_nonpositive_integer(bi) for ai, bi in rows]
+    if len(rows) > 1:
+        s = [complex(c - ai - bi) for ai, bi in rows]
+        if any(t != terminating[0] or abs(si - s[0]) > 1e-12 * (1.0 + abs(s[0]))
+               for t, si in zip(terminating, s)):
+            raise DomainError("2F1 rows must share c - a - b and all terminate or none")
+    if row_of is not None and x_arr.size > ONE_PASS_POINTS:
+        ends = np.searchsorted(row_of, np.arange(len(rows) + 1))
+        return np.concatenate([hyp2f1(ai, bi, c, x_arr[i:j])
+                               for (ai, bi), i, j in zip(rows, ends[:-1], ends[1:])])
+    cplx = isinstance(c, complex) or any(isinstance(v, complex) for row in rows for v in row)
     out = np.zeros(x_arr.shape, dtype=complex if cplx else float)
 
-    terminating = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
-    if terminating:
-        out[...] = _series_2f1(a, b, c, x_arr)
+    def sub(mask):  # the rows of the points under mask
+        return None if row_of is None else row_of[mask]
+
+    if terminating[0]:
+        out[...] = _series_2f1([(ai, bi, c) for ai, bi in rows], row_of, x_arr)
     else:
+        a, b = rows[0]
         lo = x_arr < -0.5
         hi = x_arr > 0.75
         mid = ~(lo | hi)
         if np.any(mid):
-            out[mid] = _series_2f1(a, b, c, x_arr[mid])
+            out[mid] = _series_2f1([(ai, bi, c) for ai, bi in rows], sub(mid), x_arr[mid])
         if np.any(lo):
             xl = x_arr[lo]
             y = xl / (xl - 1.0)
-            pref = np.exp(-a * np.log1p(-xl))
-            out[lo] = pref * _series_2f1(a, c - b, c, y)
+            pref = np.exp(-_per_row([ai for ai, _ in rows], sub(lo)) * np.log1p(-xl))
+            out[lo] = pref * _series_2f1([(ai, c - bi, c) for ai, bi in rows], sub(lo), y)
         if np.any(hi):
             xh = x_arr[hi]
-            s = c - a - b
-            sc = complex(s)
+            sc = complex(c - a - b)
             if abs(sc.imag) < 1e-12 and abs(sc.real - round(sc.real)) < 1e-12:
                 m = int(round(sc.real))
                 if m >= 0:
-                    out[hi] = _2f1_near_one_logcase(a, b, m, xh)
+                    out[hi] = _2f1_near_one_logcase(rows, sub(hi), m, xh)
                 else:
                     # Euler transformation flips c-a-b to -m > 0
-                    pref = np.exp(s * np.log1p(-xh))
-                    out[hi] = pref * _2f1_near_one_logcase(c - a, c - b, -m, xh)
+                    pref = np.exp(_per_row([c - ai - bi for ai, bi in rows], sub(hi)) * np.log1p(-xh))
+                    out[hi] = pref * _2f1_near_one_logcase(
+                        [(c - ai, c - bi) for ai, bi in rows], sub(hi), -m, xh)
             else:
-                out[hi] = _2f1_near_one_nonint(a, b, c, xh)
+                out[hi] = _2f1_near_one_nonint([(ai, bi, c) for ai, bi in rows], sub(hi), xh)
 
     if not np.all(np.isfinite(out)):
         raise ConvergenceError("2F1 evaluation produced a non-finite value")
     return _maybe_real(scalar_or_array(out))
+
+
+def _legendre_f(d, mu, x):
+    """F_d(x) = 2F1(-d, d+1; 1-mu; x) of :func:`legendre_weighted` at the
+    points x, each with its own degree of ``d``; the degrees differ by
+    integers, and all points go in one :func:`hyp2f1` call.
+
+    Integer degrees d >= -mu give Jacobi polynomials, whose sums in x cancel
+    near x = 1.  There they are summed in 1 - x instead, by the reflection
+    P^(a,b)_d(-xi) = (-1)^d P^(b,a)_d(xi) (DLMF 18.6.1):
+
+        F_d(x) = (-1)^d (1+mu)_d / (1-mu)_d * 2F1(-d, d+1; 1+mu; 1-x),
+
+    or, for an integer mu, where 1 + mu is a pole, by the parity of the
+    Ferrers functions of integer degree and order:
+
+        F_d(x) = (-1)^(d+mu) (x / (1-x))^mu F_d(1-x).
+    """
+    if not d.size or d[0] != round(d[0]):
+        return hyp2f1(-d, d + 1.0, 1.0 - mu, x)
+    near = x > 0.75
+    sign = (-1.0) ** d[near]
+    if mu == round(mu):
+        out = hyp2f1(-d, d + 1.0, 1.0 - mu, np.where(near, 1.0 - x, x))
+        out[near] *= sign * (-1.0) ** mu * (x[near] / (1.0 - x[near])) ** mu
+        return out
+    if not near.any():
+        return hyp2f1(-d, d + 1.0, 1.0 - mu, x)
+    out = np.empty_like(x)
+    out[~near] = hyp2f1(-d[~near], d[~near] + 1.0, 1.0 - mu, x[~near])
+    dn = d[near]
+    ratio = {k: rising_ratio(mu, k) / rising_ratio(-mu, k) for k in set(dn.tolist())}
+    out[near] = (sign * np.array([ratio[k] for k in dn.tolist()])
+                 * hyp2f1(-dn, dn + 1.0, 1.0 + mu, 1.0 - x[near]))
+    return out
 
 
 def legendre_weighted(nu, mu, x):
@@ -360,19 +538,76 @@ def legendre_weighted(nu, mu, x):
     The weight cancels the prefactor of P^mu_nu analytically:
 
         (1 - xi^2)^(mu/2) P^mu_nu(xi) = (2 (1 - x))^mu / Gamma(1 - mu)
-                                         * 2F1(-nu, nu+1; 1-mu; x),
+                                         * F_nu(x),
+        F_nu(x) = 2F1(-nu, nu+1; 1-mu; x),
 
     so the axis x = 0 gives 2^mu / Gamma(1 - mu) with no 0 * inf limit.
     Taking x rather than xi keeps the precision of a caller that has
     sin^2(theta/2) directly.  Every closed form of the package goes through
-    this function.  A positive integer mu is a pole of the 2F1 here;
-    :func:`legendre_p_cut` recurs in the order for those.  ``x`` may be a
-    scalar or ndarray.
+    this function.
+
+    At large degree the series of F_nu cancels: its terms grow to about
+    nu^(2k) / (k!)^2 before they fall.  So for real nu and mu < 1 with
+    m = floor(nu + mu) >= :data:`RECURRENCE_FROM`, F is summed only at the
+    degrees nu - m and nu - m + 1, and raised to nu by the three-term degree
+    recurrence (DLMF 14.10.3; Gil, Segura & Temme, *Numerical Methods for
+    Special Functions*, SIAM 2007, ch. 4), which the weight, free of nu,
+    passes to F:
+
+        (v - mu + 1) F_{v+1} = (2v + 1) xi F_v - (v + mu) F_{v-1},
+
+    with xi = 1 - 2x.  Every coefficient v - mu + 1 is at least 2 - 2 mu,
+    so none vanishes.  Next to x = 1, where (nu + 1/2)^2 (1 - x) is below
+    mu^2 - 1/4, the low degrees lie before the turning point of Legendre's
+    equation and the recurrence through them loses digits; there F_nu is
+    summed itself, by the connection formula, in few terms.  Both start
+    degrees and those points go in one :func:`hyp2f1` call.  For
+    2 <= m < RECURRENCE_FROM, F_nu is summed itself at every point, an
+    integer degree in 1 - x near x = 1 (see :func:`_legendre_f`).  Complex
+    parameters, and m <= 1 (so every Mellin transform of the package,
+    where nu + mu < 0), take the one series as it stands.
+
+    A positive integer mu is a pole of the 2F1 here; :func:`legendre_p_cut`
+    recurs in the order for those.  ``x`` may be a scalar or ndarray.
     """
     x = check_real(x, "legendre_weighted argument x", 0.0, 1.0, "[)")
     x1 = np.atleast_1d(x)
-    out = rgamma(1.0 - mu) * (2.0 * (1.0 - x1)) ** mu * hyp2f1(-nu, nu + 1.0, 1.0 - mu, x1)
-    return scalar_or_array(out, x)
+    _finite(nu)
+    _finite(mu)
+    weight = rgamma(1.0 - mu) * (2.0 * (1.0 - x1)) ** mu
+    real = not (isinstance(nu, complex) or isinstance(mu, complex))
+    m = math.floor(nu + mu) if real and mu < 1.0 else 0
+    if not 2 <= m <= SERIES_MAX_TERMS:
+        return scalar_or_array(weight * hyp2f1(-nu, nu + 1.0, 1.0 - mu, x1), x)
+    x1 = x1.reshape(-1)  # scalar_or_array gives the result x's shape
+    if m < RECURRENCE_FROM:
+        f = _legendre_f(np.full(x1.size, nu), mu, x1)
+    else:
+        f = _degree_recurrence(nu, mu, m, x1)
+    return scalar_or_array(weight * f.reshape(weight.shape), x)
+
+
+def _degree_recurrence(nu, mu, m, x):
+    """F_nu of :func:`legendre_weighted` at the flat points x: raised from
+    the degrees nu - m and nu - m + 1 by the three-term recurrence, and
+    summed itself next to x = 1."""
+    near = (x > 0.75) & ((nu + 0.5) ** 2 * (1.0 - x) < mu * mu - 0.25)
+    x_far, x_near = x[~near], x[near]
+    k = x_far.size
+    v = nu - m + 1.0  # the degree of g
+    f = _legendre_f(np.repeat([v - 1.0, v, nu], [k, k, x_near.size]), mu,
+                    np.concatenate([x_far, x_far, x_near]))
+    g_prev, g = f[:k], f[k:2 * k]
+    xi = 1.0 - 2.0 * x_far
+    for _ in range(m - 1):
+        g_prev, g = g, ((2.0 * v + 1.0) * xi * g - (v + mu) * g_prev) / (v - mu + 1.0)
+        v += 1.0
+    if x_near.size:
+        f_far, g = g, np.empty_like(x)
+        g[~near], g[near] = f_far, f[2 * k:]
+    if not np.all(np.isfinite(g)):
+        raise ConvergenceError("Legendre degree recurrence produced a non-finite value")
+    return g
 
 
 def legendre_p_cut(nu, mu, xi):

@@ -527,10 +527,16 @@ DOMAIN_ERRORS = [
     (("simulate", "--model", "MODEL_RHO_1.5", "--n", "4", "--theta", "root1",
       "--grid", "1e2:1e6:5"),
      "theta1=2.5132741228718345 is within 1e-06 rad of an exceptional angle"),
+    # delta = 0: H = 0 at every angle, and u/n, u/N of a massless model are 0/0
+    (("simulate", "--model", "MODEL_MASSLESS", "--n", "4", "--theta", "0.3", "--grid", "1e2:1e6:5"),
+     "simulate needs delta > 0, got delta=0"),
+    (("simulate", "--model", "MODEL_ATOMS", "--n", "4", "--delta", "0", "--theta", "0.3",
+      "--grid", "1e2:1e4:5"), "simulate needs delta > 0, got delta=0"),
 ]
 
 # the mass-model files the runs above name
-MODELS = {"MODEL": "powerlaw delta=1.0 rho=0.5\n", "MODEL_RHO_1.5": "powerlaw delta=1.0 rho=1.5\n"}
+MODELS = {"MODEL": "powerlaw delta=1.0 rho=0.5\n", "MODEL_RHO_1.5": "powerlaw delta=1.0 rho=1.5\n",
+          "MODEL_MASSLESS": "powerlaw delta=0 rho=0.5\n", "MODEL_ATOMS": "atom t=2.0 mass=1.0\n"}
 
 
 class TestDomainErrors:

@@ -279,6 +279,74 @@ class TestZeroSet:
             zero_set(P35)
 
 
+def shape_mpmath(n, rho, theta):
+    """S(theta) = (1 + cos theta)^mu / Gamma(1-mu) 2F1(-nu, nu+1; 1-mu;
+    sin^2(theta/2)) by mpmath's own 2F1, at 40 digits."""
+    with mpmath.workdps(40):
+        mu = mpmath.mpf(3 - n) / 2
+        nu = mpmath.mpf(rho) + mpmath.mpf(n - 3) / 2
+        th = mpmath.mpf(theta)
+        return ((1 + mpmath.cos(th)) ** mu * mpmath.rgamma(1 - mu)
+                * mpmath.hyp2f1(-nu, nu + 1, 1 - mu, mpmath.sin(th / 2) ** 2))
+
+
+class TestDegreeRecurrence:
+    """From rho = 3 on, S is raised from its two lowest degrees by the
+    three-term recurrence in the degree, and summed directly next to pi;
+    from rho = 2 on, an integer degree is summed in 1 - x next to pi."""
+
+    def test_array_equals_one_angle_calls(self):
+        # odd and even n, integer degrees (the Jacobi start) and angles next
+        # to pi, where the factor is summed at its own degree
+        rng = np.random.default_rng(37)
+        for n, rho in [(5, 3.0), (6, 4.5), (10, 25.5), (3, 7.0)] + [
+                (int(rng.integers(3, 13)), float(rng.uniform(2.0, 40.0))) for _ in range(30)]:
+            theta = np.concatenate([[0.0], rng.uniform(0.0, 3.1, 8), [3.0, 3.1, 3.14]])
+            whole = angular_shape(n, rho, theta)
+            assert [repr(v) for v in whole.tolist()] == [repr(angular_shape(n, rho, t))
+                                                         for t in theta.tolist()]
+
+    def test_refinement_calls(self, monkeypatch):
+        # while S was one series at degree nu, it cancelled at the far
+        # roots, whose signs were rounding noise: 25 calls after the scan
+        calls = []
+        real = indicator.angular_shape
+
+        def counted(n, rho, theta):
+            calls.append(np.size(theta))
+            return real(n, rho, theta)
+
+        monkeypatch.setattr(indicator, "angular_shape", counted)
+        indicator._cached_roots.cache_clear()
+        zset = zero_set(ProblemParams(6, 12.587281517922548))
+        indicator._cached_roots.cache_clear()
+        assert len(zset.roots) == 13
+        assert calls[0] == 3141 and len(calls) - 1 <= 10
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_against_mpmath(self, n):
+        theta = np.linspace(0.05, 3.0, 25)
+        for rho in (2.0, 3.3, 4.5, 5.0, 9.5, 12.587, 15.5, 21.0, 25.5, 33.3, 40.5):
+            got = angular_shape(n, rho, theta)
+            want = np.array([float(shape_mpmath(n, rho, t)) for t in theta.tolist()])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), rho
+
+    @pytest.mark.parametrize("n,rho", [(7, 20.37), (12, 30.7), (4, 40.3), (8, 40.3), (3, 60.5),
+                                       (10, 3.0549855703552233), (10, 4.584992614011126)])
+    def test_zeros_against_mpmath(self, n, rho):
+        # the first five exited 2 with CountMismatchError while S was one
+        # series; the last two had roots off by 1.3e-12 and 6.6e-12.  S
+        # in 40 digits changes sign within 1e-12 of every root found, and
+        # the count is complete, so every root lies within 1e-12
+        roots = zero_set(ProblemParams(n, rho)).roots
+        assert len(roots) == math.floor(rho) + 1
+        with mpmath.workdps(40):
+            for beta in roots:
+                below = shape_mpmath(n, rho, mpmath.mpf(beta) - mpmath.mpf("1e-12"))
+                above = shape_mpmath(n, rho, mpmath.mpf(beta) + mpmath.mpf("1e-12"))
+                assert below * above < 0, beta
+
+
 def _scipy_refine(f, a, b, ends=None):
     # find_root evaluates f at the bracket ends itself
     res = elementwise.find_root(f, (a, b), tolerances=indicator._ROOT_TOLERANCES)

@@ -406,6 +406,9 @@ SHAPE_ENTRIES = {
     "hyp2f1 complex": (lambda x: hyp2f1(0.3 + 0.2j, 0.4, 0.5, x), 0.3, complex),
     "legendre_weighted": (lambda x: legendre_weighted(1.5, -0.5, x), 0.3, float),
     "legendre_weighted complex": (lambda x: legendre_weighted(1.2, 0.3 + 0.1j, x), 0.3, complex),
+    # from nu + mu = 2 on, the degree recurrence, and next to x = 1 the series at nu
+    "legendre_weighted recurrence": (lambda x: legendre_weighted(12.5, -1.5, x), 0.3, float),
+    "legendre_weighted next to one": (lambda x: legendre_weighted(12.5, -1.5, x), 0.999, float),
     "legendre_p_cut": (lambda x: legendre_p_cut(1.5, -0.5, x), 0.3, float),
     "legendre_p_cut integer order": (lambda x: legendre_p_cut(2.5, 1.0, x), 0.3, float),
     "riesz_k": (lambda t: riesz_k(1.5, t, 0.3), 0.4, float),

@@ -298,6 +298,76 @@ class TestHyp2F1:
             assert vec[i] == pytest.approx(hyp2f1(0.3, 1.1, 2.2, float(x)), rel=1e-13)
 
 
+def _row_draw(rng, branch):
+    """Three rows (a - i, b + i) that share c and c - a - b, and points on
+    the branch: a non-integer c - a - b for the even-n connection formula,
+    an integer one, of either sign, for the odd-n log case."""
+    a, b = float(rng.uniform(-3.0, -0.2)), float(rng.uniform(0.3, 4.0))
+    if branch == "log case":
+        c = a + b + int(rng.integers(-2, 4))
+        if c <= 0.05:
+            c += 4.0
+    else:
+        c = float(rng.uniform(0.1, 4.0))
+    lo, hi = (-0.5, 0.75) if branch == "central" else (0.75, 0.999)
+    return [(a - i, b + i) for i in range(3)], c, lo, hi
+
+
+class TestStackedRows:
+    """Rows of (a, b) that share c and c - a - b go in one call, as flat
+    arrays of x's size; each point's value is its one-row call's, by repr."""
+
+    # 7 points a row stay below LOG_SPAN_POINTS in the log case and 60 go
+    # past it; 400 go past ONE_PASS_POINTS, where each row has its own call
+    @pytest.mark.parametrize("points", [7, 60, 400])
+    @pytest.mark.parametrize("branch", ["central", "nonint connection", "log case"])
+    def test_row_equals_one_row_call(self, branch, points):
+        rng = np.random.default_rng(29)
+        for _ in range(12):
+            rows, c, lo, hi = _row_draw(rng, branch)
+            x = rng.uniform(lo, hi, points)
+            a, b = (np.repeat(col, points) for col in zip(*rows))
+            stacked = hyp2f1(a, b, c, np.tile(x, len(rows)))
+            for (ai, bi), got in zip(rows, np.split(stacked, len(rows))):
+                assert [repr(v) for v in got.tolist()] == [repr(v) for v in hyp2f1(ai, bi, c, x).tolist()]
+
+    @pytest.mark.parametrize("branch", ["central", "nonint connection", "log case"])
+    def test_rows_with_their_own_points(self, branch):
+        # each row a run of points of its own
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            rows, c, lo, hi = _row_draw(rng, branch)
+            xs = [rng.uniform(lo, hi, k) for k in (5, 2, 3)]
+            a = np.concatenate([np.full(x.size, ai) for (ai, _), x in zip(rows, xs)])
+            b = np.concatenate([np.full(x.size, bi) for (_, bi), x in zip(rows, xs)])
+            got = np.split(hyp2f1(a, b, c, np.concatenate(xs)), [5, 7])
+            for (ai, bi), x, part in zip(rows, xs, got):
+                assert [repr(v) for v in part.tolist()] == [repr(v) for v in hyp2f1(ai, bi, c, x).tolist()]
+
+    def test_one_row_array_equals_scalar_call(self):
+        x = np.linspace(-0.9, 0.99, 9)
+        got = hyp2f1(np.full(9, -2.3), np.full(9, 3.3), 1.5, x)
+        assert got.tobytes() == hyp2f1(-2.3, 3.3, 1.5, x).tobytes()
+
+    def test_terminating_rows(self):
+        x = np.linspace(-0.9, 0.99, 9)
+        stacked = hyp2f1(np.repeat([-3.0, -4.0], 9), np.repeat([4.5, 5.5], 9), 2.5, np.tile(x, 2))
+        for ai, bi, got in ((-3.0, 4.5, stacked[:9]), (-4.0, 5.5, stacked[9:])):
+            assert got.tobytes() == hyp2f1(ai, bi, 2.5, x).tobytes()
+
+    def test_rows_must_share_the_branch(self):
+        with pytest.raises(DomainError, match="share c - a - b"):
+            hyp2f1(np.array([0.3, 0.4]), np.array([1.1, 1.1]), 2.5, [0.2, 0.9])
+        with pytest.raises(DomainError, match="all terminate or none"):
+            hyp2f1(np.array([-2.0, -2.5]), np.array([1.0, 1.5]), 2.5, [0.2, 0.9])
+
+    def test_parameter_arrays_match_x(self):
+        with pytest.raises(DomainError, match="flat"):
+            hyp2f1(np.array([[0.3], [0.4]]), 1.1, 2.5, [0.2, 0.9])
+        with pytest.raises(DomainError, match="flat"):
+            hyp2f1(np.array([0.3, 0.3, 0.3]), np.array([1.1, 1.1, 1.1]), 2.5, [0.2, 0.9])
+
+
 class TestLegendreCut:
     def test_normalization_near_one(self):
         # P_nu(1) = 1; probed just inside the cut
