@@ -25,13 +25,12 @@ from .errors import (
     ConvergenceError,
     CountMismatchError,
     DomainError,
-    ExceptionalAngleError,
     ParseError,
     RayGrowthError,
 )
 from .indicator import (
-    ROOT_BRACKET_WIDTH,
     angular_shape,
+    guarded_indicator,
     indicator_closed,
     indicator_integral,
     indicator_near_pi,
@@ -311,17 +310,9 @@ def cmd_simulate(args) -> int:
         if res.quadrature_flags:
             print(f"raygrowth: quadrature flagged at theta1={_fmt(th)}: {res.diagnostics}", file=sys.stderr)
             flagged += res.quadrature_flags
-        # H on both sides of the angle too: a zero or a sign change there is
-        # a root of S, where u grows like r^q and no error relative to H is
-        # defined.  The upper side keeps a width below pi, where sin^2(theta/2)
-        # would round to 1, unless the angle itself lies closer.
-        lo = max(th - ROOT_BRACKET_WIDTH, 0.0)
-        hi = min(th + ROOT_BRACKET_WIDTH, max(th, math.pi - ROOT_BRACKET_WIDTH))
-        h_lo, oracle, h_hi = indicator_closed(params, [lo, th, hi]).tolist()
-        if oracle == 0 or min(h_lo, h_hi) <= 0 <= max(h_lo, h_hi):
-            raise ExceptionalAngleError(
-                f"theta1={_fmt(th)} is within {ROOT_BRACKET_WIDTH} rad of an exceptional "
-                f"angle, where the indicator is 0")
+        # at a root of S, u grows like r^q and no error relative to H is
+        # defined: the guard refuses the angle
+        oracle = guarded_indicator(params, th)
         denom = max(1e-300, abs(oracle))
         for s in res.samples:
             rows.append({

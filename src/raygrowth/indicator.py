@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -135,11 +134,6 @@ class ZeroSet:
     rho: float
     roots: tuple
 
-    def contains(self, angle: float) -> bool:
-        """True when angle lies within ROOT_BRACKET_WIDTH of a root, the
-        guard band of every operation that must refuse angles on a root."""
-        return any(abs(angle - b) <= ROOT_BRACKET_WIDTH for b in self.roots)
-
 
 def angular_shape(n, rho, theta):
     """Latitude factor S(theta) = (sin theta)^mu P^mu_nu(cos theta) with
@@ -253,25 +247,10 @@ def indicator_near_pi(params: ProblemParams, theta1):
     )
 
 
-@lru_cache(maxsize=128)
-def _cached_roots(n: int, rho: float, resolution: float) -> tuple:
-    lo = resolution
-    hi = math.pi - resolution
-    count = int(math.ceil((hi - lo) / resolution)) + 1
-    grid = np.linspace(lo, hi, count)
-    vals = angular_shape(n, rho, grid)
-    sgn = np.sign(vals)
-    left = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    roots = _refine_roots(lambda t: angular_shape(n, rho, t), grid[left], grid[left + 1]).tolist()
-    # exact zeros on grid nodes would be missed by the strict sign test
-    roots.extend(float(grid[i]) for i in np.nonzero(vals == 0.0)[0])
-    return tuple(sorted(roots))
-
-
-def zero_set(params: ProblemParams, resolution: float = ROOT_SCAN_RESOLUTION) -> ZeroSet:
+def zero_set(params: ProblemParams) -> ZeroSet:
     """All zeros of the indicator's angular factor in (0, pi).
 
-    A vectorized sign scan of the angular factor at the given resolution
+    A vectorized sign scan of the angular factor at ROOT_SCAN_RESOLUTION
     brackets each root; one bracketed solve (Chandrupatla's method, one
     array evaluation of the factor per iteration) refines all of them
     together to full double precision (a scan node where the factor is
@@ -281,14 +260,52 @@ def zero_set(params: ProblemParams, resolution: float = ROOT_SCAN_RESOLUTION) ->
     defect or a genuine violation of the zero-count law, and is surfaced
     rather than repaired).
     """
-    roots = _cached_roots(params.n, params.rho, float(resolution))
+    n, rho = params.n, params.rho
+    lo, hi = ROOT_SCAN_RESOLUTION, math.pi - ROOT_SCAN_RESOLUTION
+    grid = np.linspace(lo, hi, int(math.ceil((hi - lo) / ROOT_SCAN_RESOLUTION)) + 1)
+    vals = angular_shape(n, rho, grid)
+    sgn = np.sign(vals)
+    left = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+    roots = _refine_roots(lambda t: angular_shape(n, rho, t), grid[left], grid[left + 1]).tolist()
+    # exact zeros on grid nodes would be missed by the strict sign test
+    roots.extend(float(grid[i]) for i in np.nonzero(vals == 0.0)[0])
     expected = params.q + 1
     if len(roots) != expected:
         raise CountMismatchError(
-            f"found {len(roots)} angular roots for n={params.n}, rho={params.rho}; "
+            f"found {len(roots)} angular roots for n={n}, rho={rho}; "
             f"expected floor(rho)+1 = {expected}"
         )
-    return ZeroSet(n=params.n, rho=params.rho, roots=roots)
+    return ZeroSet(n=n, rho=rho, roots=tuple(sorted(roots)))
+
+
+def _guarded_shape(params: ProblemParams, theta1, name: str) -> float:
+    """S(theta1), once theta1 is known not to be exceptional: the one test
+    of the package for an angle on a root of the angular factor.
+
+    S is taken at theta1 and ROOT_BRACKET_WIDTH on each side of it, in one
+    call; the upper side keeps a width below pi, where sin^2(theta/2) would
+    round to 1, unless theta1 itself lies closer.  A zero at theta1, or a
+    sign change across that band, is a root within ROOT_BRACKET_WIDTH, and
+    raises :class:`ExceptionalAngleError` naming ``name``.  The test is on
+    S, so it holds for delta = 0 too.
+    """
+    theta1 = check_one_angle(theta1, name=name)
+    lo = max(theta1 - ROOT_BRACKET_WIDTH, 0.0)
+    hi = min(theta1 + ROOT_BRACKET_WIDTH, max(theta1, math.pi - ROOT_BRACKET_WIDTH))
+    s_lo, shape, s_hi = angular_shape(params.n, params.rho, [lo, theta1, hi]).tolist()
+    if shape == 0 or min(s_lo, s_hi) <= 0 <= max(s_lo, s_hi):
+        raise ExceptionalAngleError(
+            f"{name}={theta1:.17g} is within {ROOT_BRACKET_WIDTH} rad of an exceptional "
+            f"angle, where the indicator is 0")
+    return shape
+
+
+def guarded_indicator(params: ProblemParams, theta1) -> float:
+    """Indicator H(theta1) in closed form at one angle, which must not lie
+    within ROOT_BRACKET_WIDTH of an exceptional angle: there H is 0 and no
+    error relative to it is defined, so :class:`ExceptionalAngleError` is
+    raised instead."""
+    return _indicator_coefficient(params) * _guarded_shape(params, theta1, "theta1")
 
 
 def tauberian_constant(params: ProblemParams, phi):
@@ -307,15 +324,8 @@ def tauberian_constant(params: ProblemParams, phi):
     root of the angular factor (there the constant is infinite and the
     transfer genuinely fails).
     """
-    phi = check_one_angle(phi, name="phi")
-    zset = zero_set(params)
-    if zset.contains(phi):
-        raise ExceptionalAngleError(
-            f"phi={phi} is within {ROOT_BRACKET_WIDTH} rad of an exceptional root "
-            f"(roots: {', '.join(f'{b:.6f}' for b in zset.roots)})"
-        )
+    shape = _guarded_shape(params, phi, "phi")
     n, rho = params.n, params.rho
-    shape = angular_shape(n, rho, phi)
     # prod_{k=1}^{n-3}(rho+k) = (n-3)! rising_ratio(rho, n-3)
     return (
         2.0 ** ((n - 3.0) / 2.0) * (gamma((n - 2.0) / 2.0) / math.factorial(n - 3))
@@ -344,15 +354,12 @@ def transfer_indicator(params: ProblemParams, phi, H_phi, theta1):
 
     evaluated through the stable latitude factor so the axis theta1 = 0 (or
     phi = 0) is an ordinary point.  phi must stay away from the exceptional
-    roots (division by S(phi)); a target theta1 on a root simply receives 0.
+    roots (division by S(phi)): within ROOT_BRACKET_WIDTH of one it raises
+    :class:`ExceptionalAngleError`.  A target theta1 on a root simply
+    receives 0.
     """
-    phi = check_one_angle(phi, name="phi")
-    theta1 = check_angle(theta1)
-    if zero_set(params).contains(phi):
-        raise ExceptionalAngleError(f"source angle phi={phi} is exceptional")
-    return H_phi * angular_shape(params.n, params.rho, theta1) / angular_shape(
-        params.n, params.rho, phi
-    )
+    shape_phi = _guarded_shape(params, phi, "phi")
+    return H_phi * angular_shape(params.n, params.rho, check_angle(theta1)) / shape_phi
 
 
 def ratio_limits(params: ProblemParams, theta1):

@@ -276,14 +276,9 @@ def _block_at_points(block, row_of):
 
 
 def _ratio_blocks(rows):
-    """The term ratios (a+k)(b+k) / ((c+k)(1+k)) of each row (a, b, c), for
-    k = 0, 1, ..., in blocks of shape (COEF_BLOCK, rows).  numpy takes real
-    rows at once, in IEEE arithmetic as Python's scalars do; complex rows go
-    one scalar at a time, since numpy divides complex numbers another way."""
-    if any(isinstance(v, complex) for row in rows for v in row):
-        for k0 in itertools.count(0, COEF_BLOCK):
-            yield np.array([[(a + k) * (b + k) / ((c + k) * (1.0 + k)) for a, b, c in rows]
-                            for k in range(k0, k0 + COEF_BLOCK)])
+    """The term ratios (a+k)(b+k) / ((c+k)(1+k)) of each real row (a, b, c),
+    for k = 0, 1, ..., in blocks of shape (COEF_BLOCK, rows), all rows at
+    once, in IEEE arithmetic as Python's scalars do."""
     a, b, c = (np.array(col, dtype=float) for col in zip(*rows))
     for k0 in itertools.count(0, COEF_BLOCK):
         k = np.arange(k0, k0 + COEF_BLOCK, dtype=float)[:, None]
@@ -403,13 +398,16 @@ def _2f1_near_one_logcase(rows, row_of, m, x):
     return _per_row([gamma(a + b + m) for a, b in rows], row_of) * (part1 - part2)
 
 
-def _rows(a, b, x):
+def _rows(a, b, c, x):
     """The rows (a, b) of a call, as Python scalars, and each point's row:
     a row is a run of points of x with one (a, b).  ``row_of`` is None for
-    a single row, which keeps Python's scalar arithmetic."""
+    a single row, which keeps Python's scalar arithmetic.  Parameter arrays
+    are real, and so is the c that goes with them."""
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return [(_maybe_real(a), _maybe_real(b))], None
     a, b = np.asarray(a), np.asarray(b)
+    if np.iscomplexobj(a) or np.iscomplexobj(b) or isinstance(c, complex):
+        raise DomainError("2F1 parameter arrays must be real, as must c next to them")
     if not x.ndim == 1 or a.shape != x.shape or b.shape != x.shape:
         raise DomainError(f"2F1 parameter arrays must be flat, as x is, and of its size {x.size}")
     new = np.empty(x.size, bool)
@@ -429,12 +427,13 @@ def hyp2f1(a, b, c, x):
     c - a - b) near the right endpoint, so convergence stays geometric over
     the whole open interval.
 
-    ``a`` and ``b`` may also be flat arrays of x's size, for a flat x.  A
-    run of points with one (a, b) is a row; all rows must share c - a - b,
-    and terminate all or none, so that each point takes the branch it would
-    alone.  Each point's value equals by ``repr`` that of its one-row call:
-    every series sums all rows in one pass, with each row's own scalar
-    coefficients, and the connection formulas take their gammas row by row.
+    ``a`` and ``b`` may also be real flat arrays of x's size, for a flat x
+    and a real c.  A run of points with one (a, b) is a row; all rows must
+    share c - a - b, and terminate all or none, so that each point takes
+    the branch it would alone.  Each point's value equals by ``repr`` that
+    of its one-row call: every series sums all rows in one pass, with each
+    row's own scalar coefficients, and the connection formulas take their
+    gammas row by row.
     At a few points, where numpy's fixed cost per operation dominates, two
     rows cost about what one does; past :data:`ONE_PASS_POINTS` points each
     row goes in its own call.
@@ -443,7 +442,7 @@ def hyp2f1(a, b, c, x):
         raise PoleError(f"2F1 parameter pole: c={c}")
     x_arr = np.asarray(check_real(x, "2F1 argument x", -1.0, 1.0, "()"))
     c = _maybe_real(c)
-    rows, row_of = _rows(a, b, x_arr)
+    rows, row_of = _rows(a, b, c, x_arr)
     if not rows:  # no points, and so no row
         return np.zeros(0, dtype=np.result_type(a, b, c, float))
     terminating = [_is_nonpositive_integer(ai) or _is_nonpositive_integer(bi) for ai, bi in rows]
@@ -629,8 +628,8 @@ def legendre_p_cut(nu, mu, xi):
     """
     xi_arr = check_real(xi, "legendre_p_cut argument xi", -1.0, 1.0, "()")
     xi_arr = np.atleast_1d(xi_arr)
-    if not (np.isfinite(complex(nu)) and np.isfinite(complex(mu))):
-        raise DomainError(f"legendre_p_cut requires finite degree and order, got {nu}, {mu}")
+    _finite(nu)
+    _finite(mu)
     nu = _maybe_real(nu)
     mu = _maybe_real(mu)
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from raygrowth import indicator
 from raygrowth.indicator import (
     angular_shape,
     indicator_closed,
@@ -55,14 +56,16 @@ def test_criterion_01_zero_set_reproduction():
     report(1, "zero-set reproduction", ok, detail)
 
 
-def test_criterion_02_zero_count_law():
+def test_criterion_02_zero_count_law(monkeypatch):
     start = time.monotonic()
     bad = []
     for n in (3, 4, 5, 6):
         for rho in (0.3, 1.5, 2.7, 3.4):
             p = ProblemParams(n, rho)
             coarse = zero_set(p).roots
-            fine = zero_set(p, resolution=1e-4).roots
+            with monkeypatch.context() as m:
+                m.setattr(indicator, "ROOT_SCAN_RESOLUTION", 1e-4)
+                fine = zero_set(p).roots
             expected = math.floor(rho) + 1
             if len(coarse) != expected or len(fine) != expected:
                 bad.append((n, rho, len(coarse), len(fine)))

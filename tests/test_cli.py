@@ -36,6 +36,8 @@ class TestAngleParsing:
     def test_bad_tokens(self):
         with pytest.raises(ParseError):
             parse_angle("ninety")
+        with pytest.raises(ParseError, match="root angles need n and rho"):
+            parse_angle("root")
         for token in ("root7", "rootx", "root-1"):
             with pytest.raises(ParseError):
                 parse_angle(token, ProblemParams(3, 0.5))
@@ -527,6 +529,13 @@ DOMAIN_ERRORS = [
     (("simulate", "--model", "MODEL_RHO_1.5", "--n", "4", "--theta", "root1",
       "--grid", "1e2:1e6:5"),
      "theta1=2.5132741228718345 is within 1e-06 rad of an exceptional angle"),
+    # within 1e-6 rad of that root on either side; the angle in 17 digits
+    (("simulate", "--model", "MODEL_RHO_1.5", "--n", "4", "--theta", "2.5132736",
+      "--grid", "1e2:1e6:5"),
+     "theta1=2.5132736000000002 is within 1e-06 rad of an exceptional angle"),
+    (("simulate", "--model", "MODEL_RHO_1.5", "--n", "4", "--theta", "2.5132751",
+      "--grid", "1e2:1e6:5"),
+     "theta1=2.5132751 is within 1e-06 rad of an exceptional angle"),
     # delta = 0: H = 0 at every angle, and u/n, u/N of a massless model are 0/0
     (("simulate", "--model", "MODEL_MASSLESS", "--n", "4", "--theta", "0.3", "--grid", "1e2:1e6:5"),
      "simulate needs delta > 0, got delta=0"),

@@ -16,9 +16,10 @@ from raygrowth.errors import (
     StripViolationError,
 )
 from raygrowth.indicator import (
-    ROOT_SCAN_RESOLUTION,
+    ROOT_BRACKET_WIDTH,
     _refine_roots,
     angular_shape,
+    guarded_indicator,
     indicator_closed,
     indicator_integral,
     indicator_near_pi,
@@ -212,11 +213,13 @@ class TestZeroSet:
         assert len(z.roots) == 1
         assert 114.0 <= math.degrees(z.roots[0]) <= 116.0
 
-    def test_three_roots_against_finer_scan(self):
+    def test_three_roots_against_finer_scan(self, monkeypatch):
         p = ProblemParams(3, 2.5)
         z = zero_set(p)
         assert len(z.roots) == 3
-        fine = zero_set(p, resolution=1e-4)
+        monkeypatch.setattr(indicator, "ROOT_SCAN_RESOLUTION", 1e-4)
+        fine = zero_set(p)
+        assert len(fine.roots) == 3
         for a, b in zip(z.roots, fine.roots):
             assert a == pytest.approx(b, abs=1e-9)
 
@@ -274,7 +277,7 @@ class TestZeroSet:
 
     def test_count_mismatch_raises(self, monkeypatch):
         # a scan that finds two roots where floor(rho)+1 = 1 is surfaced
-        monkeypatch.setattr(indicator, "_cached_roots", lambda n, rho, resolution: (1.0, 2.0))
+        monkeypatch.setattr(indicator, "_refine_roots", lambda f, a, b: np.array([1.0, 2.0]))
         with pytest.raises(CountMismatchError, match="found 2 angular roots for n=3, rho=0.5"):
             zero_set(P35)
 
@@ -317,9 +320,7 @@ class TestDegreeRecurrence:
             return real(n, rho, theta)
 
         monkeypatch.setattr(indicator, "angular_shape", counted)
-        indicator._cached_roots.cache_clear()
         zset = zero_set(ProblemParams(6, 12.587281517922548))
-        indicator._cached_roots.cache_clear()
         assert len(zset.roots) == 13
         assert calls[0] == 3141 and len(calls) - 1 <= 10
 
@@ -361,9 +362,9 @@ class TestRefineRoots:
     @pytest.mark.parametrize("n,rho", [(3, 0.5), (3, 12.9), (4, 2.7), (4, 12.9), (5, 7.3),
                                        (6, 12.5), (7, 11.5), (8, 12.9), (9, 10.1), (10, 12.2)])
     def test_zero_sets_match_scipy(self, monkeypatch, n, rho):
-        roots = indicator._cached_roots.__wrapped__(n, rho, ROOT_SCAN_RESOLUTION)
+        roots = zero_set(ProblemParams(n, rho)).roots
         monkeypatch.setattr(indicator, "_refine_roots", _scipy_refine)
-        assert roots == indicator._cached_roots.__wrapped__(n, rho, ROOT_SCAN_RESOLUTION)
+        assert roots == zero_set(ProblemParams(n, rho)).roots
         assert len(roots) == math.floor(rho) + 1
 
     @pytest.mark.parametrize("n", range(3, 11))
@@ -409,7 +410,8 @@ class TestTauberianConstant:
         with pytest.raises(ExceptionalAngleError):
             tauberian_constant(P35, beta)
 
-    @pytest.mark.parametrize("p", [P35, ProblemParams(4, 1.5)])
+    @pytest.mark.parametrize("p", [P35, ProblemParams(4, 1.5), ProblemParams(7, 20.37),
+                                   ProblemParams(6, 12.587281517922548)])
     def test_fixed_guard_band(self, p):
         # angles within ROOT_BRACKET_WIDTH = 1e-6 of a root are refused,
         # angles 1e-3 away are ordinary
@@ -422,6 +424,16 @@ class TestTauberianConstant:
             for off in (-1e-3, 1e-3):
                 assert np.isfinite(tauberian_constant(p, beta + off))
                 assert np.isfinite(transfer_indicator(p, beta + off, 1.0, 0.5))
+
+    @pytest.mark.parametrize("n,rho,phi", [(3, 0.05, 1.0), (3, 1.03, 0.5)])
+    def test_far_from_roots_where_the_scan_miscounts(self, n, rho, phi):
+        # the 3141-node scan miscounts the roots here, and the transfer
+        # raised CountMismatchError while it judged phi by the whole zero set
+        p = ProblemParams(n, rho)
+        assert tauberian_audit(p, phi) == pytest.approx(rho + n - 2.0, rel=1e-12)
+        H_phi = indicator_closed(p, phi)
+        assert transfer_indicator(p, phi, H_phi, 1.3) == pytest.approx(
+            indicator_closed(p, 1.3), rel=1e-12)
 
     def test_audit_product_reports_offset_factor(self):
         # printed constant times printed indicator / delta = rho + n - 2,
@@ -468,6 +480,52 @@ class TestTransfer:
         beta = zero_set(P35).roots[0]
         with pytest.raises(ExceptionalAngleError):
             transfer_indicator(P35, beta, 1.0, 0.5)
+
+
+class TestGuard:
+    """The one test of the package for an angle on a root of S: a zero at
+    the angle or a sign change of S within ROOT_BRACKET_WIDTH of it."""
+
+    def test_refuses_exactly_within_the_band_of_a_root(self):
+        rng = np.random.default_rng(41)
+        draws = 0
+        while draws < 12:
+            n, rho = int(rng.integers(3, 11)), float(rng.uniform(0.1, 12.9))
+            if abs(rho - round(rho)) < 0.05:
+                continue
+            draws += 1
+            p = ProblemParams(n, rho)
+            roots = zero_set(p).roots
+            angles = [b + sign * off for b in roots for sign in (-1, 1)
+                      for off in (0.0, 5e-7, 0.99e-6, 1.01e-6, 1e-3)]
+            for a in angles + rng.uniform(0.0, math.pi, 10).tolist():
+                near = min(abs(a - b) for b in roots) <= ROOT_BRACKET_WIDTH
+                try:
+                    value = guarded_indicator(p, a)
+                except ExceptionalAngleError:
+                    assert near, (n, rho, a)
+                else:
+                    assert not near, (n, rho, a)
+                    assert value == indicator_closed(p, a)
+
+    @pytest.mark.parametrize("theta1", [0.0, 5e-7, math.pi - 5e-7, math.pi - 1e-7])
+    def test_ends_of_the_interval(self, theta1):
+        # the band is clipped to [0, pi): S is not taken at pi
+        assert guarded_indicator(P35, theta1) == indicator_closed(P35, theta1)
+
+    def test_message_names_the_angle(self):
+        beta = zero_set(P35).roots[0]
+        with pytest.raises(ExceptionalAngleError, match=(
+                rf"^phi={beta:.17g} is within 1e-06 rad of an exceptional angle, "
+                "where the indicator is 0$")):
+            tauberian_constant(P35, beta)
+
+    def test_zero_delta_is_still_guarded(self):
+        # the test is on S, not on H, which is 0 at every angle here
+        p = ProblemParams(3, 0.5, 0.0)
+        assert guarded_indicator(p, 0.3) == 0.0
+        with pytest.raises(ExceptionalAngleError, match="^theta1="):
+            guarded_indicator(p, zero_set(p).roots[0])
 
 
 class TestRatioLimits:

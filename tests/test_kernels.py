@@ -246,6 +246,10 @@ PARAMETER_ENTRIES = {
                              lambda v: legendre_weighted(v, -1.0, 0.3), [NAN, INF]),
     "legendre_p_cut xi": ("legendre_p_cut argument xi", lambda v: legendre_p_cut(0.5, -0.5, v),
                           [1.0, -1.0, NAN, INF]),
+    "legendre_p_cut nu": ("special-function argument",
+                          lambda v: legendre_p_cut(v, -0.5, 0.3), [NAN, INF]),
+    "legendre_p_cut mu": ("special-function argument",
+                          lambda v: legendre_p_cut(0.5, v, 0.3), [NAN, -INF]),
     "gamma": ("special-function argument", gamma, [NAN, INF, -INF]),
     "rgamma": ("special-function argument", rgamma, [NAN, INF]),
     "digamma": ("special-function argument", digamma, [NAN, INF, complex(0.5, INF)]),
@@ -689,6 +693,11 @@ class TestCanonicalKernel:
         p = ProblemParams(3, 0.5)
         want = 0.5 * (1.0 - 1.25 ** (-0.5))
         assert weierstrass_K(p, 1.0, 2.0, math.pi / 2) == pytest.approx(want, rel=1e-13)
+
+    def test_observation_on_the_mass_point(self):
+        # cos(pi - 1e-9) rounds to -1, so x = (2, pi - 1e-9) is the mass point
+        with pytest.raises(DomainError, match="coincides with the mass point"):
+            weierstrass_K(ProblemParams(3, 0.5), 2.0, 2.0, math.pi - 1e-9)
 
     def test_reduction_identity(self):
         # K_q(x, (t, pi)) = t^{2-n} h_n(r/t, theta1, q); the two sides are

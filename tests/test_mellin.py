@@ -111,6 +111,11 @@ class TestMellinNumeric:
         with pytest.raises(ArithmeticError):
             res.require()
 
+    def test_require_returns_a_converged_value(self):
+        res = mellin_numeric(lambda u: np.exp(-u), 2.0, QUAD, MellinStrip(0.0, 50.0))
+        assert res.converged
+        assert res.require() == res.value
+
 
 class TestClosedForms:
     def test_h_closed_example_at_origin(self):
@@ -137,6 +142,9 @@ class TestClosedForms:
             mellin_h_closed(1.5, 1, 0.0, 0.3)
         with pytest.raises(PoleError):
             mellin_h_closed(1.5, 1, -1.0 + 1e-9, 0.3)
+        # gamma(2 lam - s) at s = 2 lam
+        with pytest.raises(PoleError, match="gamma\\(2 lam - s\\)"):
+            mellin_h_closed(1.0, 0, 2.0, 0.3)
 
     def test_k_closed_classical_integral(self):
         # int_0^inf dt/(1+t^2) = pi/2

@@ -259,6 +259,8 @@ class TestSweeps:
             scaled_limit(PW, P35, 0.3, (1e2, 1e6, 3))
         with pytest.raises(DomainError):
             scaled_limit(PW, P35, 0.3, np.array([1.0, 1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(DomainError, match="at least 5 points"):
+            scaled_limit(PW, P35, 0.3, np.array([1e2, 1e3, 1e4, 1e5]))
 
     @pytest.mark.parametrize("grid", [(0.0, 1e6, 9), (1e2, 1e6, -9), (1e2, math.inf, 9), (1e2, -1.0, 9)])
     def test_grid_out_of_range(self, grid):

@@ -81,6 +81,11 @@ def test_refuses_limits_other_than_finite_a_below_b(a, b):
         integrate(np.exp, a, b, QuadratureSpec())
 
 
+def test_power_substitution_needs_lower_limit_zero():
+    with pytest.raises(DomainError, match="^a power substitution needs the lower limit 0$"):
+        integrate(np.exp, 0.5, 1.0, QuadratureSpec(), power=2.0)
+
+
 def test_no_rows_no_evaluations():
     res = integrate(np.exp, np.zeros(0), np.ones(0), QuadratureSpec())
     assert res.value.shape == res.converged.shape == (0,) and res.evaluations == 0

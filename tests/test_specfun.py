@@ -366,6 +366,12 @@ class TestStackedRows:
             hyp2f1(np.array([[0.3], [0.4]]), 1.1, 2.5, [0.2, 0.9])
         with pytest.raises(DomainError, match="flat"):
             hyp2f1(np.array([0.3, 0.3, 0.3]), np.array([1.1, 1.1, 1.1]), 2.5, [0.2, 0.9])
+        # stacked rows are real: a complex degree takes one scalar row
+        for a, b, c in ((np.array([0.3 + 0.1j, 0.4]), np.array([1.1, 1.0]), 2.5),
+                        (np.array([0.3, 0.4]), np.array([1.1, 1.0 + 0j]), 2.5),
+                        (np.array([0.3, 0.4]), np.array([1.1, 1.0]), 2.5 + 0.1j)):
+            with pytest.raises(DomainError, match="must be real"):
+                hyp2f1(a, b, c, [0.2, 0.9])
 
 
 class TestLegendreCut:
