@@ -20,8 +20,8 @@ theta = math.pi / 2
 want = float(indicator_closed(params, theta))
 print(f"scaled potential r^-rho u(r) at theta1=90 deg (target H = {want:.8f}):")
 res = scaled_limit(power, params, theta, (1e2, 1e6, 9))
-for s in res.samples:
-    print(f"  r={s.r:>10.3g}   scaled={s.scaled:.8f}")
+for r, scaled in zip(res.r, res.scaled):
+    print(f"  r={r:>10.3g}   scaled={scaled:.8f}")
 print(f"  extrapolated: {res.extrapolated_limit:.8f}  "
       f"(dev {abs(res.extrapolated_limit - want) / want:.1e}, "
       f"converged={res.convergence_flag})")
@@ -35,8 +35,8 @@ print(f"  extrapolated: {res_p.extrapolated_limit:.6f} -> same limit, slower "
 un, uN = ratio_limits(params, 0.0)
 print(f"\nmass ratios along the axis (targets u/n -> {un:.6f}, u/N -> {uN:.6f}):")
 probe = ratio_probe(power, params, 0.0, (1e2, 1e6, 9))
-for s in probe.samples[-3:]:
-    print(f"  r={s.r:>10.3g}   u/n={s.u_over_n:.6f}   u/N={s.u_over_N:.6f}")
+for r, un_r, uN_r in list(zip(probe.r, probe.u_over_n, probe.u_over_N))[-3:]:
+    print(f"  r={r:>10.3g}   u/n={un_r:.6f}   u/N={uN_r:.6f}")
 print(f"  extrapolated: u/n={probe.extrapolated_un:.6f}  u/N={probe.extrapolated_uN:.6f}")
 print(f"  quotient law (u/N)/(u/n) = {probe.extrapolated_uN / probe.extrapolated_un:.6f} "
       f"vs rho/(n-2) = {0.5:.6f}")

@@ -71,17 +71,17 @@ def _json_safe(x):
     return x
 
 
-def parse_angle(token: str, params: ProblemParams | None = None) -> float:
-    """Angle token to radians: '1.2', '1.2rad', '130deg', or 'root'/'rootK'."""
+def parse_angle(token: str, zset=None) -> float:
+    """Angle token to radians: '1.2', '1.2rad', '130deg', or 'root'/'rootK' of the zero set zset."""
     token = token.strip()
     if token.startswith("root"):
-        if params is None:
+        if zset is None:
             raise ParseError("root angles need n and rho")
         try:
             idx = int(token[4:]) if len(token) > 4 else 0
         except ValueError:
             raise ParseError(f"bad root index in angle token {token!r}") from None
-        roots = zero_set(params).roots
+        roots = zset.roots
         if not 0 <= idx < len(roots):
             raise ParseError(f"root index {idx} out of range (have {len(roots)})")
         return roots[idx]
@@ -161,8 +161,10 @@ def _emit(rows, args):
 
 
 def _thetas(args, params: ProblemParams) -> list:
-    """The --theta angles in radians, written back so that the header echoes them."""
-    thetas = [parse_angle(tok, params) for tok in args.theta.split(",")]
+    """The --theta angles in radians, root tokens from one zero set, written back for the header."""
+    tokens = args.theta.split(",")
+    zset = zero_set(params) if any(tok.strip().startswith("root") for tok in tokens) else None
+    thetas = [parse_angle(tok, zset) for tok in tokens]
     args.theta = ",".join(_fmt(t) + "rad" for t in thetas)
     return thetas
 
@@ -251,7 +253,6 @@ _MELLIN_GRID_LAM = (0.5, 1.0, 1.5, 2.5)
 _MELLIN_GRID_Q = (0, 1, 2)
 _MELLIN_GRID_XI = (-0.8, -0.3, 0.0, 0.4, 0.9)
 _MELLIN_VERIFY_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
-_SIMULATE_QUAD = QuadratureSpec()
 
 
 def cmd_mellin_verify(args) -> int:
@@ -301,12 +302,11 @@ def cmd_simulate(args) -> int:
         # are 0/0: no error column would have a value
         raise DomainError("simulate needs delta > 0, got delta=0: the indicator is 0 at every angle")
     thetas = _thetas(args, params)
-    quad = _SIMULATE_QUAD
     probe = ratio_probe if args.ratios else scaled_limit
     rows = []
     flagged = 0
     for th in thetas:
-        res = probe(model, params, th, grid, quad=quad, sweep_tol=args.tol)
+        res = probe(model, params, th, grid, sweep_tol=args.tol)
         if res.quadrature_flags:
             print(f"raygrowth: quadrature flagged at theta1={_fmt(th)}: {res.diagnostics}", file=sys.stderr)
             flagged += res.quadrature_flags
@@ -314,10 +314,10 @@ def cmd_simulate(args) -> int:
         # defined: the guard refuses the angle
         oracle = guarded_indicator(params, th)
         denom = max(1e-300, abs(oracle))
-        for s in res.samples:
+        for r, u, scaled, un, uN in zip(res.r, res.u, res.scaled, res.u_over_n, res.u_over_N):
             rows.append({
-                "theta1_rad": th, "r": s.r, "u": s.u, "scaled": s.scaled,
-                "u_over_n": s.u_over_n, "u_over_N": s.u_over_N,
+                "theta1_rad": th, "r": r, "u": u, "scaled": scaled,
+                "u_over_n": un, "u_over_N": uN,
                 "extrapolated": res.extrapolated_limit,
                 "extrapolated_un": res.extrapolated_un,
                 "extrapolated_uN": res.extrapolated_uN,

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     CountMismatchError,
+    DomainError,
     ExceptionalAngleError,
     OutOfRangeError,
     check_real,
@@ -155,19 +156,30 @@ def angular_shape(n, rho, theta):
     nu - floor(rho) and nu - floor(rho) + 1 only, in one array call, and
     raised to nu by the three-term recurrence in the degree
     (DLMF 14.10.3); next to pi, where that recurrence loses digits, S is
-    summed at nu itself, which there takes few terms.  From rho = 2 on, an
-    integer degree is summed in cos^2(theta/2) next to pi, where its
-    polynomial in sin^2(theta/2) cancels.  For n <= 10 and rho <= 40 S is
-    within 1e-12 of the largest |S| on [0.05, 3], but for rho within about
-    1e-4 of an integer, where the connection formula next to pi loses up to
-    1e-9 (9e-10 at n = 9, rho = 8.000001).  An array of angles gives each
-    angle's one-angle value.
+    summed at nu itself, which there takes few terms.  An integer degree is
+    summed in cos^2(theta/2) next to pi, where its polynomial in
+    sin^2(theta/2) cancels.  For n <= 10 and rho <= 40 S is within 1e-12 of
+    the largest |S| on [0.05, 3], but for rho within about 1e-4 of an
+    integer, where the connection formula next to pi loses up to 1e-9
+    (9e-10 at n = 9, rho = 8.000001).  An array of angles gives each angle's
+    one-angle value.  Within about 2.1e-8 of pi, where sin^2(theta/2)
+    rounds to 1, an angle raises :class:`DomainError`.
     """
     n = check_dimension(n, lowest=2)
     rho = check_scalar(rho, "order rho", 0.0, math.inf, "()")
-    theta = check_angle(theta, name="theta")
-    x = np.sin(0.5 * np.atleast_1d(theta)) ** 2
+    x = _half_angle(theta, "theta")
     return scalar_or_array(legendre_weighted(rho + (n - 3.0) / 2.0, (3.0 - n) / 2.0, x), theta)
+
+
+def _half_angle(theta, name: str):
+    """sin^2(theta/2) of the angles theta, checked as ``name``, as a 1-d array;
+    where it rounds to 1, within about 2.1e-8 of pi, :class:`DomainError`."""
+    theta = np.atleast_1d(check_angle(theta, name=name))
+    x = np.sin(0.5 * theta) ** 2
+    if np.any(x == 1.0):
+        raise DomainError(f"{name}={theta[x == 1.0][0]:.17g} lies within about "
+                          f"2.1e-8 of pi, where sin^2(theta/2) rounds to 1")
+    return x
 
 
 def _indicator_coefficient(params: ProblemParams) -> float:
@@ -284,12 +296,14 @@ def _guarded_shape(params: ProblemParams, theta1, name: str) -> float:
 
     S is taken at theta1 and ROOT_BRACKET_WIDTH on each side of it, in one
     call; the upper side keeps a width below pi, where sin^2(theta/2) would
-    round to 1, unless theta1 itself lies closer.  A zero at theta1, or a
-    sign change across that band, is a root within ROOT_BRACKET_WIDTH, and
-    raises :class:`ExceptionalAngleError` naming ``name``.  The test is on
-    S, so it holds for delta = 0 too.
+    round to 1 (a theta1 that close raises :class:`DomainError`).  A zero at
+    theta1, or a sign change across that band, is a root within
+    ROOT_BRACKET_WIDTH, and raises :class:`ExceptionalAngleError`.  Either
+    error names the angle ``name``.  The test is on S, so it holds for
+    delta = 0 too.
     """
     theta1 = check_one_angle(theta1, name=name)
+    _half_angle(theta1, name)
     lo = max(theta1 - ROOT_BRACKET_WIDTH, 0.0)
     hi = min(theta1 + ROOT_BRACKET_WIDTH, max(theta1, math.pi - ROOT_BRACKET_WIDTH))
     s_lo, shape, s_hi = angular_shape(params.n, params.rho, [lo, theta1, hi]).tolist()
@@ -359,7 +373,8 @@ def transfer_indicator(params: ProblemParams, phi, H_phi, theta1):
     receives 0.
     """
     shape_phi = _guarded_shape(params, phi, "phi")
-    return H_phi * angular_shape(params.n, params.rho, check_angle(theta1)) / shape_phi
+    _half_angle(theta1, "theta1")
+    return H_phi * angular_shape(params.n, params.rho, theta1) / shape_phi
 
 
 def ratio_limits(params: ProblemParams, theta1):

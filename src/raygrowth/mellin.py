@@ -412,16 +412,19 @@ def mellin_h_closed(lam, q, s, xi):
     Valid on the principal strip -q-1 < Re s < -q and, by meromorphic
     continuation, for all s away from the poles of the gamma factors.  The
     weighted Legendre factor is finite at xi = 1, where the formula reduces
-    to -Gamma(s) Gamma(2 lam - s) / Gamma(2 lam).
+    to -Gamma(s) Gamma(2 lam - s) / Gamma(2 lam).  A real s, complex or not,
+    takes a degree below -1/2 at its mirror -nu-1 (DLMF 14.9.5), which
+    :func:`legendre_weighted` raises by recurrence, not a cancelling series.
     """
     lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
     check_integer(q, "subtraction degree q")
     _check_not_pole(s, lam)
-    s = s if isinstance(s, complex) else float(s)
+    s = s if isinstance(s, complex) and s.imag else float(s.real)
     coef = -math.sqrt(math.pi) * gamma(s) * gamma(2.0 * lam - s) / (
         2.0 ** (lam - 0.5) * gamma(lam)
     )
-    return coef * legendre_weighted(s - lam - 0.5, 0.5 - lam, (1.0 - xi) / 2.0)
+    nu = s - lam - 0.5 if isinstance(s, complex) else max(s - lam - 0.5, lam - 0.5 - s)
+    return coef * legendre_weighted(nu, 0.5 - lam, (1.0 - xi) / 2.0)
 
 
 def mellin_k_closed(lam, s, xi):
@@ -464,7 +467,8 @@ def mellin_hn_at_order(params: ProblemParams, xi) -> HnMellinForms:
     """
     n, rho = params.n, params.rho
     ratio = rising_ratio(rho, n - 3)  # prod_{k=1}^{n-3}(rho+k) / (n-3)!
-    legendre_factor = legendre_weighted(-rho - (n - 1.0) / 2.0, (3.0 - n) / 2.0, (1.0 - xi) / 2.0)
+    # the degree -rho-(n-1)/2 at its mirror rho+(n-3)/2, as in mellin_h_closed
+    legendre_factor = legendre_weighted(rho + (n - 3.0) / 2.0, (3.0 - n) / 2.0, (1.0 - xi) / 2.0)
     sin_pi_rho = math.sin(math.pi * rho)
     gamma_form = (
         math.pi * math.sqrt(math.pi) * 2.0 ** ((3.0 - n) / 2.0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -407,28 +407,25 @@ def u_poisson(model: MassModel, n: int, r, theta1: float,
     return _by_radius(r, t0, 1, integral, full_output)
 
 
-class SweepSample(NamedTuple):
-    r: float
-    theta1: float
-    u: float
-    scaled: float          # u * r^{-rho}
-    u_over_n: float
-    u_over_N: float
-
-
 @dataclass(frozen=True)
 class SweepResult:
-    """Radial sweep with extrapolated limits and convergence diagnostics.
+    """Radial sweep: its columns, extrapolated limits and diagnostics.
 
-    ``extrapolated_limit`` refers to the scaled column u r^{-rho};
-    ``extrapolated_un`` / ``extrapolated_uN`` to the mass-ratio columns.
-    The convergence flag is set only when the last three scaled values agree
-    pairwise within the sweep tolerance.  ``quadrature_flags`` counts the
-    radii whose :func:`u_canonical` quadrature did not meet its tolerance,
-    plus one if :func:`average_N` did not at any radius of the grid.
+    ``r``, ``u``, ``scaled`` (u r^{-rho}), ``u_over_n`` and ``u_over_N``
+    hold one float per grid radius; a ratio is nan where n or N is not
+    positive.  ``extrapolated_limit`` refers to the scaled column,
+    ``extrapolated_un`` / ``extrapolated_uN`` to the ratio columns.  The
+    convergence flag is set only when the last three scaled values spread
+    less than the sweep tolerance.  ``quadrature_flags`` counts the radii
+    whose :func:`u_canonical` quadrature did not meet its tolerance, plus
+    one if :func:`average_N` did not at any radius of the grid.
     """
 
-    samples: tuple
+    r: tuple
+    u: tuple
+    scaled: tuple
+    u_over_n: tuple
+    u_over_N: tuple
     extrapolated_limit: float
     extrapolated_un: float
     extrapolated_uN: float
@@ -461,9 +458,7 @@ def _resolve_grid(r_grid):
         lo, hi, num = r_grid
         if not 0.0 < lo < hi < math.inf:
             raise DomainError(f"radial grid needs 0 < lo < hi < inf, got lo={lo}, hi={hi}")
-        if num < 5:
-            raise DomainError("radial grid needs at least 5 points")
-        grid = np.geomspace(lo, hi, int(num))
+        grid = np.geomspace(lo, hi, max(int(num), 0))
     else:
         grid = np.asarray(r_grid, dtype=float)
     if grid.size < 5:
@@ -504,34 +499,24 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     N_grid, _, ok_N = average_N(model, params.n, grid, quad, full_output=True)
     u_grid, _, ok_u = u_canonical(model, params, grid, theta1, quad, full_output=True)
     flagged = int(not np.all(ok_N)) + int(np.count_nonzero(~ok_u))
-    rows = []
-    for r, u, Nr, nr in zip(grid, u_grid.tolist(), N_grid.tolist(), n_grid.tolist()):
-        rows.append(SweepSample(
-            r=float(r), theta1=theta1, u=u,
-            scaled=u * r ** (-params.rho),
-            u_over_n=u / nr if nr > 0 else math.nan,
-            u_over_N=u / Nr if Nr > 0 else math.nan,
-        ))
-    scaled = [s.scaled for s in rows]
-    tail = scaled[-3:]
-    scale = max(1e-300, max(abs(v) for v in tail))
-    converged = all(
-        abs(a - b) < sweep_tol * max(1.0, scale)
-        for i, a in enumerate(tail) for b in tail[i + 1:]
-    )
-    un = [s.u_over_n for s in rows if np.isfinite(s.u_over_n)]
-    uN = [s.u_over_N for s in rows if np.isfinite(s.u_over_N)]
+    r, u = tuple(grid.tolist()), tuple(u_grid.tolist())
+    scaled = tuple(ui * ri ** (-params.rho) for ri, ui in zip(r, u))
+    u_over_n = tuple(ui / ni if ni > 0 else math.nan for ui, ni in zip(u, n_grid.tolist()))
+    u_over_N = tuple(ui / Ni if Ni > 0 else math.nan for ui, Ni in zip(u, N_grid.tolist()))
+    # np.ptp passes a nan on: a nan or an inf in the tail is not converged
+    spread = float(np.ptp(scaled[-3:]))
+    un, uN = ([v for v in col if math.isfinite(v)] for col in (u_over_n, u_over_N))
     diag = (
-        f"{len(rows)} radii in [{grid[0]:g}, {grid[-1]:g}]; "
+        f"{len(r)} radii in [{grid[0]:g}, {grid[-1]:g}]; "
         f"{flagged} quadrature flags; tail spread "
-        f"{max(tail) - min(tail):.3e} against tolerance {sweep_tol:g}"
+        f"{spread:.3e} against tolerance {sweep_tol:g}"
     )
     return SweepResult(
-        samples=tuple(rows),
+        r=r, u=u, scaled=scaled, u_over_n=u_over_n, u_over_N=u_over_N,
         extrapolated_limit=_aitken(scaled),
         extrapolated_un=_aitken(un) if un else math.nan,
         extrapolated_uN=_aitken(uN) if uN else math.nan,
-        convergence_flag=converged,
+        convergence_flag=spread < sweep_tol * max(1.0, *map(abs, scaled[-3:])),
         diagnostics=diag,
         quadrature_flags=flagged,
     )

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from raygrowth import cli
 from raygrowth.cli import main, parse_angle
 from raygrowth.errors import CountMismatchError, ParseError
-from raygrowth.indicator import indicator_closed
+from raygrowth.indicator import indicator_closed, zero_set
 from raygrowth.kernels import ProblemParams
 from raygrowth.mellin import QuadratureSpec
 
@@ -29,9 +30,9 @@ class TestAngleParsing:
         assert parse_angle("1.5rad") == 1.5
 
     def test_root_token(self):
-        beta = parse_angle("root", ProblemParams(3, 0.5))
+        beta = parse_angle("root", zero_set(ProblemParams(3, 0.5)))
         assert 129.0 <= math.degrees(beta) <= 131.0
-        assert parse_angle("root0", ProblemParams(3, 0.5)) == beta
+        assert parse_angle("root0", zero_set(ProblemParams(3, 0.5))) == beta
 
     def test_bad_tokens(self):
         with pytest.raises(ParseError):
@@ -40,7 +41,7 @@ class TestAngleParsing:
             parse_angle("root")
         for token in ("root7", "rootx", "root-1"):
             with pytest.raises(ParseError):
-                parse_angle(token, ProblemParams(3, 0.5))
+                parse_angle(token, zero_set(ProblemParams(3, 0.5)))
 
     def test_bad_root_index_exit_code(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "indicator", "--theta", "rootx")
@@ -164,6 +165,21 @@ class TestIndicatorCommand:
                 assert row["theta1_deg"] == 180.0
                 assert [row[c] for c in ("H_closed", "H_integral", "H_asymptotic", "abs_diff")] \
                     == ["-inf", "nan", "-inf", "nan"]
+
+    def test_angle_next_to_pi_exit_code(self, capsys):
+        code, err = _failed_run(capsys, "indicator", "--theta", "3.14159264")
+        assert code == 3
+        assert err.startswith("raygrowth: theta=3.14159263")
+        assert "sin^2(theta/2) rounds to 1" in err
+
+    def test_root_tokens_share_one_zero_set(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "zero_set", lambda params: calls.append(params) or zero_set(params))
+        code, text = run_cli(tmp_path, "indicator", "--n", "5", "--rho", "2.7",
+                             "--theta", "root0,root1,root2,1.0")
+        assert code == 0 and len(calls) == 1
+        rows = [l.split(",") for l in text.splitlines() if not l.startswith(("#", "theta"))]
+        assert [float(r[0]) for r in rows] == [*zero_set(calls[0]).roots, 1.0]
 
     def test_series_failure_exit_code(self, capsys):
         # at n = 172 the tail series of h stops at its term cap: a tolerance
@@ -295,7 +311,9 @@ class TestSimulateCommand:
         assert float(row["u"]) == pytest.approx(0.5 * (1 - 1.25 ** -0.5), rel=1e-10)
 
     def test_quadrature_flag_exit_code(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_SIMULATE_QUAD", QuadratureSpec(max_level=2))
+        # simulate sweeps with the default spec; a coarse one makes it flag
+        monkeypatch.setattr(cli, "scaled_limit",
+                            functools.partial(cli.scaled_limit, quad=QuadratureSpec(max_level=2)))
         model = tmp_path / "model.txt"
         model.write_text("perturbed delta=1.0 rho=0.5 eps=inv_log\n")
         code, text = run_cli(tmp_path, "simulate", "--model", str(model),

@@ -52,6 +52,21 @@ def axis_indicator_mpmath(mp, n, rho):
 
 
 class TestIndicatorClosed:
+    @pytest.mark.parametrize("theta", [3.14159264, [0.3, math.pi - 1e-8]], ids=["scalar", "array"])
+    def test_angle_next_to_pi_names_theta(self, theta):
+        # within about 2.1e-8 of pi, sin^2(theta/2) rounds to 1
+        with pytest.raises(DomainError, match=r"^theta=3\.141592\d+ lies within about 2\.1e-8 of pi"):
+            angular_shape(3, 0.5, theta)
+
+    def test_angle_next_to_pi_names_the_callers_argument(self):
+        p = ProblemParams(3, 0.5)
+        with pytest.raises(DomainError, match=r"^phi=3\.141592\d+ lies within about 2\.1e-8 of pi"):
+            tauberian_constant(p, math.pi - 1e-8)
+        with pytest.raises(DomainError, match=r"^phi=3\.141592\d+ lies within"):
+            transfer_indicator(p, math.pi - 1e-8, 1.0, 0.3)
+        with pytest.raises(DomainError, match=r"^theta1=3\.141592\d+ lies within"):
+            transfer_indicator(p, 0.3, 1.0, math.pi - 1e-8)
+
     def test_axis_anchor(self):
         # the kernel integral at theta=0 reduces to (rho+1) B(1-rho, rho),
         # i.e. (rho+1) pi / sin(pi rho) = 3 pi/2 here
@@ -296,7 +311,7 @@ def shape_mpmath(n, rho, theta):
 class TestDegreeRecurrence:
     """From rho = 3 on, S is raised from its two lowest degrees by the
     three-term recurrence in the degree, and summed directly next to pi;
-    from rho = 2 on, an integer degree is summed in 1 - x next to pi."""
+    an integer degree is summed in 1 - x next to pi."""
 
     def test_array_equals_one_angle_calls(self):
         # odd and even n, integer degrees (the Jacobi start) and angles next
@@ -331,6 +346,15 @@ class TestDegreeRecurrence:
             got = angular_shape(n, rho, theta)
             want = np.array([float(shape_mpmath(n, rho, t)) for t in theta.tolist()])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), rho
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_integer_degree_below_rho_two(self, n):
+        # nu = 1.5 + (n-3)/2 is an integer; summed in x next to pi, its
+        # polynomial cancelled there: 2.1e-13 and 1.5e-11 of the largest |S|
+        theta = np.linspace(0.05, 3.0, 25)
+        got = angular_shape(n, 1.5, theta)
+        want = np.array([float(shape_mpmath(n, 1.5, t)) for t in theta.tolist()])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n,rho", [(7, 20.37), (12, 30.7), (4, 40.3), (8, 40.3), (3, 60.5),
                                        (10, 3.0549855703552233), (10, 4.584992614011126)])

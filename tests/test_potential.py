@@ -250,9 +250,10 @@ class TestSweeps:
 
     def test_samples_strictly_increasing_and_tagged(self):
         res = scaled_limit(PW, P35, 0.3, (1e2, 1e5, 7))
-        rs = [s.r for s in res.samples]
-        assert all(b > a for a, b in zip(rs, rs[1:]))
-        assert all(s.theta1 == 0.3 for s in res.samples)
+        assert all(b > a for a, b in zip(res.r, res.r[1:]))
+        columns = (res.r, res.u, res.scaled, res.u_over_n, res.u_over_N)
+        assert [len(c) for c in columns] == [7] * 5
+        assert all(type(v) is float for c in columns for v in c)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -287,7 +288,7 @@ class TestSweeps:
     def test_atomic_model_takes_any_order(self):
         atoms = Atomic(((2.0, 1.0),))
         for rho in (0.5, 1.5):
-            assert scaled_limit(atoms, ProblemParams(3, rho), 0.3, (1e2, 1e4, 5)).samples
+            assert len(scaled_limit(atoms, ProblemParams(3, rho), 0.3, (1e2, 1e4, 5)).u) == 5
 
 
 class TestRatioProbe:
@@ -307,8 +308,8 @@ class TestRatioProbe:
         # pace; fit v = A + B/ln r on the tail and compare the intercept
         sv = SlowlyVarying(rho=0.5, psi="log", t0=1.0)
         res = ratio_probe(sv, P35, 0.0, (1e4, 1e10, 7))
-        xs = np.array([1.0 / math.log(s.r) for s in res.samples])
-        ys = np.array([s.u_over_N for s in res.samples])
+        xs = 1.0 / np.log(res.r)
+        ys = np.array(res.u_over_N)
         slope, intercept = np.polyfit(xs, ys, 1)
         want = ratio_limits(P35, 0.0)[1]
         assert abs(intercept - want) <= 0.05 * want
@@ -318,8 +319,7 @@ class TestRatioProbe:
         pert = Perturbed(delta=1.0, rho=0.5, eps="inv_log")
         res = ratio_probe(pert, P35, 0.0, (1e2, 1e8, 9))
         want = ratio_limits(P35, 0.0)[0]
-        lo = min(s.u_over_n for s in res.samples)
-        hi = max(s.u_over_n for s in res.samples)
+        lo, hi = min(res.u_over_n), max(res.u_over_n)
         assert lo <= want * 1.05 and hi >= want * 0.95
 
     def test_requires_mass_on_grid(self):
