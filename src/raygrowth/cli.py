@@ -221,8 +221,11 @@ def cmd_indicator(args) -> int:
             continue
         hc, hi, converged, message = next(results)
         ha = float(indicator_near_pi(params, th)) if th > math.pi - 0.5 else float("nan")
-        diff = abs(hc - hi)
-        if diff > tol * max(1.0, abs(hc)):
+        diff, bound = abs(hc - hi), tol * max(1.0, abs(hc))
+        if diff > bound:
+            print(f"raygrowth: closed and integral forms differ at theta1={_fmt(th)}: abs_diff="
+                  f"{_fmt(diff)} > tol={_fmt(tol)} times max(1, |H_closed|) = {_fmt(bound)}",
+                  file=sys.stderr)
             failed = True
         if not converged:
             print(f"raygrowth: quadrature flagged at theta1={_fmt(th)}: {message}", file=sys.stderr)
@@ -278,6 +281,9 @@ def cmd_mellin_verify(args) -> int:
         closed = complex(mellin_h_closed(lam, q, s, xi)).real
         rel = abs(complex(num.value).real - closed) / max(1e-300, abs(closed))
         if rel > args.tol:
+            print(f"raygrowth: numeric and closed transforms differ at lam={_fmt(lam)} q={q} "
+                  f"s={_fmt(s)} xi={_fmt(xi)}: rel_err={_fmt(rel)} > tol={_fmt(args.tol)}",
+                  file=sys.stderr)
             failed = True
         if not num.converged:
             print(f"raygrowth: quadrature flagged at lam={_fmt(lam)} q={q} s={_fmt(s)} "

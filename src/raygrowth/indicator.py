@@ -48,21 +48,20 @@ _ROOT_TOLERANCES = {"xatol": 1e-15, "xrtol": 4 * np.finfo(float).eps, "fatol": 0
 _ROOT_MAXITER = 2046
 
 
-def _chandrupatla(f, a, b, ends, xatol, xrtol, fatol):
-    """Chandrupatla's bracketing method (Adv. Eng. Softw. 28 (1997) 145) on
-    every bracket [a, b] at once; returns (x, status) flattened.  ``ends``
-    are f at a and at b, or None to evaluate them.
-
-    Follows ``scipy.optimize.elementwise.find_root`` step for step, so the
-    roots agree with it bit for bit.  status is 0 for a root, -1 when a
-    bracket has no sign change, -2 at the iteration cap and -3 on a
-    non-finite bracket or a nan at both of its ends.  Finished brackets
-    leave the working arrays, so f only sees the ones still open.
+def _refine_roots(f, a, b, ends):
+    """Roots of the elementwise function f in the sign-change brackets
+    [a, b] (arrays, or scalars for one root), given ``ends``, f at a and at
+    b.  Chandrupatla's method (Adv. Eng. Softw. 28 (1997) 145) refines all
+    at once, one call of f per iteration on the brackets still open, and
+    follows ``scipy.optimize.elementwise.find_root`` at ``_ROOT_TOLERANCES``
+    step for step, so the roots agree with it bit for bit.  A bracket with
+    no sign change (status -1), at the iteration cap (-2), or with a
+    non-finite end or nan at both ends (-3) raises :class:`ConvergenceError`.
     """
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     x1, x2 = (v.flatten() for v in np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float)))
-    if ends is None:
-        ends = f(x1), f(x2)
     f1, f2 = (np.broadcast_to(np.asarray(v, dtype=float), x1.shape) for v in ends)
+    xatol, xrtol, fatol = (_ROOT_TOLERANCES[k] for k in ("xatol", "xrtol", "fatol"))
     x, status = np.full(x1.size, np.nan), np.full(x1.size, -2)
     open_ = np.arange(x1.size)
     x3, f3 = x2, f2  # the third point; first read after the first step
@@ -85,8 +84,7 @@ def _chandrupatla(f, a, b, ends, xatol, xrtol, fatol):
             open_, x1, f1, x2, f2, x3, f3, dx, tol = (
                 v[keep] for v in (open_, x1, f1, x2, f2, x3, f3, dx, tol))
         if not open_.size or nit == _ROOT_MAXITER:
-            x[open_] = xmin[~done]
-            return x, status
+            break
         t = np.full(x1.size, 0.5)
         if nit:
             # inverse quadratic interpolation through the last three points
@@ -107,19 +105,9 @@ def _chandrupatla(f, a, b, ends, xatol, xrtol, fatol):
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = xt, ft
         nit += 1
-
-
-def _refine_roots(f, a, b, ends=None):
-    """Roots of the elementwise function f in the sign-change brackets
-    [a, b] (arrays, or scalars for one root), all refined together by
-    Chandrupatla's method: each iteration makes one call of f on the array
-    of roots still open.  ``ends``, the values of f at a and at b, are
-    evaluated unless the caller has them.
-    """
-    x, status = _chandrupatla(f, a, b, ends, **_ROOT_TOLERANCES)
     if np.any(status):
         raise ConvergenceError(f"root refinement failed with status {np.unique(status)}")
-    return x.reshape(np.broadcast_shapes(np.shape(a), np.shape(b)))[()]
+    return x.reshape(shape)[()]
 
 
 @dataclass(frozen=True)
@@ -182,15 +170,6 @@ def _half_angle(theta, name: str):
     return x
 
 
-def _indicator_coefficient(params: ProblemParams) -> float:
-    n, rho = params.n, params.rho
-    # prod_{k=1}^{n-2}(rho+k) / (n-3)! = (n-2) rising_ratio(rho, n-2)
-    return (
-        math.pi * 2.0 ** ((n - 3.0) / 2.0) * gamma((n - 1.0) / 2.0)
-        * (n - 2) * rising_ratio(rho, n - 2) * params.delta / math.sin(math.pi * rho)
-    )
-
-
 def indicator_closed(params: ProblemParams, theta1):
     """Indicator H(theta1) in closed form.
 
@@ -200,9 +179,26 @@ def indicator_closed(params: ProblemParams, theta1):
     with S the stable latitude factor.  Defined on [0, pi); the value
     diverges to -inf as theta1 -> pi (use indicator_near_pi on the approach
     to pi; the endpoint itself is not a value).  Accepts a scalar or an
-    array of angles.
+    array of angles.  Where the value overflows the double range, as a large
+    delta makes it, :class:`DomainError` is raised.
     """
-    return _indicator_coefficient(params) * angular_shape(params.n, params.rho, theta1)
+    return _indicator(params, angular_shape(params.n, params.rho, theta1), theta1)
+
+
+def _indicator(params: ProblemParams, shape, theta1):
+    """H at the angles theta1 from their angular factor S; where it is not
+    finite, :class:`DomainError` naming the first such angle."""
+    n, rho = params.n, params.rho
+    # prod_{k=1}^{n-2}(rho+k) / (n-3)! = (n-2) rising_ratio(rho, n-2)
+    coefficient = (math.pi * 2.0 ** ((n - 3.0) / 2.0) * gamma((n - 1.0) / 2.0)
+                   * (n - 2) * rising_ratio(rho, n - 2) * params.delta / math.sin(math.pi * rho))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = coefficient * shape
+    bad = ~np.isfinite(np.ravel(value))
+    if bad.any():
+        raise DomainError(f"the indicator at theta1={np.ravel(theta1)[bad][0]:.17g} "
+                          f"overflows the double range")
+    return value
 
 
 def indicator_integral(params: ProblemParams, theta1, quad: QuadratureSpec = QuadratureSpec(),
@@ -266,7 +262,8 @@ def zero_set(params: ProblemParams) -> ZeroSet:
     brackets each root; one bracketed solve (Chandrupatla's method, one
     array evaluation of the factor per iteration) refines all of them
     together to full double precision (a scan node where the factor is
-    exactly zero is a root as it stands).
+    exactly zero is a root as it stands).  It starts from the scan's values
+    at the bracket ends: an array call gives each angle its one-angle value.
     The count must equal floor(rho)+1; a different count raises
     :class:`CountMismatchError` (that would mean either a special-function
     defect or a genuine violation of the zero-count law, and is surfaced
@@ -278,7 +275,8 @@ def zero_set(params: ProblemParams) -> ZeroSet:
     vals = angular_shape(n, rho, grid)
     sgn = np.sign(vals)
     left = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    roots = _refine_roots(lambda t: angular_shape(n, rho, t), grid[left], grid[left + 1]).tolist()
+    roots = _refine_roots(lambda t: angular_shape(n, rho, t), grid[left], grid[left + 1],
+                          (vals[left], vals[left + 1])).tolist()
     # exact zeros on grid nodes would be missed by the strict sign test
     roots.extend(float(grid[i]) for i in np.nonzero(vals == 0.0)[0])
     expected = params.q + 1
@@ -318,8 +316,8 @@ def guarded_indicator(params: ProblemParams, theta1) -> float:
     """Indicator H(theta1) in closed form at one angle, which must not lie
     within ROOT_BRACKET_WIDTH of an exceptional angle: there H is 0 and no
     error relative to it is defined, so :class:`ExceptionalAngleError` is
-    raised instead."""
-    return _indicator_coefficient(params) * _guarded_shape(params, theta1, "theta1")
+    raised instead; where H overflows the double range, :class:`DomainError`."""
+    return _indicator(params, _guarded_shape(params, theta1, "theta1"), theta1)
 
 
 def tauberian_constant(params: ProblemParams, phi):
@@ -479,12 +477,8 @@ def laplace_strip(n: int, theta1: float) -> MellinStrip:
     T = 25.0 + math.log(n + 2.0)
     if c > 0.0:
         T += math.log(n / ((n - 1) * c))
-    _, ln_a = log_kernel_signed_ln(n, theta1, T - 2.0)
-    _, ln_b = log_kernel_signed_ln(n, theta1, T)
-    rate_plus = 0.5 * (ln_a - ln_b)
-    _, ln_c = log_kernel_signed_ln(n, theta1, -T + 2.0)
-    _, ln_d = log_kernel_signed_ln(n, theta1, -T)
-    rate_minus = 0.5 * (ln_c - ln_d)
+    ln_k = [log_kernel_signed_ln(n, theta1, t)[1] for t in (T - 2.0, T, -T + 2.0, -T)]
+    rate_plus, rate_minus = 0.5 * (ln_k[0] - ln_k[1]), 0.5 * (ln_k[2] - ln_k[3])
     return MellinStrip(-round(rate_plus, 8), round(rate_minus, 8))
 
 

@@ -390,17 +390,11 @@ def mellin_numeric(integrand, s, quad: QuadratureSpec, strip: MellinStrip,
 
 def _check_not_pole(s, lam):
     s = complex(s)
-    # gamma(s) poles at non-positive integers, gamma(2 lam - s) poles at 2 lam + m
-    k = round(s.real)
-    if abs(s.imag) < POLE_EXCLUSION_RADIUS and k <= 0 and abs(s.real - k) < POLE_EXCLUSION_RADIUS:
-        raise PoleError(f"transform pole at s={s} (gamma(s))")
-    m = round(s.real - 2.0 * lam)
-    if (
-        abs(s.imag) < POLE_EXCLUSION_RADIUS
-        and m >= 0
-        and abs(s.real - 2.0 * lam - m) < POLE_EXCLUSION_RADIUS
-    ):
-        raise PoleError(f"transform pole at s={s} (gamma(2 lam - s))")
+    # gamma(s) has its poles at s = -m, gamma(2 lam - s) at s = 2 lam + m, m = 0, 1, ...
+    for at, name in ((-s.real, "gamma(s)"), (s.real - 2.0 * lam, "gamma(2 lam - s)")):
+        m = round(at)
+        if abs(s.imag) < POLE_EXCLUSION_RADIUS and m >= 0 and abs(at - m) < POLE_EXCLUSION_RADIUS:
+            raise PoleError(f"transform pole at s={s} ({name})")
 
 
 def mellin_h_closed(lam, q, s, xi):
@@ -506,11 +500,7 @@ def _derivative_polys(lam, xi, order):
         dp = p[1:] * np.arange(1, p.size)
         term1 = -(lam + j) * np.convolve(lin, p)
         term2 = np.convolve(base, dp) if dp.size else np.zeros(1)
-        m = max(term1.size, term2.size)
-        nxt = np.zeros(m)
-        nxt[: term1.size] += term1
-        nxt[: term2.size] += term2
-        polys.append(nxt)
+        polys.append(np.polynomial.polynomial.polyadd(term1, term2))
     return polys[order]
 
 

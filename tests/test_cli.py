@@ -94,6 +94,26 @@ class TestIndicatorCommand:
         code, _ = run_cli(tmp_path, *argv, "--tol", "1e-4")
         assert code == 0
 
+    def test_tolerance_failure_names_each_row(self, tmp_path, monkeypatch, capsys):
+        # the run above, at two angles: one stderr line per failing row
+        exact = cli.indicator_integral
+
+        def skewed(params, theta1, quad=None, full_output=False):
+            value, res = exact(params, theta1, quad, full_output=True)
+            return value * (1.0 + 1e-6), res
+
+        monkeypatch.setattr(cli, "indicator_integral", skewed)
+        code, text = run_cli(tmp_path, "indicator", "--n", "3", "--rho", "0.5",
+                             "--theta", "0.7,1.2", "--tol", "1e-8")
+        assert code == 2
+        assert len([l for l in text.splitlines() if not l.startswith(("#", "theta"))]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line, theta in zip(lines, ("0.69999999999999996", "1.2")):
+            assert line.startswith(f"raygrowth: closed and integral forms differ at theta1={theta}: "
+                                   f"abs_diff=")
+            assert "> tol=1e-08 times max(1, |H_closed|) = " in line
+
     def test_quadrature_flag_exit_code(self, tmp_path, monkeypatch, capsys):
         # two refinement levels cannot reach 1e-10: the flag alone fails the run
         monkeypatch.setattr(cli, "_quad_from", lambda tol: QuadratureSpec(max_level=2))
@@ -270,11 +290,17 @@ class TestMellinVerifyCommand:
 
     def test_tolerance_failure_exit_code(self, tmp_path, capsys):
         # no transform agrees with its closed form to 1e-300: the table is
-        # written, and the run fails with no quadrature flag
+        # written, and the run fails with no quadrature flag, but with one
+        # line for each row whose rel_err is not 0, naming the row
         code, text = run_cli(tmp_path, "mellin-verify", "--tol", "1e-300")
         assert code == 2
-        assert "rel_err" in text
-        assert capsys.readouterr().err == ""
+        rows = [l.split(",") for l in text.splitlines() if not l.startswith(("#", "lam"))]
+        failing = [r for r in rows if float(r[-1]) > 0.0]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(rows) == 60 and len(lines) == len(failing) > 50
+        for line, (lam, q, s, xi, _, _, rel) in zip(lines, failing):
+            assert line == (f"raygrowth: numeric and closed transforms differ at lam={lam} q={q} "
+                            f"s={s} xi={xi}: rel_err={rel} > tol=1e-300")
 
 
 # a perturbed model whose rho and delta differ from the options' defaults,
@@ -297,6 +323,16 @@ class TestSimulateCommand:
         header = [l for l in text.splitlines() if l.startswith("theta")][0].split(",")
         rel = float(dict(zip(header, last))["rel_err_vs_indicator"])
         assert rel <= 0.01
+
+    def test_grid_past_the_square_root_of_the_double_range(self, tmp_path, capsys):
+        # h's Riesz term at u above ~1.3e154 overflowed 1 + u^2 with a numpy
+        # warning, although its value, 0 to double precision, was right
+        model = tmp_path / "model.txt"
+        model.write_text("powerlaw delta=1.0 rho=0.5\n")
+        code, text = run_cli(tmp_path, "simulate", "--model", str(model), "--grid", "1e2:1e300:5")
+        assert code == 0
+        assert len([l for l in text.splitlines() if not l.startswith(("#", "theta"))]) == 5
+        assert capsys.readouterr().err == ""
 
     def test_single_atom_row(self, tmp_path):
         model = tmp_path / "atom.txt"
@@ -542,6 +578,11 @@ DOMAIN_ERRORS = [
     # a negative value in exponent form is a value, not an option
     (("counterexample", "--theta", "-1e-12"), "theta1 must lie in [0, pi), got -1e-12"),
     (("indicator", "--rho", "-2e-1"), "order rho must be positive and finite, got -0.2"),
+    # H past the double range: inf and inf, or -inf against a finite oracle
+    (("indicator", "--delta", "1e308", "--theta", "1.0"),
+     "the indicator at theta1=1 overflows the double range"),
+    (("indicator", "--n", "20", "--rho", "30.5", "--delta", "1e300", "--theta", "1.0,2.0"),
+     "the indicator at theta1=1 overflows the double range"),
     (("solve-order", "--delta-bar", "-1e-3"), "delta_bar=-0.001 is outside the attainable range"),
     # H = 0 at a root of S: no error relative to it is defined
     (("simulate", "--model", "MODEL_RHO_1.5", "--n", "4", "--theta", "root1",

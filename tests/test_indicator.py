@@ -96,6 +96,19 @@ class TestIndicatorClosed:
         with pytest.raises(DomainError):
             indicator_closed(P35, math.pi)
 
+    @pytest.mark.parametrize("params,theta,bad", [
+        (ProblemParams(3, 0.5, 1e308), 1.0, "1"),
+        (ProblemParams(5, 0.5, 1e300), [0.3, 3.1415], "3.1415000000000002"),
+    ])
+    def test_overflow_is_domain_error(self, params, theta, bad):
+        # a large delta carries H past the double range, to inf (the
+        # coefficient alone, at n = 3) or -inf (S, large next to pi, at n = 5)
+        message = f"the indicator at theta1={bad} overflows the double range"
+        with pytest.raises(DomainError, match=message):
+            indicator_closed(params, theta)
+        with pytest.raises(DomainError, match=message):
+            guarded_indicator(params, np.ravel(theta)[-1])
+
     @pytest.mark.parametrize("rho", LARGE_N_ORDERS)
     def test_axis_value_up_to_max_dimension(self, rho):
         # the prefactor's rising product used to overflow before its
@@ -292,7 +305,7 @@ class TestZeroSet:
 
     def test_count_mismatch_raises(self, monkeypatch):
         # a scan that finds two roots where floor(rho)+1 = 1 is surfaced
-        monkeypatch.setattr(indicator, "_refine_roots", lambda f, a, b: np.array([1.0, 2.0]))
+        monkeypatch.setattr(indicator, "_refine_roots", lambda f, a, b, ends: np.array([1.0, 2.0]))
         with pytest.raises(CountMismatchError, match="found 2 angular roots for n=3, rho=0.5"):
             zero_set(P35)
 
@@ -372,8 +385,8 @@ class TestDegreeRecurrence:
                 assert below * above < 0, beta
 
 
-def _scipy_refine(f, a, b, ends=None):
-    # find_root evaluates f at the bracket ends itself
+def _scipy_refine(f, a, b, ends):
+    # find_root evaluates f at the bracket ends itself: ends goes unused
     res = elementwise.find_root(f, (a, b), tolerances=indicator._ROOT_TOLERANCES)
     assert np.all(res.success)
     return res.x
@@ -398,30 +411,51 @@ class TestRefineRoots:
         monkeypatch.setattr(indicator, "_refine_roots", _scipy_refine)
         assert got == [solve_order(n, t) for t in targets]
 
+    @pytest.mark.parametrize("n,rho", [(3, 0.5), (4, 2.7), (6, 12.5)])
+    def test_refinement_starts_from_the_scan_values(self, monkeypatch, n, rho):
+        # the bracket ends are scan nodes, whose values the scan already
+        # has: no call of S after the scan evaluates one of them again
+        calls = []
+        real = indicator.angular_shape
+
+        def recorded(n, rho, theta):
+            calls.append(np.atleast_1d(theta).copy())
+            return real(n, rho, theta)
+
+        monkeypatch.setattr(indicator, "angular_shape", recorded)
+        assert len(zero_set(ProblemParams(n, rho)).roots) == math.floor(rho) + 1
+        scan, refinement = calls[0], calls[1:]
+        assert scan.size == 3141 and refinement
+        for theta in refinement:
+            assert not np.isin(theta, scan).any()
+
     def test_no_sign_change_raises(self):
         with pytest.raises(ConvergenceError, match="-1"):
-            _refine_roots(lambda x: x * x + 1.0, np.array([-1.0, 0.0]), np.array([0.0, 1.0]))
+            _refine_roots(lambda x: x * x + 1.0, np.array([-1.0, 0.0]), np.array([0.0, 1.0]),
+                          (np.array([2.0, 1.0]), np.array([1.0, 2.0])))
 
     def test_nan_raises(self):
         with pytest.raises(ConvergenceError, match="-3"):
-            _refine_roots(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+            _refine_roots(lambda x: np.full_like(x, np.nan), 0.0, 1.0, (np.nan, np.nan))
 
     def test_exact_zero_at_bracket_end(self):
         f = lambda x: x - 1.0
         a, b = np.array([1.0, 0.0]), np.array([2.0, 1.0])
-        roots = _refine_roots(f, a, b)
+        roots = _refine_roots(f, a, b, (f(a), f(b)))
         assert roots.tolist() == [1.0, 1.0]
-        assert np.array_equal(roots, _scipy_refine(f, a, b))
+        assert np.array_equal(roots, _scipy_refine(f, a, b, None))
 
     def test_scalar_bracket_gives_0d_result(self):
-        root = _refine_roots(np.cos, 1.0, 2.0)
+        ends = (math.cos(1.0), math.cos(2.0))
+        root = _refine_roots(np.cos, 1.0, 2.0, ends)
         assert np.ndim(root) == 0
-        assert root == _scipy_refine(np.cos, 1.0, 2.0)
+        assert root == _scipy_refine(np.cos, 1.0, 2.0, None)
         assert root == pytest.approx(math.pi / 2, abs=1e-15)
-        assert _refine_roots(np.cos, np.array([1.0]), 2.0).shape == (1,)
+        assert _refine_roots(np.cos, np.array([1.0]), 2.0, ends).shape == (1,)
 
     def test_no_brackets(self):
-        assert _refine_roots(np.cos, np.array([]), np.array([])).shape == (0,)
+        empty = np.array([])
+        assert _refine_roots(np.cos, empty, empty, (empty, empty)).shape == (0,)
 
 
 class TestTauberianConstant:

@@ -643,6 +643,17 @@ class TestSubtractedKernel:
         with pytest.raises(ConvergenceError):
             h_value(85.0, 0, np.array([0.1, 0.49]), 1.0)
 
+    def test_riesz_term_past_the_square_root_of_the_double_range(self):
+        # from u ~ 1.3e154 on, 1 + u^2 + 2 u xi overflows (and at xi < 0 and
+        # u ~ 1e308 it was inf - inf = nan); the Riesz term there is
+        # u^(-2 lam) (1 + 2 xi/u + 1/u^2)^(-lam), with no numpy warning
+        assert h_value(0.5, 0, 1e200, 0.3) == 1.0
+        u = np.array([1e100, 1e154, 1e155, 1e300, 1e308])
+        assert h_value(0.5, 0, u, -1.0).tolist() == [1.0] * 5
+        assert h_value(1.5, 0, u, 0.7).tolist() == [1.0] * 5
+        # at a small exponent the term is far from 0: 1e-4 at lam = 0.01
+        assert h_value(0.01, 0, 1e200, 0.3) == pytest.approx(1.0 - 1e-4, rel=1e-15)
+
     def test_vectorized(self):
         u = np.logspace(-4, 2, 25)
         vec = h_value(1.5, 1, u, -0.3)
