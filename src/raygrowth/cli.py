@@ -2,11 +2,14 @@
 
 Subcommands: indicator, zeros, mellin-verify, simulate, solve-order,
 counterexample.  Each command's options are declared once, in its row of
-``_COMMANDS``, and a call declares only the subparser of the command it
-names.  A ``--config`` file is parsed by the same subparser, and every table
-carries a provenance header echoing the parsed options and the library
-version, so re-running from that echoed configuration reproduces the output
-byte for byte.  Exit codes: 0 success, 2 tolerance/verification failure,
+``_COMMANDS``.  A call that names a command builds that command's parser
+alone and parses the rest of argv with it once; a call that names none
+builds the full parser, with every command as a subcommand.  A ``--config``
+file's lines are parsed by the same parser, in the same pass, and a file is
+looked for only when a token can name one.  Every table carries a
+provenance header echoing the parsed options and the library version, so
+re-running from that echoed configuration reproduces the output byte for
+byte.  Exit codes: 0 success, 2 tolerance/verification failure,
 3 domain or strip error, 4 parse or usage error.
 """
 
@@ -29,7 +32,6 @@ from .errors import (
     RayGrowthError,
 )
 from .indicator import (
-    angular_shape,
     guarded_indicator,
     indicator_closed,
     indicator_integral,
@@ -240,9 +242,8 @@ def cmd_indicator(args) -> int:
 
 def cmd_zeros(args) -> int:
     zset = zero_set(ProblemParams(args.n, args.rho))  # raises CountMismatchError -> exit 2
-    residuals = np.abs(angular_shape(args.n, args.rho, np.array(zset.roots))).tolist()
     rows = []
-    for i, (beta, residual) in enumerate(zip(zset.roots, residuals)):
+    for i, (beta, residual) in enumerate(zip(zset.roots, zset.residuals)):
         rows.append({
             "n": args.n, "rho": args.rho, "root_index": i,
             "beta_deg": math.degrees(beta), "beta_rad": beta,
@@ -451,26 +452,42 @@ def _counterexample_options(p):
     p.add_argument("--points", type=_at_least(1), default=65)
 
 
-# one row per command: name, function, help, and the function that declares
-# the options the command reads
-_COMMANDS = (
-    ("indicator", cmd_indicator, "closed vs integral indicator table", _indicator_options),
-    ("zeros", cmd_zeros, "exceptional angles of the indicator", _zeros_options),
-    ("mellin-verify", cmd_mellin_verify, "numeric vs closed transform of the kernel",
-     _mellin_verify_options),
-    ("simulate", cmd_simulate, "radial sweep of a mass-model potential", _simulate_options),
-    ("solve-order", cmd_solve_order, "invert the transcendental order equation",
-     _solve_order_options),
-    ("counterexample", cmd_counterexample, "oscillating potential over a log-log grid",
-     _counterexample_options),
-)
+# one row per command: its function, its help, and the function that
+# declares the options the command reads
+_COMMANDS = {
+    "indicator": (cmd_indicator, "closed vs integral indicator table", _indicator_options),
+    "zeros": (cmd_zeros, "exceptional angles of the indicator", _zeros_options),
+    "mellin-verify": (cmd_mellin_verify, "numeric vs closed transform of the kernel",
+                      _mellin_verify_options),
+    "simulate": (cmd_simulate, "radial sweep of a mass-model potential", _simulate_options),
+    "solve-order": (cmd_solve_order, "invert the transcendental order equation",
+                    _solve_order_options),
+    "counterexample": (cmd_counterexample, "oscillating potential over a log-log grid",
+                       _counterexample_options),
+}
+
+
+def _declare(p, name):
+    """Declare command ``name`` on p, its parser: the defaults that name and
+    dispatch it, the three options every command takes, and its own."""
+    func, _, options = _COMMANDS[name]
+    p.set_defaults(command=name, func=func)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--config", default=None,
+                   help="key=value config file; options on the command line win")
+    options(p)
+    return p
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of argv.  When argv[0] names a command, only that command's
-    subparser is declared; otherwise (help, version, no command, an unknown
-    one, an option first) all of them are, so every message is the full
-    parser's."""
+    """The parser of argv.  When argv[0] names a command, that command's
+    parser alone, which reads argv[1:]: the parser the full one holds for it,
+    under the same prog.  Otherwise (help, version, no command, an unknown
+    one, an option first) the full parser, which reads all of argv and
+    declares every command as a subcommand, so every message is its own."""
+    if argv and argv[0] in _COMMANDS:
+        return _declare(_Parser(prog=f"raygrowth {argv[0]}"), argv[0])
     parser = _Parser(
         prog="raygrowth",
         description="Growth indicators, kernels and Mellin transforms for "
@@ -478,20 +495,20 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"raygrowth {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv else None
-    for name, func, help, options in [row for row in _COMMANDS if row[0] == named] or _COMMANDS:
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None,
-                       help="key=value config file; options on the command line win")
-        options(p)
+    for name, (_, help, _) in _COMMANDS.items():
+        _declare(sub.add_parser(name, help=help), name)
     return parser
 
 
 def _config_tokens(argv) -> list:
-    """The lines of the --config file named in argv as --key=value tokens."""
+    """The lines of the --config file named in argv as --key=value tokens.
+
+    Under argparse's prefix matching only a token whose part before any '='
+    is a prefix of '--config' can name it (--c, --con=F, --config F, ...);
+    without one, no parser is built to look."""
+    if not any(tok.startswith("--") and "--config".startswith(tok.split("=", 1)[0])
+               for tok in argv):
+        return []
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -503,9 +520,11 @@ def _config_tokens(argv) -> list:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # the file's options go between the command and the command line's
-        # options, so the subparser reads both and the command line wins
-        args = build_parser(argv).parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
+        # a command's own parser reads what follows the command, the full
+        # parser all of argv; the file's options go before the command
+        # line's, so the parser reads both and the command line wins
+        head = [] if argv and argv[0] in _COMMANDS else argv[:1]
+        args = build_parser(argv).parse_args(head + _config_tokens(argv) + argv[1:])
         return args.func(args)
     except ParseError as exc:
         print(f"raygrowth: parse error: {exc}", file=sys.stderr)

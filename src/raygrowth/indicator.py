@@ -48,21 +48,23 @@ _ROOT_TOLERANCES = {"xatol": 1e-15, "xrtol": 4 * np.finfo(float).eps, "fatol": 0
 _ROOT_MAXITER = 2046
 
 
-def _refine_roots(f, a, b, ends):
+def _refine_roots(f, a, b, ends, full_output: bool = False):
     """Roots of the elementwise function f in the sign-change brackets
     [a, b] (arrays, or scalars for one root), given ``ends``, f at a and at
-    b.  Chandrupatla's method (Adv. Eng. Softw. 28 (1997) 145) refines all
-    at once, one call of f per iteration on the brackets still open, and
-    follows ``scipy.optimize.elementwise.find_root`` at ``_ROOT_TOLERANCES``
-    step for step, so the roots agree with it bit for bit.  A bracket with
-    no sign change (status -1), at the iteration cap (-2), or with a
-    non-finite end or nan at both ends (-3) raises :class:`ConvergenceError`.
+    b; with ``full_output``, (roots, f at the roots), the values the
+    refinement ended on.  Chandrupatla's method (Adv. Eng. Softw. 28 (1997)
+    145) refines all at once, one call of f per iteration on the brackets
+    still open, and follows ``scipy.optimize.elementwise.find_root`` at
+    ``_ROOT_TOLERANCES`` step for step, so the roots agree with it bit for
+    bit.  A bracket with no sign change (status -1), at the iteration cap
+    (-2), or with a non-finite end or nan at both ends (-3) raises
+    :class:`ConvergenceError`.
     """
     shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     x1, x2 = (v.flatten() for v in np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float)))
     f1, f2 = (np.broadcast_to(np.asarray(v, dtype=float), x1.shape) for v in ends)
     xatol, xrtol, fatol = (_ROOT_TOLERANCES[k] for k in ("xatol", "xrtol", "fatol"))
-    x, status = np.full(x1.size, np.nan), np.full(x1.size, -2)
+    x, fx, status = np.full(x1.size, np.nan), np.full(x1.size, np.nan), np.full(x1.size, -2)
     open_ = np.arange(x1.size)
     x3, f3 = x2, f2  # the third point; first read after the first step
     nit = 0
@@ -70,8 +72,8 @@ def _refine_roots(f, a, b, ends):
         # termination, in order: an exact zero, no sign change, non-finite
         # values, then a bracket narrower than the tolerance at its better end
         better = np.abs(f1) < np.abs(f2)
-        xmin = np.where(better, x1, x2)
-        code = np.where(np.abs(np.where(better, f1, f2)) <= fatol, 0, 1)
+        xmin, fmin = np.where(better, x1, x2), np.where(better, f1, f2)
+        code = np.where(np.abs(fmin) <= fatol, 0, 1)
         code[(code == 1) & (np.sign(f1) == np.sign(f2))] = -1
         bad = ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))
         code[(code == 1) & bad] = -3
@@ -79,7 +81,7 @@ def _refine_roots(f, a, b, ends):
         code[(code == 1) & (dx < tol)] = 0
         done = code != 1
         if done.any():
-            x[open_[done]], status[open_[done]] = xmin[done], code[done]
+            x[open_[done]], fx[open_[done]], status[open_[done]] = xmin[done], fmin[done], code[done]
             keep = ~done
             open_, x1, f1, x2, f2, x3, f3, dx, tol = (
                 v[keep] for v in (open_, x1, f1, x2, f2, x3, f3, dx, tol))
@@ -107,7 +109,8 @@ def _refine_roots(f, a, b, ends):
         nit += 1
     if np.any(status):
         raise ConvergenceError(f"root refinement failed with status {np.unique(status)}")
-    return x.reshape(shape)[()]
+    x, fx = (v.reshape(shape)[()] for v in (x, fx))
+    return (x, fx) if full_output else x
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,15 @@ class ZeroSet:
 
     Exactly floor(rho)+1 of them; each was bracketed by a sign change of
     the angular factor and refined by Chandrupatla's method to full double
-    precision in theta.
+    precision in theta.  ``residuals`` holds |S| at each root, in the same
+    order: the value the refinement ended on, which is the root's own
+    one-angle value.
     """
 
     n: int
     rho: float
     roots: tuple
+    residuals: tuple
 
 
 def angular_shape(n, rho, theta):
@@ -188,12 +194,16 @@ def indicator_closed(params: ProblemParams, theta1):
 def _indicator(params: ProblemParams, shape, theta1):
     """H at the angles theta1 from their angular factor S; where it is not
     finite, :class:`DomainError` naming the first such angle."""
-    n, rho = params.n, params.rho
+    n, rho, delta = params.n, params.rho, params.delta
     # prod_{k=1}^{n-2}(rho+k) / (n-3)! = (n-2) rising_ratio(rho, n-2)
-    coefficient = (math.pi * 2.0 ** ((n - 3.0) / 2.0) * gamma((n - 1.0) / 2.0)
-                   * (n - 2) * rising_ratio(rho, n - 2) * params.delta / math.sin(math.pi * rho))
+    scale = (math.pi * 2.0 ** ((n - 3.0) / 2.0) * gamma((n - 1.0) / 2.0)
+             * (n - 2) * rising_ratio(rho, n - 2))
+    sine = math.sin(math.pi * rho)
+    coefficient = scale * delta / sine
     with np.errstate(over="ignore", invalid="ignore"):
-        value = coefficient * shape
+        # a delta that takes the coefficient past the double range goes in
+        # last, once S has scaled the rest down
+        value = coefficient * shape if math.isfinite(coefficient) else scale * shape / sine * delta
     bad = ~np.isfinite(np.ravel(value))
     if bad.any():
         raise DomainError(f"the indicator at theta1={np.ravel(theta1)[bad][0]:.17g} "
@@ -263,7 +273,8 @@ def zero_set(params: ProblemParams) -> ZeroSet:
     array evaluation of the factor per iteration) refines all of them
     together to full double precision (a scan node where the factor is
     exactly zero is a root as it stands).  It starts from the scan's values
-    at the bracket ends: an array call gives each angle its one-angle value.
+    at the bracket ends and keeps |S| at each root where it ended, as
+    ``residuals``: an array call gives each angle its one-angle value.
     The count must equal floor(rho)+1; a different count raises
     :class:`CountMismatchError` (that would mean either a special-function
     defect or a genuine violation of the zero-count law, and is surfaced
@@ -275,17 +286,21 @@ def zero_set(params: ProblemParams) -> ZeroSet:
     vals = angular_shape(n, rho, grid)
     sgn = np.sign(vals)
     left = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    roots = _refine_roots(lambda t: angular_shape(n, rho, t), grid[left], grid[left + 1],
-                          (vals[left], vals[left + 1])).tolist()
+    roots, values = _refine_roots(lambda t: angular_shape(n, rho, t), grid[left], grid[left + 1],
+                                  (vals[left], vals[left + 1]), full_output=True)
     # exact zeros on grid nodes would be missed by the strict sign test
-    roots.extend(float(grid[i]) for i in np.nonzero(vals == 0.0)[0])
+    exact = np.nonzero(vals == 0.0)[0]
+    roots = np.concatenate((roots, grid[exact]))
     expected = params.q + 1
     if len(roots) != expected:
         raise CountMismatchError(
             f"found {len(roots)} angular roots for n={n}, rho={rho}; "
             f"expected floor(rho)+1 = {expected}"
         )
-    return ZeroSet(n=n, rho=rho, roots=tuple(sorted(roots)))
+    order = np.argsort(roots, kind="stable")
+    residuals = np.abs(np.concatenate((values, vals[exact])))
+    return ZeroSet(n=n, rho=rho, roots=tuple(roots[order].tolist()),
+                   residuals=tuple(residuals[order].tolist()))
 
 
 def _guarded_shape(params: ProblemParams, theta1, name: str) -> float:

@@ -17,6 +17,7 @@ by an O(1) amount that the cross-representation check at 1e-4 would see).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable
 
@@ -168,7 +169,7 @@ class Atomic(MassModel):
     """Finitely many point masses (t_i > 1, mass_i > 0), stored sorted.
 
     ``radii`` and ``masses`` hold the same atoms as arrays, in the same
-    order, built once.
+    order, built once; :meth:`from_arrays` builds the model from them.
     """
 
     atoms: tuple
@@ -176,18 +177,29 @@ class Atomic(MassModel):
     masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.atoms:
+        self._store(*np.array(self.atoms, dtype=float).reshape(len(self.atoms), 2).T)
+
+    @classmethod
+    def from_arrays(cls, radii, masses) -> Atomic:
+        """The model of the atoms (radii[i], masses[i]), checked and sorted
+        as ``atoms`` is, with no tuple of pairs in between."""
+        model = object.__new__(cls)
+        model._store(np.asarray(radii, dtype=float), np.asarray(masses, dtype=float))
+        return model
+
+    def _store(self, t, m):
+        if not t.size:
             raise DomainError("atomic model needs at least one atom")
-        t, m = np.array(self.atoms, dtype=float).T
         order = np.lexsort((m, t))  # by radius, then mass
         radii, masses = t[order], m[order]
         bad_t = ~(np.isfinite(radii) & (radii > 1.0))
         bad = bad_t | ~(np.isfinite(masses) & (masses > 0.0))
         if bad.any():
+            # + 0.0: a -0.0 and a 0.0 sort as equals, and either prints as 0.0
             i = int(np.argmax(bad))
             if bad_t[i]:
-                raise DomainError(f"atom radius must be finite and > 1, got {radii[i].item()}")
-            raise DomainError(f"atom mass must be finite and > 0, got {masses[i].item()}")
+                raise DomainError(f"atom radius must be finite and > 1, got {radii[i].item() + 0.0}")
+            raise DomainError(f"atom mass must be finite and > 0, got {masses[i].item() + 0.0}")
         object.__setattr__(self, "atoms", tuple(zip(radii.tolist(), masses.tolist())))
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "masses", masses)
@@ -480,7 +492,8 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     (lo, hi, num) tuple.  The scaling r^{-rho} and the genus q of the
     kernel come from ``params``, so a density model whose own rho differs
     from ``params.rho`` raises :class:`DomainError`, as does a counting
-    function that is negative at a grid radius (that is not a mass).  u
+    function that is negative at a grid radius (that is not a mass) or
+    overflows there (r^rho past the double range), before any sweep.  u
     and N are each one call for the whole grid: :func:`u_canonical` and
     :func:`average_N` on the array of radii.
     """
@@ -491,11 +504,13 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     theta1 = check_one_angle(theta1)
     grid = _resolve_grid(r_grid)
     sweep_tol = check_scalar(sweep_tol, "sweep_tol", 0.0, math.inf, "()")
-    n_grid = counting_n(model, params.n, grid)
-    negative = n_grid < 0.0
-    if negative.any():
-        i = int(np.argmax(negative))
-        raise DomainError(f"the counting function is negative at r={grid[i]:g}: n(r) = {n_grid[i]:.6g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_grid = counting_n(model, params.n, grid)
+    bad = ~(np.isfinite(n_grid) & (n_grid >= 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "is negative" if n_grid[i] < 0.0 else "overflows the double range"
+        raise DomainError(f"the counting function {what} at r={grid[i]:g}: n(r) = {n_grid[i]:.6g}")
     N_grid, _, ok_N = average_N(model, params.n, grid, quad, full_output=True)
     u_grid, _, ok_u = u_canonical(model, params, grid, theta1, quad, full_output=True)
     flagged = int(not np.all(ok_N)) + int(np.count_nonzero(~ok_u))
@@ -609,6 +624,10 @@ DENSITY_MODELS = {"powerlaw": PowerLaw, "perturbed": Perturbed, "slowlyvarying":
 # the keys of an ``atom`` line, all numbers and all required
 _ATOM_KEYS = {"t": float, "mass": float}
 
+# an atom line in the spelling format_mass_model writes; such lines are read
+# in one pass over the text
+_CANONICAL_ATOM = re.compile(r"^atom t=([0-9][0-9.e+-]*) mass=([0-9][0-9.e+-]*)$", re.MULTILINE)
+
 
 def _key_values(kind: str, tokens, types: dict, required, lineno: int) -> dict:
     """The ``key=value`` tokens of one declaration as a dict of typed values.
@@ -645,10 +664,23 @@ def parse_mass_model(text: str) -> MassModel:
     ``atom t=2.0 mass=3.0`` lines.  A density declaration's keys are the
     init fields of its model in :data:`DENSITY_MODELS`, and a key left out
     takes the field's default.  '#' starts a comment.
+
+    The atom lines in canonical spelling (``atom t=<number> mass=<number>``,
+    as :func:`format_mass_model` writes them) are read in one pass, by one
+    regex and one conversion of their numbers; they leave empty lines
+    behind, so every other line keeps its number, and is read line by line.
     """
+    # split gives the text around the canonical lines, then their t and mass
+    parts = _CANONICAL_ATOM.split(text)
+    try:
+        radii, masses = (np.array(parts[k::3], dtype=float) for k in (1, 2))
+    except ValueError:  # a number float() refuses, such as 1e+: read every line alone
+        parts, radii, masses = [text], np.empty(0), np.empty(0)
     atoms = []
     model = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate("".join(parts[::3]).splitlines(), start=1):
+        if not raw:  # a canonical atom line, or an empty line
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -671,16 +703,19 @@ def parse_mass_model(text: str) -> MassModel:
                 raise ParseError(str(exc), line=lineno) from None
         else:
             raise ParseError(f"unknown declaration {kind!r}", line=lineno)
-    if model is not None and atoms:
+    if model is not None and (radii.size or atoms):
         raise ParseError("mixing a density declaration with atom lines is not supported")
     if model is not None:
         return model
-    if atoms:
-        try:
-            return Atomic(atoms=tuple(atoms))
-        except DomainError as exc:
-            raise ParseError(str(exc)) from None
-    raise ParseError("empty mass-model text")
+    if not (radii.size or atoms):
+        raise ParseError("empty mass-model text")
+    # Atomic sorts the atoms: the order the two kinds of line are read in is no matter
+    radii = np.append(radii, [t for t, _ in atoms])
+    masses = np.append(masses, [m for _, m in atoms])
+    try:
+        return Atomic.from_arrays(radii, masses)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def format_mass_model(model: MassModel) -> str:

@@ -5,9 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from raygrowth import cli
+from raygrowth import cli, indicator
 from raygrowth.cli import main, parse_angle
 from raygrowth.errors import CountMismatchError, ParseError
 from raygrowth.indicator import indicator_closed, zero_set
@@ -218,6 +219,13 @@ class TestIndicatorCommand:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["H_closed"]) == pytest.approx(5135.770583709690, rel=1e-13, abs=0)
 
+    def test_large_delta_in_range(self, tmp_path, capsys):
+        # the coefficient times delta overflows, H at 2.0 does not
+        code, text = run_cli(tmp_path, "indicator", "--n", "20", "--rho", "30.5",
+                             "--delta", "1e300", "--theta", "2.0")
+        assert code == 0 and capsys.readouterr().err == ""
+        assert text.splitlines()[-1].split(",")[2] == "-7.4195439031643298e+306"
+
     def test_provenance_header(self, tmp_path):
         _, text = run_cli(tmp_path, "indicator", "--theta", "0.3")
         assert text.splitlines()[0].startswith("# raygrowth ")
@@ -246,6 +254,21 @@ class TestZerosCommand:
         assert code == 0 and len(rows) == 3
         for row in rows:
             assert float(row.split(",")[5]) < 1e-10
+
+    @pytest.mark.parametrize("n,rho", [(5, 2.7), (6, 12.7)])
+    def test_residual_column_is_S_at_the_roots(self, tmp_path, monkeypatch, n, rho):
+        # the column is |S| at each root as the refinement left it: bit for
+        # bit a fresh call of S at the roots, and no call of S past zero_set's
+        calls = []
+        weighted = indicator.legendre_weighted  # every call of S goes through it
+        monkeypatch.setattr(indicator, "legendre_weighted", lambda *a: calls.append(1) or weighted(*a))
+        zset = zero_set(ProblemParams(n, rho))
+        alone = len(calls)
+        code, text = run_cli(tmp_path, "zeros", "--n", str(n), "--rho", str(rho))
+        assert code == 0 and len(calls) == 2 * alone
+        rows = [l.split(",") for l in text.splitlines() if not l.startswith(("#", "n,"))]
+        fresh = np.abs(indicator.angular_shape(n, rho, np.array(zset.roots))).tolist()
+        assert [row[5] for row in rows] == [cli._fmt(v) for v in fresh]
 
     def test_count_mismatch_exit_code(self, tmp_path, monkeypatch, capsys):
         def mismatch(params):
@@ -584,6 +607,10 @@ DOMAIN_ERRORS = [
     (("indicator", "--n", "20", "--rho", "30.5", "--delta", "1e300", "--theta", "1.0,2.0"),
      "the indicator at theta1=1 overflows the double range"),
     (("solve-order", "--delta-bar", "-1e-3"), "delta_bar=-0.001 is outside the attainable range"),
+    # r^1.5 passes the double range from r = 10^225.5 on: refused before the sweep
+    (("simulate", "--model", "MODEL_RHO_1.5", "--n", "4", "--theta", "0.3",
+      "--grid", "1e2:1e300:5"),
+     "the counting function overflows the double range at r=3.16228e+225: n(r) = inf"),
     # H = 0 at a root of S: no error relative to it is defined
     (("simulate", "--model", "MODEL_RHO_1.5", "--n", "4", "--theta", "root1",
       "--grid", "1e2:1e6:5"),
@@ -691,24 +718,24 @@ def _subparsers(parser):
 
 
 class TestOneCommandParser:
-    """A call declares only the subparser of the command it names; that
-    subparser is the one the parser of every command holds."""
+    """A call that names a command builds that command's parser alone, the
+    parser the full one holds for it, and parses once with it."""
 
     @pytest.mark.parametrize("command", sorted(ROUND_TRIPS))
     def test_same_help(self, command):
-        alone = _subparsers(cli.build_parser([command]))
-        assert list(alone) == [command]
-        assert alone[command].format_help() == _subparsers(cli.build_parser())[command].format_help()
+        alone = cli.build_parser([command])
+        assert not any(isinstance(a, argparse._SubParsersAction) for a in alone._actions)
+        assert alone.format_help() == _subparsers(cli.build_parser())[command].format_help()
 
     @pytest.mark.parametrize("command", sorted(ROUND_TRIPS))
     def test_same_namespace(self, command):
         argv = [command, *ROUND_TRIPS[command]]
         if command == "simulate":
             argv += ["--model", "m.txt"]
-        assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
+        assert cli.build_parser(argv).parse_args(argv[1:]) == cli.build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("argv,code,subparsers", [
-        (["zeros", "--n", "5", "--rho", "2.7"], 0, 1),
+        (["zeros", "--n", "5", "--rho", "2.7"], 0, 0),
         (["--help"], None, 6),
         (["nosuch"], 4, 6),
     ], ids=["zeros", "help", "unknown command"])
@@ -728,6 +755,46 @@ class TestOneCommandParser:
         else:
             assert main(argv) == code
         assert len(calls) == subparsers
+
+    @pytest.mark.parametrize("command", sorted(ROUND_TRIPS))
+    def test_one_parser_one_parse(self, tmp_path, monkeypatch, command):
+        # no token can name a config file: the command's parser is the only
+        # one built, and argv is parsed once
+        built, parsed = [], []
+        init, parse = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_known_args
+
+        def counted_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        def counted_parse(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
+        argv = [command, *ROUND_TRIPS[command]]
+        if command == "simulate":
+            model = tmp_path / "m.txt"
+            model.write_text("powerlaw delta=1.0 rho=0.5\n")
+            argv += ["--model", str(model)]
+        assert main(argv + ["--out", str(tmp_path / "out.txt")]) == 0
+        assert built == parsed == [f"raygrowth {command}"]
+
+    @pytest.mark.parametrize("spelling", [
+        ["--config", "CFG"], ["--config=CFG"], ["--con", "CFG"], ["--c=CFG"], ["--conf=CFG"],
+        ["--c", "CFG"],
+    ], ids=" ".join)
+    def test_config_spellings(self, tmp_path, spelling):
+        # every token argparse reads as --config names the file: n=5 and
+        # rho=2.7 give three roots where the defaults give one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=5\nrho=2.7\n")
+        argv = ["zeros", *(str(cfg) if tok == "CFG" else tok.replace("CFG", str(cfg))
+                           for tok in spelling)]
+        code, text = run_cli(tmp_path, *argv)
+        assert code == 0
+        assert sum(not line.startswith(("#", "n,")) for line in text.splitlines()) == 3
 
 
 def test_console_script_entry_point():

@@ -109,6 +109,15 @@ class TestIndicatorClosed:
         with pytest.raises(DomainError, match=message):
             guarded_indicator(params, np.ravel(theta)[-1])
 
+    def test_large_delta_goes_in_last(self):
+        # the coefficient times delta = 1e300 is inf at (20, 30.5), but S
+        # scales H back into the double range, where the quadrature has it
+        p = ProblemParams(20, 30.5, 1e300)
+        h = indicator_closed(p, 2.0)
+        assert h == pytest.approx(-7.41954400329825e306, rel=1e-7)
+        assert h == pytest.approx(1e300 * indicator_closed(ProblemParams(20, 30.5), 2.0), rel=1e-15)
+        assert guarded_indicator(p, 2.0) == h
+
     @pytest.mark.parametrize("rho", LARGE_N_ORDERS)
     def test_axis_value_up_to_max_dimension(self, rho):
         # the prefactor's rising product used to overflow before its
@@ -256,6 +265,22 @@ class TestZeroSet:
         for b in z.roots:
             assert abs(angular_shape(3, 2.5, b)) < 1e-10
 
+    @pytest.mark.parametrize("n,rho", [(3, 0.5), (3, 2.5), (5, 2.7), (6, 12.7), (10, 7.3)])
+    def test_residuals_are_S_at_the_roots(self, n, rho):
+        # the values the refinement ended on, bit for bit those of a fresh
+        # call of S at the roots, one angle at a time or in one array
+        z = zero_set(ProblemParams(n, rho))
+        assert z.residuals == tuple(np.abs(angular_shape(n, rho, np.array(z.roots))).tolist())
+        assert z.residuals == tuple(abs(float(angular_shape(n, rho, b))) for b in z.roots)
+
+    def test_exact_zero_on_a_scan_node_has_residual_zero(self, monkeypatch):
+        # S exactly 0 at a scan node, and no sign change between two nodes
+        node = np.linspace(1e-3, math.pi - 1e-3, 3141)[1000]
+        monkeypatch.setattr(indicator, "angular_shape",
+                            lambda n, rho, theta: (np.asarray(theta) - node) ** 2)
+        z = zero_set(P35)
+        assert z.roots == (node,) and z.residuals == (0.0,)
+
     def test_sign_flips_exactly_at_roots(self):
         p = ProblemParams(4, 2.7)
         z = zero_set(p)
@@ -305,7 +330,8 @@ class TestZeroSet:
 
     def test_count_mismatch_raises(self, monkeypatch):
         # a scan that finds two roots where floor(rho)+1 = 1 is surfaced
-        monkeypatch.setattr(indicator, "_refine_roots", lambda f, a, b, ends: np.array([1.0, 2.0]))
+        monkeypatch.setattr(indicator, "_refine_roots",
+                            lambda f, a, b, ends, full_output: (np.array([1.0, 2.0]), np.zeros(2)))
         with pytest.raises(CountMismatchError, match="found 2 angular roots for n=3, rho=0.5"):
             zero_set(P35)
 
@@ -385,11 +411,11 @@ class TestDegreeRecurrence:
                 assert below * above < 0, beta
 
 
-def _scipy_refine(f, a, b, ends):
+def _scipy_refine(f, a, b, ends, full_output=False):
     # find_root evaluates f at the bracket ends itself: ends goes unused
     res = elementwise.find_root(f, (a, b), tolerances=indicator._ROOT_TOLERANCES)
     assert np.all(res.success)
-    return res.x
+    return (res.x, res.f_x) if full_output else res.x
 
 
 class TestRefineRoots:
@@ -399,10 +425,10 @@ class TestRefineRoots:
     @pytest.mark.parametrize("n,rho", [(3, 0.5), (3, 12.9), (4, 2.7), (4, 12.9), (5, 7.3),
                                        (6, 12.5), (7, 11.5), (8, 12.9), (9, 10.1), (10, 12.2)])
     def test_zero_sets_match_scipy(self, monkeypatch, n, rho):
-        roots = zero_set(ProblemParams(n, rho)).roots
+        zset = zero_set(ProblemParams(n, rho))
         monkeypatch.setattr(indicator, "_refine_roots", _scipy_refine)
-        assert roots == zero_set(ProblemParams(n, rho)).roots
-        assert len(roots) == math.floor(rho) + 1
+        assert zset == zero_set(ProblemParams(n, rho))  # roots and residuals
+        assert len(zset.roots) == math.floor(rho) + 1
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_solve_order_matches_scipy(self, monkeypatch, n):

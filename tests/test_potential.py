@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -430,6 +431,55 @@ class TestSerialization:
         m = parse_mass_model("# comment\n\nperturbed delta=1 rho=0.5 eps=inv_log\n")
         assert isinstance(m, Perturbed)
         assert m.t0 == math.e
+
+    def test_numpy_reads_numbers_as_float_does(self):
+        # the canonical atom lines' numbers go through one numpy conversion,
+        # every other line's through float(): the two agree bit for bit
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**63 - 2**52, size=100000, dtype=np.int64).view(np.float64)
+        digits = rng.integers(0, 10, size=(100000, 20))
+        strs = [repr(x) for x in bits.tolist()] + [
+            f"{''.join(map(str, row[:k]))}.{''.join(map(str, row[k:]))}e{e:+d}"
+            for row, k, e in zip(digits.tolist(), rng.integers(1, 20, 100000).tolist(),
+                                 rng.integers(-330, 310, 100000).tolist())]
+        fast = np.array(strs, dtype=float)
+        one_by_one = np.array([float(x) for x in strs])
+        assert np.array_equal(fast.view(np.int64), one_by_one.view(np.int64))
+
+    CANONICAL = "".join(f"atom t={t!r} mass={m!r}\n" for t, m in zip(
+        np.geomspace(1.5, 1e4, 40).tolist(), np.linspace(0.5, 2.0, 40).tolist()))
+
+    @pytest.mark.parametrize("extra", [
+        "",
+        "atom t=inf mass=1.0\n",
+        "atom t=1e+ mass=1.0\n",
+        "atom t=2.0 mass=1.0 x=1\n",
+        "atom t=2.0\n",
+        "powerlaw delta=1.0 rho=0.5\n",
+        "atom t=1.0 mass=1.0\n",
+        "atom t=-0.0 mass=1.0\natom t=0.0 mass=1.0\n",
+    ], ids=["valid", "inf", "bad number", "unknown key", "missing key", "density", "t0 at 1",
+            "signed zeros"])
+    def test_canonical_lines_read_as_the_loop_reads_them(self, monkeypatch, extra):
+        # canonical lines around comments, a tab, ATOM, swapped keys and
+        # 1_000, and around the extra lines, which start at line 23
+        other = ("# atoms\n\tatom t=3.5 mass=0.75\nATOM t=4.0 mass=1.0\n"
+                 "atom mass=2.0 t=6.5  # swapped\natom t=1_000 mass=1\n")
+        canonical = self.CANONICAL.splitlines(True)
+        text = other + "".join(canonical[:17]) + extra + "".join(canonical[17:])
+
+        def outcome():
+            try:
+                model = parse_mass_model(text)
+            except ParseError as exc:
+                return str(exc)
+            return model, model.t0
+
+        fast = outcome()
+        monkeypatch.setattr(potential, "_CANONICAL_ATOM", re.compile(r"(?!)"))
+        assert fast == outcome()
+        if extra in ("atom t=2.0 mass=1.0 x=1\n", "atom t=2.0\n"):
+            assert fast.startswith("line 23: ")
 
     def test_parse_errors_carry_line(self):
         with pytest.raises(ParseError) as exc:
