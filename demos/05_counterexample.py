@@ -34,7 +34,7 @@ print("\nsample of the axis oscillation:")
 for k in range(0, 129, 16):
     print(f"  t={ts[k]:>6.3f}  r={rs[k]:>12.4g}  r^-rho u0 = {axis[k]:.6f}")
 
-print("\nfinite-difference Laplacian stays nonnegative at large radii")
+print("\nclosed-form Laplacian stays nonnegative at large radii")
 print("(subharmonicity of the counterexample):")
 for r in (1e6, 1e8):
     row = []

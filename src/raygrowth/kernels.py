@@ -142,15 +142,16 @@ def h_value(lam, q, u, xi):
         uf, xf = u_arr[far], xi[far]
         with np.errstate(over="ignore", invalid="ignore"):
             base = 1.0 + uf * uf + 2.0 * uf * xf
+            # the section overflows with u^q; the caller sees the inf
+            poly = np.zeros_like(uf)
+            for j, g in zip(range(q + 1), gegenbauer_terms(lam, xf)):
+                poly += (-uf) ** j * g
         if np.any(base <= 0.0):
             raise DomainError("kernel singular: 1 + u^2 + 2 u xi <= 0 (u=1, xi=-1)")
         riesz, huge = base ** (-lam), ~np.isfinite(base)
         if huge.any():  # u^2 overflowed, past u ~ 1.3e154: factor it out
             uh, w = uf[huge], 1.0 / uf[huge]
             riesz[huge] = uh ** (-2.0 * lam) * (1.0 + 2.0 * xf[huge] * w + w * w) ** (-lam)
-        poly = np.zeros_like(uf)
-        for j, g in zip(range(q + 1), gegenbauer_terms(lam, xf)):
-            poly += (-uf) ** j * g
         out[far] = -riesz + poly
     return scalar_or_array(out)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, PoleError, StripViolationError,
                      check_integer, check_real, check_scalar, scalar_or_array)
 from .kernels import ProblemParams, check_one_angle
-from .specfun import _maybe_real, gamma, legendre_weighted, rising_ratio
+from .specfun import _finite, _maybe_real, gamma, legendre_weighted, rising_ratio
 
 # poles of the continued transforms are excluded within this radius
 POLE_EXCLUSION_RADIUS = 1e-6
@@ -154,9 +154,16 @@ class MellinResult:
 
     def held_to(self, quad: "QuadratureSpec") -> "MellinResult":
         """The result, flagged unless its error estimate is within 10 times
-        the tolerance of ``quad``: the rule for a sum of pieces."""
-        ok = self.error <= 10.0 * np.fmax(quad.abs_tol, quad.rel_tol * abs(self.value))
-        return replace(self, converged=scalar_or_array(self.converged & ok))
+        the tolerance of ``quad``: the rule for a sum of pieces.  A row it
+        flags anew gets a message naming its estimate and that bound."""
+        bound = 10.0 * np.fmax(quad.abs_tol, quad.rel_tol * abs(self.value))
+        newly = self.converged & ~(self.error <= bound)
+        if not np.any(newly):
+            return self
+        reason = np.frompyfunc(lambda flag, e, b: f"summed error estimate {e:.3g} exceeds the bound "
+                               f"{b:.3g}, 10 times the tolerance" if flag else "", 3, 1)
+        return replace(self, converged=scalar_or_array(self.converged & ~newly),
+                       message=_join_rows(self.message, reason(newly, self.error, bound)))
 
 
 def integrate(f, a, b, quad: QuadratureSpec, power: float = 1.0, args=()) -> MellinResult:
@@ -376,6 +383,7 @@ def mellin_numeric(integrand, s, quad: QuadratureSpec, strip: MellinStrip,
     Raises :class:`StripViolationError` when Re s is outside the declared
     strip of the integrand -- never returns silently in that case.
     """
+    _finite(s, "transform variable s")
     strip.check(s)
     s = _maybe_real(complex(s))
     k_in = 1.0 / min(1.0, s.real - strip.lower)
@@ -412,6 +420,9 @@ def mellin_h_closed(lam, q, s, xi):
     """
     lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
     check_integer(q, "subtraction degree q")
+    # at xi = -1 the Legendre factor is taken at x = 1, its singular point
+    xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0, "(]")
+    _finite(s, "transform variable s")
     _check_not_pole(s, lam)
     s = s if isinstance(s, complex) and s.imag else float(s.real)
     coef = -math.sqrt(math.pi) * gamma(s) * gamma(2.0 * lam - s) / (
@@ -429,6 +440,8 @@ def mellin_k_closed(lam, s, xi):
     :func:`mellin_h_closed` exercises the double-argument gamma identity).
     """
     lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
+    xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0, "(]")
+    _finite(s, "transform variable s")
     MellinStrip(0.0, 2.0 * lam).check(s)
     mu = 0.5 - lam
     nu = (s if isinstance(s, complex) else float(s)) - lam - 0.5
@@ -516,6 +529,7 @@ def mellin_ibp_numeric(lam, q, s, xi, quad: QuadratureSpec) -> MellinResult:
     lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
     q = check_integer(q, "subtraction degree q")
     xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0)
+    _finite(s, "transform variable s")
     MellinStrip.extended_for_h(q, lam).check(s)
     sc = _maybe_real(complex(s))
     for k in range(q + 1):

@@ -23,18 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, ParseError, check_real, check_scalar,
-                     scalar_or_array)
+from .errors import DomainError, ParseError, check_real, check_scalar, scalar_or_array
 from .indicator import angular_shape
 from .kernels import ProblemParams, check_dimension, check_one_angle, h_value, poisson_Pn
 from .mellin import QuadratureSpec, integrate
 
 _E = math.e
-
-# relative radial step and latitude step of the finite-difference Laplacian
-_LAPLACIAN_STEP = 1e-4
-# its lowest radius: the inner sample r - r * _LAPLACIAN_STEP is then e exactly
-_LAPLACIAN_R_MIN = _E / (1.0 - _LAPLACIAN_STEP)
 
 # below r = 2^-200 t0 a potential is taken through its homogeneity in r
 _HOMOGENEOUS_EXP = -200
@@ -493,9 +487,10 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     kernel come from ``params``, so a density model whose own rho differs
     from ``params.rho`` raises :class:`DomainError`, as does a counting
     function that is negative at a grid radius (that is not a mass) or
-    overflows there (r^rho past the double range), before any sweep.  u
-    and N are each one call for the whole grid: :func:`u_canonical` and
-    :func:`average_N` on the array of radii.
+    overflows there (r^rho past the double range), before any sweep, and
+    a potential that overflows at a grid radius.  u and N are each one
+    call for the whole grid: :func:`u_canonical` and :func:`average_N` on
+    the array of radii.
     """
     model_rho = getattr(model, "rho", params.rho)  # atomic models declare no order
     if model_rho != params.rho:
@@ -513,6 +508,9 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
         raise DomainError(f"the counting function {what} at r={grid[i]:g}: n(r) = {n_grid[i]:.6g}")
     N_grid, _, ok_N = average_N(model, params.n, grid, quad, full_output=True)
     u_grid, _, ok_u = u_canonical(model, params, grid, theta1, quad, full_output=True)
+    if not np.all(np.isfinite(u_grid)):
+        i = int(np.argmin(np.isfinite(u_grid)))
+        raise DomainError(f"the potential overflows the double range at r={grid[i]:g}")
     flagged = int(not np.all(ok_N)) + int(np.count_nonzero(~ok_u))
     r, u = tuple(grid.tolist()), tuple(u_grid.tolist())
     scaled = tuple(ui * ri ** (-params.rho) for ri, ui in zip(r, u))
@@ -557,7 +555,7 @@ def ratio_probe(model: MassModel, params: ProblemParams, theta1, r_grid,
 def counterexample_u0(rho: float, r, theta1: float):
     """Oscillating potential r^rho (1 + sin(ln ln r) P_rho(cos theta1)).
 
-    Defined for r > e (so the doubled logarithm exists) in dimension 3.
+    Defined for r >= e (so the doubled logarithm exists) in dimension 3.
     Along the axis the scaled value oscillates with amplitude 1 between 0
     and 2; on the angle where the degree-rho Legendre factor vanishes it is
     identically r^rho -- the two behaviors that bracket what a one-direction
@@ -572,45 +570,24 @@ def counterexample_u0(rho: float, r, theta1: float):
 
 
 def laplacian_u0(rho: float, r: float, theta1: float):
-    """Second-difference Laplacian of the oscillating potential (dimension 3).
+    """Laplacian of the oscillating potential (dimension 3), in closed form.
 
-    Radial-latitudinal spherical form
+    With L = ln ln r and P = P_rho(cos theta1), u0 = r^rho + sin(L) h, where
+    h = r^rho P is harmonic in R^3; lap(g h) = h lap(g) + 2 g' h_r then gives
 
-        lap u = u_rr + (2/r) u_r + (u_tt + cot(theta) u_t) / r^2,
+        lap u0 = r^{rho-2} [rho (rho+1) + P ((2 rho + 1) cos L / ln r
+                                            - (cos L + sin L) / ln^2 r)],
 
-    with steps h_r = 1e-4 r and h_theta = 1e-4, so r must be at least
-    e / (1 - 1e-4), about 2.71855, for the inner sample to exist; on the
-    axis the angular part is replaced by its regularized limit 2 u_tt.  The
-    analytic leading terms are
-    r^{rho-2} [rho (rho+1) + (2 rho + 1) cos(ln ln r) P_rho / ln r + ...],
-    so the estimate must come out positive at large radii; a step-size
-    failure (estimate below the rounding floor) raises instead of returning
-    noise.
+    positive at large radii, where rho (rho+1) dominates.  Defined where
+    :func:`counterexample_u0` is, for r >= e; each argument is one value.
     """
-    r = check_scalar(r, "radius r of the counterexample", _LAPLACIAN_R_MIN)
-    theta1 = check_one_angle(theta1)
-    hr = r * _LAPLACIAN_STEP
-    u = lambda rr, th: counterexample_u0(rho, rr, th)
-    u00 = u(r, theta1)
-    u_r = (u(r + hr, theta1) - u(r - hr, theta1)) / (2 * hr)
-    u_rr = (u(r + hr, theta1) - 2 * u00 + u(r - hr, theta1)) / (hr * hr)
-    ht = _LAPLACIAN_STEP
-    if theta1 < ht:
-        # axis limit: u_t vanishes by symmetry and the angular part tends to
-        # 2 u_tt, with u_tt = 2 (u(h) - u(0)) / h^2 from the even reflection
-        angular = 4.0 * (u(r, theta1 + ht) - u00) / (ht * ht)
-    else:
-        hi = min(ht, 0.5 * (math.pi - theta1))
-        u_t = (u(r, theta1 + hi) - u(r, theta1 - hi)) / (2 * hi)
-        u_tt = (u(r, theta1 + hi) - 2 * u00 + u(r, theta1 - hi)) / (hi * hi)
-        angular = u_tt + u_t / math.tan(theta1)
-    lap = u_rr + 2.0 * u_r / r + angular / (r * r)
-    noise_floor = 8.0 * np.finfo(float).eps * abs(u00) * (1.0 / (hr * hr) + 1.0 / (ht * ht) / (r * r))
-    if abs(lap) < noise_floor:
-        raise ConvergenceError(
-            f"finite-difference Laplacian below rounding floor ({lap:.3e} vs {noise_floor:.3e})"
-        )
-    return lap
+    rho = check_scalar(rho, "order rho", 0.0, 1.0, "()")
+    r = check_scalar(r, "radius r of the counterexample", _E)
+    legendre_factor = angular_shape(3, rho, check_one_angle(theta1))
+    ln_r = math.log(r)
+    cos_l, sin_l = math.cos(math.log(ln_r)), math.sin(math.log(ln_r))
+    return r ** (rho - 2.0) * (rho * (rho + 1.0) + legendre_factor * (
+        (2.0 * rho + 1.0) * cos_l / ln_r - (cos_l + sin_l) / (ln_r * ln_r)))
 
 
 # ---------------------------------------------------------------------------

@@ -68,12 +68,15 @@ _DIGAMMA_ASYMP = (
 )
 
 
-def _finite(z):
-    """complex(z), once z is known to be finite: a non-finite argument
-    raises :class:`DomainError`."""
+def _finite(z, name="special-function argument"):
+    """complex(z), once z is known to be one finite number: a non-finite
+    argument, or an array of any shape but 0-d, raises :class:`DomainError`
+    naming it."""
+    if not isinstance(z, (float, int, complex)) and np.ndim(z):
+        raise DomainError(f"{name} must be one value, got an array of shape {np.shape(z)}")
     zc = complex(z)
     if not cmath.isfinite(zc):
-        raise DomainError(f"special-function argument must be finite, got {z}")
+        raise DomainError(f"{name} must be finite, got {z}")
     return zc
 
 

@@ -235,7 +235,7 @@ def test_criterion_09_counterexample_dichotomy():
     ok = axis_range >= 1.9 and frozen_range <= 1e-12 and min_lap >= 0.0
     report(9, "counterexample dichotomy", ok,
            f"axis range {axis_range:.3f} (>= 1.9), root-angle range {frozen_range:.1e} "
-           f"(<= 1e-12), min FD Laplacian {min_lap:.3e} (>= 0)")
+           f"(<= 1e-12), min Laplacian {min_lap:.3e} (>= 0)")
 
 
 def test_criterion_10_representation_equivalence():

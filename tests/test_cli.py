@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -192,6 +193,16 @@ class TestIndicatorCommand:
         assert code == 3
         assert err.startswith("raygrowth: theta=3.14159263")
         assert "sin^2(theta/2) rounds to 1" in err
+
+    def test_summed_pieces_flag_says_why(self, tmp_path, capsys):
+        # each piece converges, but their summed error estimate misses the
+        # bound of the transform
+        code, _ = run_cli(tmp_path, "indicator", "--n", "7", "--rho", "5.707735808323018",
+                          "--theta", "2.6333509316477186")
+        assert code == 2
+        assert re.search(r"^raygrowth: quadrature flagged at theta1=2\.6333509316477186: summed "
+                         r"error estimate \S+ exceeds the bound \S+, 10 times the tolerance$",
+                         capsys.readouterr().err)
 
     def test_root_tokens_share_one_zero_set(self, tmp_path, monkeypatch):
         calls = []
@@ -611,6 +622,9 @@ DOMAIN_ERRORS = [
     (("simulate", "--model", "MODEL_RHO_1.5", "--n", "4", "--theta", "0.3",
       "--grid", "1e2:1e300:5"),
      "the counting function overflows the double range at r=3.16228e+225: n(r) = inf"),
+    # finite atoms, but u grows like r^q (q = 2) and passes the double range
+    (("simulate", "--model", "MODEL_TWO_ATOMS", "--n", "4", "--rho", "2.5", "--theta", "0.3",
+      "--grid", "1e2:1e300:5"), "the potential overflows the double range at r=3.16228e+225"),
     # H = 0 at a root of S: no error relative to it is defined
     (("simulate", "--model", "MODEL_RHO_1.5", "--n", "4", "--theta", "root1",
       "--grid", "1e2:1e6:5"),
@@ -631,7 +645,8 @@ DOMAIN_ERRORS = [
 
 # the mass-model files the runs above name
 MODELS = {"MODEL": "powerlaw delta=1.0 rho=0.5\n", "MODEL_RHO_1.5": "powerlaw delta=1.0 rho=1.5\n",
-          "MODEL_MASSLESS": "powerlaw delta=0 rho=0.5\n", "MODEL_ATOMS": "atom t=2.0 mass=1.0\n"}
+          "MODEL_MASSLESS": "powerlaw delta=0 rho=0.5\n", "MODEL_ATOMS": "atom t=2.0 mass=1.0\n",
+          "MODEL_TWO_ATOMS": "atom t=2.0 mass=1.0\natom t=5.5 mass=0.25\n"}
 
 
 class TestDomainErrors:

@@ -33,11 +33,13 @@ from raygrowth.kernels import (
     weierstrass_K,
 )
 from raygrowth.mellin import (
+    MellinStrip,
     QuadratureSpec,
     integrate as tanh_sinh,
     mellin_h_closed,
     mellin_ibp_numeric,
     mellin_k_closed,
+    mellin_numeric,
     tauberian_symbol,
 )
 from raygrowth.potential import (
@@ -148,10 +150,10 @@ RADIUS_ENTRIES = {
     "counterexample_u0": ("radius r of the counterexample", math.e,
                           lambda r: counterexample_u0(0.5, r, 0.3)),
     "laplacian_u0": ("radius r of the counterexample", math.e, lambda r: laplacian_u0(0.5, r, 0.3)),
-    "laplacian_u0 inner sample": ("radius r of the counterexample", math.e / (1.0 - 1e-4),
+    "laplacian_u0 inner sample": ("radius r of the counterexample", math.e,
                                   lambda r: laplacian_u0(0.5, r, 0.3)),
     "riesz_k": ("radial ratio t", 0.0, lambda t: riesz_k(1.5, t, 0.3)),
-    "laplacian_u0 pair": ("radius r of the counterexample", math.e / (1.0 - 1e-4),
+    "laplacian_u0 pair": ("radius r of the counterexample", math.e,
                           lambda r: laplacian_u0(0.5, np.array([10.0, r]), 0.3)),
 }
 
@@ -253,6 +255,46 @@ PARAMETER_ENTRIES = {
     "gamma": ("special-function argument", gamma, [NAN, INF, -INF]),
     "rgamma": ("special-function argument", rgamma, [NAN, INF]),
     "digamma": ("special-function argument", digamma, [NAN, INF, complex(0.5, INF)]),
+    "gamma pair": ("special-function argument", lambda v: gamma(np.array([0.5, v])), [0.7, NAN]),
+    "rgamma pair": ("special-function argument", lambda v: rgamma(np.array([0.5, v])), [0.7, INF]),
+    "digamma pair": ("special-function argument", lambda v: digamma(np.array([0.5, v])),
+                     [0.7, NAN]),
+    "hyp2f1 c pair": ("special-function argument",
+                      lambda v: hyp2f1(0.3, 0.4, np.array([0.5, v]), 0.3), [0.7, NAN]),
+    "legendre_weighted nu pair": ("special-function argument",
+                                  lambda v: legendre_weighted(np.array([0.5, v]), -0.5, 0.3),
+                                  [0.7, NAN]),
+    "legendre_weighted mu pair": ("special-function argument",
+                                  lambda v: legendre_weighted(0.5, np.array([-0.5, v]), 0.3),
+                                  [-0.7, NAN]),
+    "legendre_p_cut nu pair": ("special-function argument",
+                               lambda v: legendre_p_cut(np.array([0.5, v]), -0.5, 0.3), [0.7, NAN]),
+    # the transforms check s before the strip or the pole test reads it
+    "mellin_numeric s": ("transform variable s",
+                         lambda v: mellin_numeric(np.exp, v, QuadratureSpec(), MellinStrip(0.0, 5.0)),
+                         [NAN, INF, complex(2.0, NAN)]),
+    "mellin_numeric s pair": ("transform variable s",
+                              lambda v: mellin_numeric(np.exp, np.array([2.0, v]), QuadratureSpec(),
+                                                       MellinStrip(0.0, 5.0)), [3.0, NAN]),
+    "mellin_h_closed s": ("transform variable s", lambda v: mellin_h_closed(1.0, 0, v, 0.3),
+                          [NAN, -INF, complex(-0.5, INF)]),
+    "mellin_h_closed s pair": ("transform variable s",
+                               lambda v: mellin_h_closed(1.0, 0, np.array([-0.5, v]), 0.3),
+                               [-0.7, NAN]),
+    "mellin_h_closed xi": ("xi = cos(theta1)", lambda v: mellin_h_closed(1.0, 0, -0.5, v),
+                           [1.5, -1.0, -1.5, NAN]),
+    "mellin_k_closed s": ("transform variable s", lambda v: mellin_k_closed(1.0, v, 0.3),
+                          [NAN, INF]),
+    "mellin_k_closed s pair": ("transform variable s",
+                               lambda v: mellin_k_closed(1.0, np.array([0.5, v]), 0.3), [0.7, NAN]),
+    "mellin_k_closed xi": ("xi = cos(theta1)", lambda v: mellin_k_closed(1.0, 0.5, v),
+                           [1.5, -1.0, NAN]),
+    "mellin_ibp_numeric s": ("transform variable s",
+                             lambda v: mellin_ibp_numeric(1.5, 0, v, 0.3, QuadratureSpec()),
+                             [NAN, INF]),
+    "mellin_ibp_numeric s pair": ("transform variable s",
+                                  lambda v: mellin_ibp_numeric(1.5, 0, np.array([-0.5, v]), 0.3,
+                                                               QuadratureSpec()), [-0.7, NAN]),
 }
 
 
@@ -386,11 +428,12 @@ class TestEnvelope:
             check_integer(x, "k")
 
     def test_laplacian_u0_lower_end(self):
-        # the inner sample r - 1e-4 r is e exactly at the lower end; below
-        # it the message reports the radius that was passed
-        assert laplacian_u0(0.5, math.e / (1.0 - 1e-4), 0.3) > 0.0
-        with pytest.raises(DomainError, match=r"got 2\.718281828459045$"):
-            laplacian_u0(0.5, math.e, 0.3)
+        # e itself belongs to the domain, as for counterexample_u0 (the value
+        # is mpmath's, at 40 digits); below it the message reports the
+        # radius that was passed
+        assert laplacian_u0(0.5, math.e, 0.3) == pytest.approx(0.386714188497351, rel=1e-12)
+        with pytest.raises(DomainError, match=r"got 2\.7182818284590446$"):
+            laplacian_u0(0.5, math.nextafter(math.e, 0.0), 0.3)
 
 
 def _exp_integral(b):

@@ -7,6 +7,7 @@ from raygrowth.errors import DomainError, PoleError, StripViolationError
 from raygrowth.indicator import indicator_closed
 from raygrowth.kernels import MAX_DIMENSION, ProblemParams, h_value
 from raygrowth.mellin import (
+    MellinResult,
     MellinStrip,
     QuadratureSpec,
     mellin_h_closed,
@@ -111,6 +112,25 @@ class TestMellinNumeric:
         assert not res.converged
         with pytest.raises(ArithmeticError):
             res.require()
+
+    def test_held_to_names_the_bound(self):
+        # 10 * max(1e-12, 1e-10 * 2) = 2e-9 at the default tolerances: the
+        # first row's 3e-9 is over it, the second row's 1e-9 within it, and
+        # the third row was flagged before
+        quad = QuadratureSpec()
+        res = MellinResult(value=np.array([2.0, 2.0, 2.0]), error=np.array([3e-9, 1e-9, 3e-9]),
+                           converged=np.array([True, True, False]),
+                           message=np.array(["", "", "tanh-sinh: earlier"], dtype=object))
+        held = res.held_to(quad)
+        assert held.converged.tolist() == [False, True, False]
+        assert held.message.tolist() == [
+            "summed error estimate 3e-09 exceeds the bound 2e-09, 10 times the tolerance",
+            "", "tanh-sinh: earlier"]
+        one = MellinResult(value=2.0, error=3e-9, converged=True).held_to(quad)
+        assert one.converged is False and one.message == held.message[0]
+        # a result within the bound comes back as it is
+        within = MellinResult(value=2.0, error=1e-9, converged=True)
+        assert within.held_to(quad) is within
 
     def test_require_returns_a_converged_value(self):
         res = mellin_numeric(lambda u: np.exp(-u), 2.0, QUAD, MellinStrip(0.0, 50.0))

@@ -1,12 +1,13 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
 from raygrowth import potential
 from raygrowth.errors import DomainError, ParseError
-from raygrowth.indicator import indicator_closed, ratio_limits, zero_set
+from raygrowth.indicator import angular_shape, indicator_closed, ratio_limits, zero_set
 from raygrowth.kernels import ProblemParams
 from raygrowth.mellin import QuadratureSpec
 from raygrowth.potential import (
@@ -340,6 +341,20 @@ class TestAtomicDiscretization:
             assert abs(discrete - dense) <= 0.01 * abs(dense)
 
 
+def laplacian_mpmath(rho, r, theta):
+    """u_rr + 2 u_r / r + (u_tt + cot(theta) u_t) / r^2 of
+    u0 = r^rho (1 + sin(ln ln r) P_rho(cos theta)), differentiated by
+    mpmath at 40 digits, with mpmath's own Legendre function."""
+    with mpmath.workdps(40):
+        rho, r, theta = mpmath.mpf(rho), mpmath.mpf(r), mpmath.mpf(theta)
+        legendre = lambda t: mpmath.legenp(rho, 0, mpmath.cos(t), type=2)
+        u = lambda rr, p: rr**rho * (1 + mpmath.sin(mpmath.log(mpmath.log(rr))) * p)
+        p = legendre(theta)
+        u_r, u_rr = (mpmath.diff(lambda x: u(x, p), r, k) for k in (1, 2))
+        u_t, u_tt = (mpmath.diff(lambda t: u(r, legendre(t)), theta, k) for k in (1, 2))
+        return float(u_rr + 2 * u_r / r + (u_tt + mpmath.cot(theta) * u_t) / r**2)
+
+
 class TestCounterexample:
     def test_closed_form_point(self):
         r = math.exp(math.exp(math.pi / 2))
@@ -380,6 +395,29 @@ class TestCounterexample:
             * angular_shape(3, rho, th)
         )
         assert laplacian_u0(rho, r, th) == pytest.approx(lead, rel=0.02)
+
+    def test_laplacian_against_mpmath(self):
+        # seeded draws, and two points next to the negative axis where the
+        # angular terms cancel; the reference differentiates u0 itself
+        rng = np.random.default_rng(28)
+        points = [(float(rng.uniform(0.0, 1.0)), math.exp(rng.uniform(1.0, math.log(1e15))),
+                   float(rng.uniform(0.0, math.pi - 1e-3))) for _ in range(25)]
+        points += [(0.65, 16.54496784653659, 3.1405926535897932),
+                   (0.05, 4.2716253964886475, 3.1405926535897932)]
+        for rho, r, th in points:
+            want = laplacian_mpmath(rho, r, th)
+            p = abs(angular_shape(3, rho, th))
+            ln_r = math.log(r)
+            scale = r ** (rho - 2.0) * (rho * (rho + 1.0)
+                                        + p * ((2.0 * rho + 1.0) / ln_r + 2.0 / ln_r**2))
+            got = laplacian_u0(rho, r, th)
+            assert abs(got - want) <= 1e-10 * scale, (rho, r, th)
+            if abs(want) > 1e-8 * scale:
+                assert math.copysign(1.0, got) == math.copysign(1.0, want), (rho, r, th)
+        assert laplacian_u0(0.65, 16.54496784653659, 3.1405926535897932) == pytest.approx(
+            4.2588591619e-5, rel=1e-6)
+        assert laplacian_u0(0.05, 4.2716253964886475, 3.1405926535897932) == pytest.approx(
+            4.3731220870e-3, rel=1e-6)
 
 
 class TestSerialization:
