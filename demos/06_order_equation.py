@@ -5,8 +5,8 @@ function with an explicit kernel.  The kernel's two-sided Laplace transform
 has the closed axis form Gamma(n-1-s) Gamma(1+s) / (n-2)! on its existence
 strip, and equating it to an observed ratio constant pins the order rho
 through a transcendental equation.  This script verifies the closed form by
-quadrature, reports the numerically measured strips, and inverts the
-equation.
+quadrature, reports the strips read off the kernel's exponential decay at
++-infinity, and inverts the equation.
 """
 
 import math
@@ -25,7 +25,7 @@ for n in (3, 4, 5, 6):
         want = gamma(n - 1.0 - s) * gamma(1.0 + s) / math.factorial(n - 2)
         print(f"{n:>3} {s:>5} {got:>16.10f} {want:>16.10f} {abs(got-want)/want:>9.1e}")
 
-print("\nnumerically measured existence strips (decay-rate probes, not trusted signs):")
+print("\nexistence strips, from the kernel's decay rates at +-infinity:")
 for n in (3, 5):
     for th_label, th in (("0", 0.0), ("pi/4", math.pi / 4), ("pi/2", math.pi / 2)):
         strip = laplace_strip(n, th)

@@ -422,7 +422,7 @@ def _indicator_options(p):
 def _mellin_verify_options(p):
     p.add_argument("--tol", type=_positive, default=1e-8, help="relative tolerance")
     p.add_argument("--samples", type=_at_least(0), default=0, help="extra random cases")
-    p.add_argument("--seed", type=int, default=0, help="seed of the random cases")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="seed of the random cases")
 
 
 def _simulate_options(p):

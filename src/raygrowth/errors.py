@@ -80,8 +80,8 @@ def check_real(x, name, lo=-math.inf, hi=math.inf, closed="[]"):
     every value lies between ``lo`` and ``hi``.
 
     ``closed`` spells the interval's brackets: "[)" admits lo and not hi.
-    nan and +-inf lie in no interval.  Otherwise raises
-    :class:`DomainError` naming the argument and its first bad value.
+    nan and +-inf lie in no interval.  Otherwise, and for complex input,
+    raises :class:`DomainError` naming the argument and its first bad value.
     """
     if isinstance(x, (int, float)):  # plain comparisons: scalars come on hot paths
         if ((lo < x if closed[0] == "(" else lo <= x) and (x < hi if closed[1] == ")" else x <= hi)
@@ -89,7 +89,10 @@ def check_real(x, name, lo=-math.inf, hi=math.inf, closed="[]"):
             return float(x)
         bad = x
     else:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x)
+        if arr.dtype.kind == "c":  # the float cast would drop the imaginary part
+            raise DomainError(f"{name} must be real, got {arr}")
+        arr = np.asarray(arr, dtype=float)
         inside = np.isfinite(arr)
         if lo > -math.inf:
             inside &= arr > lo if closed[0] == "(" else arr >= lo
@@ -135,12 +138,15 @@ def scalar_or_array(out, *inputs):
 def check_integer(x, name, lo=0) -> int:
     """x as a Python int: any integer value (3, 3.0, numpy.int64(3)) >= ``lo``.
 
-    Raises :class:`DomainError` naming the argument for nan, +-inf, a
-    non-integer, a value below ``lo``, or a list or an array of any shape
-    but 0-d (in the words of :func:`check_scalar`).
+    Raises :class:`DomainError` naming the argument for complex input, nan,
+    +-inf, a non-integer, a value below ``lo``, or a list or an array of any
+    shape but 0-d (in the words of :func:`check_scalar`).
     """
-    if not isinstance(x, (int, float)) and np.ndim(x):
-        raise DomainError(f"{name} must be one value, got an array of shape {np.shape(x)}")
+    if not isinstance(x, (int, float)):
+        if np.iscomplexobj(x):
+            raise DomainError(f"{name} must be real, got {x}")
+        if np.ndim(x):
+            raise DomainError(f"{name} must be one value, got an array of shape {np.shape(x)}")
     if not (lo <= x < math.inf and x == math.floor(x)):
         raise DomainError(f"{name} must be an integer >= {lo}, got {x}")
     return int(x)

@@ -27,7 +27,7 @@ from .errors import (
     scalar_or_array,
 )
 from .kernels import (ProblemParams, check_angle, check_dimension, check_one_angle, h_value,
-                      log_kernel_signed_ln)
+                      log_kernel)
 from .mellin import MellinStrip, QuadratureSpec, mellin_numeric
 from .specfun import EULER_GAMMA, digamma, gamma, legendre_weighted, rising_ratio
 
@@ -474,27 +474,19 @@ def solve_order(n: int, delta_bar: float) -> float:
 
 
 def laplace_strip(n: int, theta1: float) -> MellinStrip:
-    """Numerically determined existence strip of the log-kernel transform.
+    """Existence strip of the log-kernel transform, read off k's exponents.
 
-    The decay exponents of k at +/- infinity are measured from log-slope
-    samples rather than trusted from any printed value; the transform
-    exists for -rate(+inf) < s < rate(-inf).  For 0 <= theta1 < pi/2 this
-    comes out as (-1, n-1); at theta1 = pi/2 the cosine term dies and the
-    strip widens to (-2, n).
+    With c = cos(theta1) != 0, k(t) ~ (n-1) c e^{-t} as t -> +inf and
+    ~ (n-1) c e^{(n-1) t} as t -> -inf, so the transform exists for
+    -1 < s < n-1.  At theta1 = pi/2 exactly (where :func:`log_kernel` takes
+    c = 0) the cosine term dies, k ~ n e^{-2t} and n e^{nt}, and the strip
+    widens to (-2, n).  At theta1 = pi, k ~ -(n-1) |t|^{-n} at t = 0 and
+    no strip exists, so the angle must lie in [0, pi).
     """
-    # past t = ln(n / ((n-1) cos theta1)) the cosine term of k's numerator
-    # outweighs the next one, so the log-slope at T, 25 + ln(n+2) beyond it,
-    # is the decay rate to about e^-23: the denominator's share of the
-    # slope, about 3 (n+2) cos(theta1) e^-T, shrinks with n too.  Where
-    # cos theta1 <= 0, T is 25 + ln(n+2)
     n = check_dimension(n)
-    c = math.cos(theta1)
-    T = 25.0 + math.log(n + 2.0)
-    if c > 0.0:
-        T += math.log(n / ((n - 1) * c))
-    ln_k = [log_kernel_signed_ln(n, theta1, t)[1] for t in (T - 2.0, T, -T + 2.0, -T)]
-    rate_plus, rate_minus = 0.5 * (ln_k[0] - ln_k[1]), 0.5 * (ln_k[2] - ln_k[3])
-    return MellinStrip(-round(rate_plus, 8), round(rate_minus, 8))
+    if check_one_angle(theta1) == math.pi / 2:
+        return MellinStrip(-2.0, float(n))
+    return MellinStrip(-1.0, n - 1.0)
 
 
 def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec = QuadratureSpec(),
@@ -505,16 +497,12 @@ def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec = Q
     With u = e^t the transform is the Mellin transform of k(log u) at -s,
     int_0^inf k(log u) u^{-s-1} du, taken by :func:`mellin_numeric` on the
     mirrored strip.  Raises :class:`StripViolationError`, naming s, outside
-    the numerically determined existence strip.
+    the existence strip of :func:`laplace_strip`.
     """
     theta1 = check_one_angle(theta1, upper=math.pi / 2, closed=True)
     s = check_scalar(s, "transform variable s")
     strip = laplace_strip(n, theta1)
     strip.check(s)
-
-    def f(u):
-        sign, ln_abs = log_kernel_signed_ln(n, theta1, np.log(u))
-        return sign * np.exp(ln_abs)
-
-    res = mellin_numeric(f, -s, quad, MellinStrip(-strip.upper, -strip.lower))
+    res = mellin_numeric(lambda u: log_kernel(n, theta1, np.log(u)), -s, quad,
+                         MellinStrip(-strip.upper, -strip.lower))
     return (res.value, res) if full_output else res.value

@@ -569,6 +569,7 @@ class TestUsageErrors:
         ("counterexample", "--points", "0"),
         ("counterexample", "--points", "-1"),
         ("mellin-verify", "--samples", "-2"),
+        ("mellin-verify", "--samples", "1", "--seed", "-1"),
         ("simulate", "--model", "m.txt", "--ratios", "2"),
         ("simulate", "--model", "m.txt", "--tol", "nan"),
         ("simulate", "--model", "m.txt", "--tol", "-1"),

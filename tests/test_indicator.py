@@ -811,8 +811,8 @@ class TestLaplaceLogKernel:
 
     @pytest.mark.parametrize("n", [3, 5, 10])
     def test_strip_next_to_half_pi(self, n):
-        # the cosine term of the kernel takes over ever further out as
-        # theta1 nears pi/2; the probe follows it
+        # k decays like its cosine term at every angle below pi/2, however
+        # small the cosine
         for d in (1e-15, 1e-13, 1e-10, 1e-6, 1e-2):
             strip = laplace_strip(n, math.pi / 2 - d)
             assert (strip.lower, strip.upper) == (-1.0, n - 1.0)
@@ -820,8 +820,7 @@ class TestLaplaceLogKernel:
             laplace_log_kernel(5, math.pi / 2 - 1e-10, -1.2826)
 
     def test_strip_exact_up_to_max_dimension(self):
-        # the denominator's share of the probe's slope grows like n + 2; the
-        # probe distance grows with ln(n + 2), so it stays below the rounding
+        # the strip comes from k's exponents, so it is exact at every n
         wrong = [(n, theta1) for n in range(3, MAX_DIMENSION + 1)
                  for theta1 in np.linspace(0.0, 1.0, 21).tolist()
                  if laplace_strip(n, theta1) != MellinStrip(-1.0, n - 1.0)]

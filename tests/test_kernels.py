@@ -13,6 +13,7 @@ from raygrowth.indicator import (
     indicator_integral,
     indicator_near_pi,
     laplace_log_kernel,
+    laplace_strip,
     order_equation_rhs,
     solve_order,
     tauberian_constant,
@@ -27,7 +28,6 @@ from raygrowth.kernels import (
     h_n,
     h_value,
     log_kernel,
-    log_kernel_signed_ln,
     poisson_Pn,
     riesz_k,
     weierstrass_K,
@@ -73,7 +73,8 @@ PW = PowerLaw(delta=1.0, rho=0.5)
 DIMENSION_ENTRIES = {
     "ProblemParams": lambda n: ProblemParams(n, 0.5),
     "poisson_Pn": lambda n: poisson_Pn(n, 1.0, 2.0, 0.3),
-    "log_kernel_signed_ln": lambda n: log_kernel_signed_ln(n, 0.3, 0.5),
+    "log_kernel": lambda n: log_kernel(n, 0.3, 0.5),
+    "laplace_strip": lambda n: laplace_strip(n, 0.3),
     "angular_shape": lambda n: angular_shape(n, 0.5, 0.3),
     "order_equation_rhs": lambda n: order_equation_rhs(n, 0.3),
     "solve_order": lambda n: solve_order(n, 0.9),
@@ -89,7 +90,7 @@ DIMENSION_ENTRIES = {
 ANGLE_ENTRIES = {
     "h_n": ("theta1", math.pi, False, lambda th: h_n(P35, 0.3, th)),
     "weierstrass_K": ("theta1", math.pi, False, lambda th: weierstrass_K(P35, 0.5, 2.0, th)),
-    "log_kernel_signed_ln": ("theta1", math.pi, True, lambda th: log_kernel_signed_ln(3, th, 0.5)),
+    "log_kernel": ("theta1", math.pi, True, lambda th: log_kernel(3, th, 0.5)),
     "angular_shape": ("theta", math.pi, False, lambda th: angular_shape(3, 0.5, th)),
     "angular_shape array": ("theta", math.pi, False,
                             lambda th: angular_shape(3, 0.5, np.array([0.3, th]))),
@@ -100,6 +101,8 @@ ANGLE_ENTRIES = {
     "transfer_indicator theta1": ("theta1", math.pi, False,
                                   lambda th: transfer_indicator(P35, 0.3, 1.0, th)),
     "laplace_log_kernel": ("theta1", math.pi / 2, True, lambda th: laplace_log_kernel(3, th, 0.2)),
+    # at pi, k ~ -(n-1) |t|^-n at t = 0: no strip exists
+    "laplace_strip": ("theta1", math.pi, False, lambda th: laplace_strip(3, th)),
     "tauberian_symbol": ("phi", math.pi, False, lambda th: tauberian_symbol(P35, th, 0.5)),
     "u_canonical": ("theta1", math.pi, False, lambda th: u_canonical(PW, P35, 10.0, th)),
     "u_poisson": ("theta1", math.pi / 2, True, lambda th: u_poisson(PW, 3, 10.0, th)),
@@ -115,6 +118,8 @@ ANGLE_ENTRIES = {
                                     lambda th: transfer_indicator(P35, [0.3, th], 1.0, 0.3)),
     "laplace_log_kernel pair": ("theta1", math.pi / 2, True,
                                 lambda th: laplace_log_kernel(3, np.array([0.3, th]), 0.2)),
+    "laplace_strip pair": ("theta1", math.pi, False,
+                           lambda th: laplace_strip(3, np.array([0.3, th]))),
     "tauberian_symbol pair": ("phi", math.pi, False,
                               lambda th: tauberian_symbol(P35, np.array([0.3, th]), 0.5)),
     "u_canonical pair": ("theta1", math.pi, False,
@@ -297,6 +302,20 @@ PARAMETER_ENTRIES = {
                                                                QuadratureSpec()), [-0.7, NAN]),
 }
 
+# complex input, which a float cast would refuse with TypeError or strip of
+# its imaginary part: (argument name, call)
+COMPLEX_ENTRIES = {
+    "h_value u": ("radial ratio u", lambda: h_value(1.0, 0, 0.3 + 1j, 0.2)),
+    "h_value u array": ("radial ratio u", lambda: h_value(1.0, 0, np.array([0.3 + 1j, 0.2]), 0.2)),
+    "ProblemParams rho": ("order rho", lambda: ProblemParams(3, 0.5 + 1j)),
+    "angular_shape theta": ("theta", lambda: angular_shape(3, 0.5, 1.0 + 0j)),
+    "solve_order": ("delta_bar", lambda: solve_order(3, 0.8 + 0j)),
+    "laplace_log_kernel s": ("transform variable s", lambda: laplace_log_kernel(3, 0.0, 0.2 + 1j)),
+    "indicator_closed array": ("theta", lambda: indicator_closed(P35, np.array([1.0 + 0.5j, 2.0]))),
+    "check_dimension": ("dimension n", lambda: check_dimension(3 + 0j)),
+    "rising_ratio m": ("number of factors m", lambda: rising_ratio(0.5, 2 + 0j)),
+}
+
 
 def _outside(upper, closed):
     """Angles outside [0, upper) or [0, upper]: nan, just below 0, and the
@@ -427,6 +446,12 @@ class TestEnvelope:
         with pytest.raises(DomainError, match=r"^k must be an integer >= 0, got "):
             check_integer(x, "k")
 
+    @pytest.mark.parametrize("entry", sorted(COMPLEX_ENTRIES))
+    def test_complex_input(self, entry):
+        name, f = COMPLEX_ENTRIES[entry]
+        with pytest.raises(DomainError, match=rf"^{re.escape(name)} must be real, got "):
+            f()
+
     def test_laplacian_u0_lower_end(self):
         # e itself belongs to the domain, as for counterexample_u0 (the value
         # is mpmath's, at 40 digits); below it the message reports the
@@ -466,7 +491,6 @@ SHAPE_ENTRIES = {
     "weierstrass_K t": (lambda t: weierstrass_K(P35, 0.5, t, 0.3), 2.0, float),
     "weierstrass_K theta1": (lambda th: weierstrass_K(P35, 0.5, 2.0, th), 0.3, float),
     "poisson_Pn": (lambda r: poisson_Pn(3, r, 2.0, 0.3), 1.0, float),
-    "log_kernel_signed_ln": (lambda t: log_kernel_signed_ln(3, 0.3, t), 0.5, float),
     "log_kernel": (lambda t: log_kernel(3, 0.3, t), 0.5, float),
     "integrate": (_exp_integral, 0.5, float),
     "order_equation_rhs": (lambda rho: order_equation_rhs(4, rho), 0.3, float),
@@ -834,10 +858,9 @@ class TestLogKernel:
             assert np.min(vals) < 0.0
 
     def test_log_form_is_overflow_safe(self):
-        sign, ln_abs = log_kernel_signed_ln(4, 0.3, 700.0)
-        assert np.isfinite(ln_abs) and sign != 0
-        sign, ln_abs = log_kernel_signed_ln(4, 0.3, -700.0)
-        assert np.isfinite(ln_abs)
+        for t in (700.0, -700.0):
+            k = log_kernel(4, 0.3, t)
+            assert np.isfinite(k) and k >= 0.0
 
 
 def test_bound_sup_stable_under_refinement():

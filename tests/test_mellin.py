@@ -302,6 +302,36 @@ class TestTauberianSymbol:
         val = tauberian_symbol(p, 0.0, 0.3)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
+    def test_no_zero_off_the_real_degree(self):
+        # the docstring's claim, on 60 seeded (n, rho, phi) with v = 0 and six
+        # v in [0, 30], where the symbol at -v is the conjugate: values within
+        # 1e-10 of mpmath, and for v != 0 a modulus that, normalised by its
+        # growth e^{(phi - pi)|v|} (1 + |v|)^2, stays above 1e-3.  phi <= 2
+        # keeps x = sin^2(phi/2) <= 0.71 on the central 2F1 series; past
+        # x = 0.75 complex degrees lose digits (ROADMAP item 13), so larger
+        # phi is left to that item
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(13)
+        cases = 0
+        while cases < 60:
+            n, rho, phi = int(rng.integers(3, 11)), rng.uniform(0.05, 5.95), rng.uniform(0.0, 2.0)
+            if abs(rho - round(rho)) < 0.05:
+                continue
+            cases += 1
+            p = ProblemParams(n, rho)
+            for v in [0.0] + rng.uniform(0.0, 30.0, 6).tolist():
+                with mp.workdps(40):
+                    lam, s, x = mp.mpf(n - 2) / 2, -mp.mpf(rho) - 1j * mp.mpf(v), mp.mpf(phi)
+                    m = (-mp.sqrt(mp.pi) * mp.gamma(s) * mp.gamma(2 * lam - s)
+                         / (2 ** (lam - 0.5) * mp.gamma(lam)) * mp.sin(x) ** ((1 - 2 * lam) / 2)
+                         * mp.legenp(s - lam - 0.5, 0.5 - lam, mp.cos(x), type=2))
+                    want = complex((1 - 1j * mp.mpf(v)) * m)
+                got = tauberian_symbol(p, phi, v)
+                assert abs(got - want) <= 1e-10 * abs(want), (n, rho, phi, v)
+                if v:
+                    margin = abs(want) * math.exp((math.pi - phi) * v) / (1.0 + v) ** 2
+                    assert margin >= 1e-3, (n, rho, phi, v)
+
 
 class TestIntegrationByParts:
     @pytest.mark.parametrize("lam,q,xi", [(1.0, 0, 0.5), (1.5, 1, -0.3), (2.5, 2, 0.4)])
