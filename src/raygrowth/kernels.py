@@ -220,10 +220,13 @@ def log_kernel(n, theta1, t):
     whose two-sided Laplace transform is Gamma(n-1-s) Gamma(1+s) / (n-2)!
     on the strip -1 < s < n-1.  Nonnegative for all t when
     0 <= theta1 <= pi/2; takes negative values for some t once
-    theta1 > pi/2.
+    theta1 > pi/2.  theta1 lies in [0, pi): at pi, k is singular at t = 0.
+    t is real, and may be +-inf, where k is 0.
     """
     n = check_dimension(n)
-    theta1 = check_angle(theta1, closed=True)
+    theta1 = check_angle(theta1)
+    if np.iscomplexobj(t):  # in check_real's words; check_real itself refuses +-inf
+        raise DomainError(f"t must be real, got {t}")
     t = np.asarray(t, dtype=float)
     # cos(pi/2) rounds to 6e-17, not 0; laplace_strip's (-2, n) holds for cos = 0 alone
     c = np.where(theta1 == math.pi / 2, 0.0, np.cos(theta1))

@@ -487,8 +487,9 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     kernel come from ``params``, so a density model whose own rho differs
     from ``params.rho`` raises :class:`DomainError`, as does a counting
     function that is negative at a grid radius (that is not a mass) or
-    overflows there (r^rho past the double range), before any sweep, and
-    a potential that overflows at a grid radius.  u and N are each one
+    overflows there (r^rho past the double range), before any sweep, a
+    potential that overflows at a grid radius, and a ratio u/n or u/N that
+    overflows where n or N is positive.  u and N are each one
     call for the whole grid: :func:`u_canonical` and :func:`average_N` on
     the array of radii.
     """
@@ -516,6 +517,11 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
     scaled = tuple(ui * ri ** (-params.rho) for ri, ui in zip(r, u))
     u_over_n = tuple(ui / ni if ni > 0 else math.nan for ui, ni in zip(u, n_grid.tolist()))
     u_over_N = tuple(ui / Ni if Ni > 0 else math.nan for ui, Ni in zip(u, N_grid.tolist()))
+    # u and a positive n or N are finite, so a ratio that is not has overflowed
+    for i, pair in enumerate(zip(u_over_n, u_over_N)):
+        for name, v in zip(("u/n", "u/N"), pair):
+            if math.isinf(v):
+                raise DomainError(f"the ratio {name} overflows the double range at r={grid[i]:g}")
     # np.ptp passes a nan on: a nan or an inf in the tail is not converged
     spread = float(np.ptp(scaled[-3:]))
     un, uN = ([v for v in col if math.isfinite(v)] for col in (u_over_n, u_over_N))

@@ -231,11 +231,13 @@ class TestIndicatorCommand:
         assert float(row["H_closed"]) == pytest.approx(5135.770583709690, rel=1e-13, abs=0)
 
     def test_large_delta_in_range(self, tmp_path, capsys):
-        # the coefficient times delta overflows, H at 2.0 does not
+        # the coefficient times delta overflows, H at 2.0 does not; the last
+        # digits pin the angular factor's loss at large rho (about 1.35e-8
+        # off the true -7.4195440033e306), not the true value
         code, text = run_cli(tmp_path, "indicator", "--n", "20", "--rho", "30.5",
                              "--delta", "1e300", "--theta", "2.0")
         assert code == 0 and capsys.readouterr().err == ""
-        assert text.splitlines()[-1].split(",")[2] == "-7.4195439031643298e+306"
+        assert text.splitlines()[-1].split(",")[2] == "-7.4195439031643285e+306"
 
     def test_provenance_header(self, tmp_path):
         _, text = run_cli(tmp_path, "indicator", "--theta", "0.3")
@@ -626,6 +628,10 @@ DOMAIN_ERRORS = [
     # finite atoms, but u grows like r^q (q = 2) and passes the double range
     (("simulate", "--model", "MODEL_TWO_ATOMS", "--n", "4", "--rho", "2.5", "--theta", "0.3",
       "--grid", "1e2:1e300:5"), "the potential overflows the double range at r=3.16228e+225"),
+    # the same atoms on a grid where u stays finite: u/n grows like r^(q+n-2) and passes
+    # the double range first, where r^-rho u has not yet underflowed to 0
+    (("simulate", "--model", "MODEL_TWO_ATOMS", "--n", "4", "--rho", "2.5", "--theta", "0.3",
+      "--grid", "1e2:1e151:5"), "the ratio u/n overflows the double range at r=5.62341e+113"),
     # H = 0 at a root of S: no error relative to it is defined
     (("simulate", "--model", "MODEL_RHO_1.5", "--n", "4", "--theta", "root1",
       "--grid", "1e2:1e6:5"),

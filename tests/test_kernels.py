@@ -90,7 +90,8 @@ DIMENSION_ENTRIES = {
 ANGLE_ENTRIES = {
     "h_n": ("theta1", math.pi, False, lambda th: h_n(P35, 0.3, th)),
     "weierstrass_K": ("theta1", math.pi, False, lambda th: weierstrass_K(P35, 0.5, 2.0, th)),
-    "log_kernel": ("theta1", math.pi, True, lambda th: log_kernel(3, th, 0.5)),
+    # at pi, k is singular at t = 0 (0/0 there)
+    "log_kernel": ("theta1", math.pi, False, lambda th: log_kernel(3, th, 0.5)),
     "angular_shape": ("theta", math.pi, False, lambda th: angular_shape(3, 0.5, th)),
     "angular_shape array": ("theta", math.pi, False,
                             lambda th: angular_shape(3, 0.5, np.array([0.3, th]))),
@@ -311,6 +312,7 @@ COMPLEX_ENTRIES = {
     "angular_shape theta": ("theta", lambda: angular_shape(3, 0.5, 1.0 + 0j)),
     "solve_order": ("delta_bar", lambda: solve_order(3, 0.8 + 0j)),
     "laplace_log_kernel s": ("transform variable s", lambda: laplace_log_kernel(3, 0.0, 0.2 + 1j)),
+    "log_kernel t": ("t", lambda: log_kernel(3, 0.3, 0.2 + 1j)),
     "indicator_closed array": ("theta", lambda: indicator_closed(P35, np.array([1.0 + 0.5j, 2.0]))),
     "check_dimension": ("dimension n", lambda: check_dimension(3 + 0j)),
     "rising_ratio m": ("number of factors m", lambda: rising_ratio(0.5, 2 + 0j)),
@@ -861,6 +863,10 @@ class TestLogKernel:
         for t in (700.0, -700.0):
             k = log_kernel(4, 0.3, t)
             assert np.isfinite(k) and k >= 0.0
+
+    def test_zero_at_infinite_t(self):
+        # t = +-inf is admitted, though check_real refuses it elsewhere
+        assert log_kernel(4, 0.3, [-math.inf, math.inf]).tolist() == [0.0, 0.0]
 
 
 def test_bound_sup_stable_under_refinement():

@@ -287,6 +287,16 @@ class TestSweeps:
         assert res.quadrature_flags > 0
         assert f"; {res.quadrature_flags} quadrature flags;" in res.diagnostics
 
+    def test_ratio_overflow_is_refused(self):
+        # u/n grows like r^(q+n-2) = r^4 and passes the double range at r = 5.6e113, while u
+        # is finite up to r = 1e151; the grid that stops short of it keeps its ratios
+        atoms, params = Atomic(((2.0, 1.0), (5.5, 0.25))), ProblemParams(4, 2.5)
+        with pytest.raises(DomainError, match=r"the ratio u/n overflows the double range "
+                                              r"at r=5\.62341e\+113"):
+            scaled_limit(atoms, params, 0.3, (1e2, 1e151, 5))
+        res = scaled_limit(atoms, params, 0.3, (1e2, 1e76, 5))
+        assert all(map(math.isfinite, res.u_over_n + res.u_over_N))
+
     def test_atomic_model_takes_any_order(self):
         atoms = Atomic(((2.0, 1.0),))
         for rho in (0.5, 1.5):
