@@ -352,17 +352,14 @@ def cmd_counterexample(args) -> int:
     rho = args.rho
     thetas = _thetas(args, ProblemParams(3, rho))
     ts = np.linspace(0.0, 2.0 * math.pi, args.points)
+    rs = np.exp(np.exp(ts))
     rows = []
     for th in thetas:
-        rs = np.exp(np.exp(ts))
         scaled = counterexample_u0(rho, rs, th) * rs ** (-rho)
-        rng_span = float(scaled.max() - scaled.min())
-        for t, r, sc in zip(ts, rs, scaled):
-            rows.append({
-                "theta1_rad": th, "t": float(t), "r": float(r), "scaled_u0": float(sc),
-                "range_min": float(scaled.min()), "range_max": float(scaled.max()),
-                "range": rng_span,
-            })
+        lo, hi = float(scaled.min()), float(scaled.max())
+        rows += ({"theta1_rad": th, "t": t, "r": r, "scaled_u0": sc,
+                  "range_min": lo, "range_max": hi, "range": hi - lo}
+                 for t, r, sc in zip(ts.tolist(), rs.tolist(), scaled.tolist()))
     _emit(rows, args)
     return EXIT_OK
 

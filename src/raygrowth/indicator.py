@@ -4,9 +4,9 @@ The indicator H(theta1) of a potential of order rho with mass on the
 negative axis, in closed form (Legendre function on the cut) and in
 integral form (quadrature of the subtracted kernel); endpoint asymptotics
 at theta1 -> pi; the exceptional zero set of the angular factor; the
-growth-transfer constant and angle-to-angle transfer; the mass-ratio
-limits; the transcendental order equation; and the two-sided Laplace
-transform of the log-substituted kernel.
+growth-transfer constant and its audit; the mass-ratio limits; the
+transcendental order equation; and the two-sided Laplace transform of the
+log-substituted kernel.
 """
 
 from __future__ import annotations
@@ -370,24 +370,6 @@ def tauberian_audit(params: ProblemParams, phi) -> float:
     """
     unit = replace(params, delta=1.0)
     return tauberian_constant(params, phi) * indicator_closed(unit, phi)
-
-
-def transfer_indicator(params: ProblemParams, phi, H_phi, theta1):
-    """Transfer an indicator value from direction phi to direction theta1.
-
-        H(theta1) = (sin phi / sin theta1)^{(n-3)/2}
-                    * P(cos theta1) / P(cos phi) * H(phi)
-                  = S(theta1) / S(phi) * H(phi),
-
-    evaluated through the stable latitude factor so the axis theta1 = 0 (or
-    phi = 0) is an ordinary point.  phi must stay away from the exceptional
-    roots (division by S(phi)): within ROOT_BRACKET_WIDTH of one it raises
-    :class:`ExceptionalAngleError`.  A target theta1 on a root simply
-    receives 0.
-    """
-    shape_phi = _guarded_shape(params, phi, "phi")
-    _half_angle(theta1, "theta1")
-    return H_phi * angular_shape(params.n, params.rho, theta1) / shape_phi
 
 
 def ratio_limits(params: ProblemParams, theta1):

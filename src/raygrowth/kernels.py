@@ -1,11 +1,11 @@
 """Kernel functions for potentials generated by masses on a ray.
 
-Contains the Riesz kernel, the polynomial-subtracted kernel h (general
-exponent) and its dimensional specialization h_n, the canonical kernel K_q
-for a mass point on the negative axis, the Poisson-type trinomial kernel,
-and the exponentially-substituted convolution kernel used by the order
-equation.  All functions are pure and accept scalar or ndarray radial
-arguments where noted.
+Contains the polynomial-subtracted kernel h (general exponent), whose
+dimensional form h_n(u, theta1, q) is h at lam = (n-2)/2 and
+xi = cos(theta1), the Poisson-type trinomial kernel, and the
+exponentially-substituted convolution kernel used by the order equation.
+All functions are pure and accept scalar or ndarray radial arguments where
+noted.
 """
 
 from __future__ import annotations
@@ -93,22 +93,6 @@ class ProblemParams:
         return 0.5 * (self.n - 2)
 
 
-def riesz_k(lam, t, xi):
-    """Riesz kernel (1 + t^2 + 2 t xi)^(-lam); t scalar or ndarray >= 0, xi in [-1, 1].
-
-    Generating function of the Gegenbauer family with alternating sign:
-    equals sum_j (-t)^j G^lam_j(xi) for |t| < 1.
-    """
-    lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
-    xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0)
-    t = check_real(t, "radial ratio t", 0.0)
-    t1 = np.atleast_1d(t)
-    base = 1.0 + t1 * t1 + 2.0 * t1 * xi
-    if np.any(base <= 0.0):
-        raise DomainError("riesz_k undefined: 1 + t^2 + 2 t xi <= 0")
-    return scalar_or_array(base ** (-lam), t, xi, lam)
-
-
 def _h_tail_terms(lam, q, u, xi):
     """Yield the terms -(-u)^j G_j(xi), j = q+1, q+2, ..., of the Gegenbauer
     tail of h, whose sum is h for u < 1."""
@@ -154,43 +138,6 @@ def h_value(lam, q, u, xi):
             riesz[huge] = uh ** (-2.0 * lam) * (1.0 + 2.0 * xf[huge] * w + w * w) ** (-lam)
         out[far] = -riesz + poly
     return scalar_or_array(out)
-
-
-def h_n(params: ProblemParams, u, theta1):
-    """Dimensional kernel h_n(u, theta1, q) with xi = cos(theta1).
-
-    theta1 is the latitude of the observation point in [0, pi); the mass
-    sits at angle pi, so the angle between the two directions is pi-theta1
-    and the two sign flips (cosine of the supplement, alternating Gegenbauer
-    parity) cancel into the +2 u cos(theta1) convention used here.
-    """
-    return h_value(params.lam, params.q, u, np.cos(check_angle(theta1)))
-
-
-def weierstrass_K(params: ProblemParams, r, t, theta1):
-    """Canonical kernel K_q(x, (t, pi)) for a unit mass at radius t on the
-    negative axis, observed at radius r and latitude theta1.
-
-    Implemented directly from its definition (fundamental solution with the
-    law-of-cosines distance plus the degree-q Gegenbauer section), so the
-    reduction identity K_q = t^{2-n} h_n(r/t, theta1, q) is a genuine
-    cross-check rather than a restatement.
-    """
-    theta1 = check_angle(theta1)
-    t = check_real(t, "mass radius t", 0.0, math.inf, "()")
-    n, q = params.n, params.q
-    lam = params.lam
-    r = check_real(r, "radius r", 0.0)
-    r1, t1 = np.atleast_1d(r), np.atleast_1d(t)
-    cos_psi = -np.cos(theta1)  # angle between x and the negative axis
-    dist2 = r1 * r1 + t1 * t1 - 2.0 * r1 * t1 * cos_psi
-    if np.any(dist2 <= 0.0):
-        raise DomainError("observation point coincides with the mass point")
-    out = -(dist2 ** (-lam))
-    tp = t1 ** (2 - n)
-    for j, g in zip(range(q + 1), gegenbauer_terms(lam, cos_psi)):
-        out = out + tp * (r1 / t1) ** j * g
-    return scalar_or_array(out, r, t, theta1)
 
 
 def poisson_Pn(n, r, t, theta1):

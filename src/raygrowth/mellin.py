@@ -3,8 +3,8 @@
 The one quadrature entry point :func:`integrate` (tanh-sinh on array
 integrands) that every numeric integral in the package goes through; the
 numeric transform built on it with explicit strip bookkeeping; the
-closed forms for the Riesz and subtracted kernels in terms of Legendre
-functions on the cut, the specialization of the subtracted-kernel transform
+closed form for the subtracted kernel in terms of Legendre functions on
+the cut, the specialization of the subtracted-kernel transform
 at the growth order, and the shifted complex-line symbol whose zero set
 controls the Tauberian conclusion.
 """
@@ -432,25 +432,6 @@ def mellin_h_closed(lam, q, s, xi):
     return coef * legendre_weighted(nu, 0.5 - lam, (1.0 - xi) / 2.0)
 
 
-def mellin_k_closed(lam, s, xi):
-    """Closed-form Mellin transform of the Riesz kernel on 0 < Re s < 2 lam.
-
-    Uses the classical table identity in its raw gamma-quotient shape with
-    order mu = 1/2 - lam and degree nu = s - lam - 1/2 (so agreement with
-    :func:`mellin_h_closed` exercises the double-argument gamma identity).
-    """
-    lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
-    xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0, "(]")
-    _finite(s, "transform variable s")
-    MellinStrip(0.0, 2.0 * lam).check(s)
-    mu = 0.5 - lam
-    nu = (s if isinstance(s, complex) else float(s)) - lam - 0.5
-    coef = gamma(1.0 - mu) * gamma(nu - mu + 1.0) * gamma(-mu - nu) / (
-        2.0 ** mu * gamma(1.0 - 2.0 * mu)
-    )
-    return coef * legendre_weighted(nu, mu, (1.0 - xi) / 2.0)
-
-
 class HnMellinForms(NamedTuple):
     """The two printed shapes of the order-point transform of h_n."""
 
@@ -497,9 +478,8 @@ def tauberian_symbol(params: ProblemParams, phi, v):
     the factor stays away from zero.
     """
     xi = math.cos(check_one_angle(phi, name="phi"))
-    s = -params.rho - 1j * check_scalar(v, "imaginary shift v")
-    val = mellin_h_closed(params.lam, params.q, s, xi)
-    return (1.0 - 1j * v) * val
+    v = check_scalar(v, "imaginary shift v")
+    return (1.0 - 1j * v) * mellin_h_closed(params.lam, params.q, -params.rho - 1j * v, xi)
 
 
 def _derivative_polys(lam, xi, order):

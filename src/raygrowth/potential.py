@@ -607,8 +607,9 @@ DENSITY_MODELS = {"powerlaw": PowerLaw, "perturbed": Perturbed, "slowlyvarying":
 # the keys of an ``atom`` line, all numbers and all required
 _ATOM_KEYS = {"t": float, "mass": float}
 
-# an atom line in the spelling format_mass_model writes; such lines are read
-# in one pass over the text
+# an atom line in canonical spelling, ``atom t=<repr> mass=<repr>``: one space
+# before each key, and each number the repr of a nonnegative float; such
+# lines are read in one pass over the text
 _CANONICAL_ATOM = re.compile(r"^atom t=([0-9][0-9.e+-]*) mass=([0-9][0-9.e+-]*)$", re.MULTILINE)
 
 
@@ -648,10 +649,11 @@ def parse_mass_model(text: str) -> MassModel:
     init fields of its model in :data:`DENSITY_MODELS`, and a key left out
     takes the field's default.  '#' starts a comment.
 
-    The atom lines in canonical spelling (``atom t=<number> mass=<number>``,
-    as :func:`format_mass_model` writes them) are read in one pass, by one
-    regex and one conversion of their numbers; they leave empty lines
-    behind, so every other line keeps its number, and is read line by line.
+    The atom lines in canonical spelling (``atom t=<repr> mass=<repr>``, each
+    number the repr of a float, with one space before each key and nothing
+    after the mass) are read in one pass, by one regex and one conversion
+    of their numbers; they leave empty lines behind, so every other line
+    keeps its number, and is read line by line.
     """
     # split gives the text around the canonical lines, then their t and mass
     parts = _CANONICAL_ATOM.split(text)
@@ -699,15 +701,3 @@ def parse_mass_model(text: str) -> MassModel:
         return Atomic.from_arrays(radii, masses)
     except DomainError as exc:
         raise ParseError(str(exc)) from None
-
-
-def format_mass_model(model: MassModel) -> str:
-    """Inverse of :func:`parse_mass_model` (canonical spelling: every key, t0 resolved)."""
-    if isinstance(model, Atomic):
-        return "".join(f"atom t={t!r} mass={m!r}\n" for t, m in model.atoms)
-    for kind, cls in DENSITY_MODELS.items():
-        if isinstance(model, cls):
-            # str of a float is its repr, and str of a handle name is the name
-            keys = (f"{f.name}={getattr(model, f.name)}" for f in fields(cls) if f.init)
-            return " ".join((kind, *keys)) + "\n"
-    raise DomainError(f"unknown mass model {type(model).__name__}")

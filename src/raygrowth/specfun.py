@@ -223,17 +223,6 @@ def gegenbauer_terms(lam, xi):
         gm2, gm1 = gm1, (2.0 * (k + lam - 1.0) * xi * gm1 - (k + 2.0 * lam - 2.0) * gm2) / k
 
 
-def gegenbauer(lam, j, xi):
-    """Gegenbauer polynomial G^lam_j(xi).
-
-    Coefficient of t^j in the expansion of (1 - 2 t xi + t^2)^(-lam).
-    ``xi`` may be a scalar or ndarray.  Requires lam > 0.
-    """
-    lam = check_real(lam, "Gegenbauer exponent lam", 0.0, math.inf, "()")
-    j = check_integer(j, "Gegenbauer degree j")
-    return scalar_or_array(next(itertools.islice(gegenbauer_terms(lam, xi), j, None)))
-
-
 def sum_series(terms, name, detail, rtol, max_terms, first=0):
     """Sum of the series whose terms, from index ``first`` on, the iterator
     ``terms`` yields as arrays of one shape; the one loop of the package

@@ -31,7 +31,6 @@ from raygrowth.indicator import (
     solve_order,
     tauberian_audit,
     tauberian_constant,
-    transfer_indicator,
     zero_set,
 )
 from raygrowth.kernels import MAX_DIMENSION, ProblemParams
@@ -43,6 +42,12 @@ TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=12)
 
 # orders of the closed forms checked over every dimension up to MAX_DIMENSION
 LARGE_N_ORDERS = (0.05, 0.5, 1.5, 3.7, 12.3)
+
+
+def transfer(p, phi, H_phi, theta):
+    """H(theta) = S(theta) / S(phi) H(phi): an indicator value carried from
+    the direction phi to the direction theta through the angular factor."""
+    return H_phi * angular_shape(p.n, p.rho, theta) / angular_shape(p.n, p.rho, phi)
 
 
 def axis_indicator_mpmath(mp, n, rho):
@@ -62,10 +67,8 @@ class TestIndicatorClosed:
         p = ProblemParams(3, 0.5)
         with pytest.raises(DomainError, match=r"^phi=3\.141592\d+ lies within about 2\.1e-8 of pi"):
             tauberian_constant(p, math.pi - 1e-8)
-        with pytest.raises(DomainError, match=r"^phi=3\.141592\d+ lies within"):
-            transfer_indicator(p, math.pi - 1e-8, 1.0, 0.3)
         with pytest.raises(DomainError, match=r"^theta1=3\.141592\d+ lies within"):
-            transfer_indicator(p, 0.3, 1.0, math.pi - 1e-8)
+            guarded_indicator(p, math.pi - 1e-8)
 
     def test_axis_anchor(self):
         # the kernel integral at theta=0 reduces to (rho+1) B(1-rho, rho),
@@ -503,21 +506,17 @@ class TestTauberianConstant:
             for off in (-5e-7, 5e-7):
                 with pytest.raises(ExceptionalAngleError):
                     tauberian_constant(p, beta + off)
-                with pytest.raises(ExceptionalAngleError):
-                    transfer_indicator(p, beta + off, 1.0, 0.5)
             for off in (-1e-3, 1e-3):
                 assert np.isfinite(tauberian_constant(p, beta + off))
-                assert np.isfinite(transfer_indicator(p, beta + off, 1.0, 0.5))
 
     @pytest.mark.parametrize("n,rho,phi", [(3, 0.05, 1.0), (3, 1.03, 0.5)])
     def test_far_from_roots_where_the_scan_miscounts(self, n, rho, phi):
-        # the 3141-node scan miscounts the roots here, and the transfer
-        # raised CountMismatchError while it judged phi by the whole zero set
+        # the 3141-node scan miscounts the roots here, and the guard raised
+        # CountMismatchError while it judged phi by the whole zero set
         p = ProblemParams(n, rho)
         assert tauberian_audit(p, phi) == pytest.approx(rho + n - 2.0, rel=1e-12)
-        H_phi = indicator_closed(p, phi)
-        assert transfer_indicator(p, phi, H_phi, 1.3) == pytest.approx(
-            indicator_closed(p, 1.3), rel=1e-12)
+        H_phi = guarded_indicator(p, phi)
+        assert transfer(p, phi, H_phi, 1.3) == pytest.approx(indicator_closed(p, 1.3), rel=1e-12)
 
     def test_audit_product_reports_offset_factor(self):
         # printed constant times printed indicator / delta = rho + n - 2,
@@ -532,7 +531,7 @@ class TestTauberianConstant:
 class TestTransfer:
     def test_identity(self):
         H = indicator_closed(P35, 0.9)
-        assert transfer_indicator(P35, 0.9, H, 0.9) == pytest.approx(H, rel=1e-14)
+        assert transfer(P35, 0.9, H, 0.9) == pytest.approx(H, rel=1e-14)
 
     def test_plane_case_reduction(self):
         # in the plane the latitude factor is proportional to cos(rho theta),
@@ -544,7 +543,7 @@ class TestTransfer:
 
     def test_cross_oracle(self):
         H_phi = indicator_closed(P35, math.pi / 4)
-        got = transfer_indicator(P35, math.pi / 4, H_phi, math.pi / 2)
+        got = transfer(P35, math.pi / 4, H_phi, math.pi / 2)
         assert got == pytest.approx(indicator_closed(P35, math.pi / 2), rel=1e-10)
 
     def test_random_pairs_consistent(self):
@@ -557,13 +556,14 @@ class TestTransfer:
             if min(abs(phi - b) for b in roots) < 0.05:
                 continue
             count += 1
-            got = transfer_indicator(p, float(phi), indicator_closed(p, float(phi)), float(th))
+            got = transfer(p, float(phi), indicator_closed(p, float(phi)), float(th))
             assert got == pytest.approx(indicator_closed(p, float(th)), rel=1e-10, abs=1e-12)
 
     def test_exceptional_source_rejected(self):
+        # the guard that a transfer from phi goes through refuses a root
         beta = zero_set(P35).roots[0]
         with pytest.raises(ExceptionalAngleError):
-            transfer_indicator(P35, beta, 1.0, 0.5)
+            guarded_indicator(P35, beta)
 
 
 class TestGuard:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -17,7 +18,6 @@ from raygrowth.indicator import (
     order_equation_rhs,
     solve_order,
     tauberian_constant,
-    transfer_indicator,
 )
 from raygrowth.kernels import (
     MAX_DIMENSION,
@@ -25,12 +25,9 @@ from raygrowth.kernels import (
     check_angle,
     check_dimension,
     check_one_angle,
-    h_n,
     h_value,
     log_kernel,
     poisson_Pn,
-    riesz_k,
-    weierstrass_K,
 )
 from raygrowth.mellin import (
     MellinStrip,
@@ -38,7 +35,6 @@ from raygrowth.mellin import (
     integrate as tanh_sinh,
     mellin_h_closed,
     mellin_ibp_numeric,
-    mellin_k_closed,
     mellin_numeric,
     tauberian_symbol,
 )
@@ -58,7 +54,7 @@ from raygrowth.potential import (
 from raygrowth.specfun import (
     digamma,
     gamma,
-    gegenbauer,
+    gegenbauer_terms,
     hyp2f1,
     legendre_p_cut,
     legendre_weighted,
@@ -68,6 +64,46 @@ from raygrowth.specfun import (
 
 P35 = ProblemParams(3, 0.5)
 PW = PowerLaw(delta=1.0, rho=0.5)
+
+
+def h_n(params, u, theta1):
+    """Dimensional kernel h_n(u, theta1, q): h at lam = (n-2)/2 and
+    xi = cos(theta1).
+
+    theta1 is the latitude of the observation point in [0, pi); the mass
+    sits at angle pi, so the angle between the two directions is pi-theta1
+    and the two sign flips (cosine of the supplement, alternating Gegenbauer
+    parity) cancel into the +2 u cos(theta1) convention of h_value.
+    """
+    return h_value(params.lam, params.q, u, np.cos(check_angle(theta1)))
+
+
+def riesz_k(lam, t, xi):
+    """Riesz kernel (1 + t^2 + 2 t xi)^(-lam), the generating function of the
+    Gegenbauer family with alternating sign: sum_j (-t)^j G^lam_j(xi) for
+    |t| < 1."""
+    base = 1.0 + t * t + 2.0 * t * xi
+    if base <= 0.0:
+        raise DomainError("riesz_k undefined: 1 + t^2 + 2 t xi <= 0")
+    return base ** (-lam)
+
+
+def weierstrass_K(params, r, t, theta1):
+    """Canonical kernel K_q(x, (t, pi)) for a unit mass at radius t on the
+    negative axis, observed at radius r and latitude theta1.
+
+    Taken from its definition (fundamental solution at the law-of-cosines
+    distance plus the degree-q Gegenbauer section), so the reduction
+    identity K_q = t^{2-n} h_n(r/t, theta1, q) checks h_n rather than
+    restating it.
+    """
+    cos_psi = -math.cos(theta1)  # angle between x and the negative axis
+    dist2 = r * r + t * t - 2.0 * r * t * cos_psi
+    if dist2 <= 0.0:
+        raise DomainError("observation point coincides with the mass point")
+    section = sum((r / t) ** j * g for j, g in
+                  zip(range(params.q + 1), gegenbauer_terms(params.lam, cos_psi)))
+    return float(-(dist2 ** (-params.lam)) + t ** (2 - params.n) * section)
 
 # every entry point that takes the dimension, as a function of n alone
 DIMENSION_ENTRIES = {
@@ -88,8 +124,8 @@ DIMENSION_ENTRIES = {
 # and two good ones are refused as an array.  An " array" entry passes one
 # to an entry point that takes arrays: a bad value in it is named.
 ANGLE_ENTRIES = {
+    # h_n is the helper above; its row holds check_angle's own message
     "h_n": ("theta1", math.pi, False, lambda th: h_n(P35, 0.3, th)),
-    "weierstrass_K": ("theta1", math.pi, False, lambda th: weierstrass_K(P35, 0.5, 2.0, th)),
     # at pi, k is singular at t = 0 (0/0 there)
     "log_kernel": ("theta1", math.pi, False, lambda th: log_kernel(3, th, 0.5)),
     "angular_shape": ("theta", math.pi, False, lambda th: angular_shape(3, 0.5, th)),
@@ -97,10 +133,6 @@ ANGLE_ENTRIES = {
                             lambda th: angular_shape(3, 0.5, np.array([0.3, th]))),
     "indicator_integral": ("theta1", math.pi, False, lambda th: indicator_integral(P35, th)),
     "tauberian_constant": ("phi", math.pi, False, lambda th: tauberian_constant(P35, th)),
-    "transfer_indicator phi": ("phi", math.pi, False,
-                               lambda th: transfer_indicator(P35, th, 1.0, 0.3)),
-    "transfer_indicator theta1": ("theta1", math.pi, False,
-                                  lambda th: transfer_indicator(P35, 0.3, 1.0, th)),
     "laplace_log_kernel": ("theta1", math.pi / 2, True, lambda th: laplace_log_kernel(3, th, 0.2)),
     # at pi, k ~ -(n-1) |t|^-n at t = 0: no strip exists
     "laplace_strip": ("theta1", math.pi, False, lambda th: laplace_strip(3, th)),
@@ -115,8 +147,6 @@ ANGLE_ENTRIES = {
                                  lambda th: indicator_integral(P35, np.array([0.3, th]))),
     "tauberian_constant pair": ("phi", math.pi, False,
                                 lambda th: tauberian_constant(P35, np.array([0.3, th]))),
-    "transfer_indicator phi pair": ("phi", math.pi, False,
-                                    lambda th: transfer_indicator(P35, [0.3, th], 1.0, 0.3)),
     "laplace_log_kernel pair": ("theta1", math.pi / 2, True,
                                 lambda th: laplace_log_kernel(3, np.array([0.3, th]), 0.2)),
     "laplace_strip pair": ("theta1", math.pi, False,
@@ -146,7 +176,6 @@ RADIUS_ENTRIES = {
     "average_N": ("radius r", 0.0, lambda r: average_N(PW, 3, r)),
     "u_canonical": ("radius r", 0.0, lambda r: u_canonical(PW, P35, r, 0.3)),
     "u_poisson": ("radius r", 0.0, lambda r: u_poisson(PW, 3, r, 0.3)),
-    "weierstrass_K": ("radius r", 0.0, lambda r: weierstrass_K(P35, r, 2.0, 0.3)),
     "poisson_Pn r": ("radius r", 0.0, lambda r: poisson_Pn(3, r, 2.0, 0.3)),
     "poisson_Pn t": ("mass radius t", 0.0, lambda t: poisson_Pn(3, 1.0, t, 0.3)),
     "h_value": ("radial ratio u", 0.0, lambda u: h_value(1.5, 1, u, 0.3)),
@@ -158,7 +187,6 @@ RADIUS_ENTRIES = {
     "laplacian_u0": ("radius r of the counterexample", math.e, lambda r: laplacian_u0(0.5, r, 0.3)),
     "laplacian_u0 inner sample": ("radius r of the counterexample", math.e,
                                   lambda r: laplacian_u0(0.5, r, 0.3)),
-    "riesz_k": ("radial ratio t", 0.0, lambda t: riesz_k(1.5, t, 0.3)),
     "laplacian_u0 pair": ("radius r of the counterexample", math.e,
                           lambda r: laplacian_u0(0.5, np.array([10.0, r]), 0.3)),
 }
@@ -175,15 +203,12 @@ PARAMETER_ENTRIES = {
     "counterexample_u0 rho": ("order rho", lambda v: counterexample_u0(v, 10.0, 0.3), [1.0, NAN]),
     "PowerLaw rho": ("order rho", lambda v: PowerLaw(1.0, v), [0.0, NAN, INF]),
     "PowerLaw t0": ("support start t0", lambda v: PowerLaw(1.0, 0.5, v), [0.5, NAN, INF]),
-    "riesz_k lam": ("kernel exponent lam", lambda v: riesz_k(v, 0.3, 0.3), [0.0, NAN, INF]),
-    "riesz_k xi": ("xi = cos(theta1)", lambda v: riesz_k(1.5, 0.3, v), [2.5, -1.5, NAN]),
     "h_value lam": ("kernel exponent lam", lambda v: h_value(v, 1, 0.3, 0.3), [0.0, NAN, INF]),
     "h_value q": ("subtraction degree q", lambda v: h_value(1.5, v, 0.3, 0.3), [2.5, -1, NAN, INF]),
     "mellin_h_closed lam": ("kernel exponent lam", lambda v: mellin_h_closed(v, 0, -0.5, 0.3),
                             [0.0, NAN]),
     "mellin_h_closed q": ("subtraction degree q", lambda v: mellin_h_closed(1.5, v, -0.5, 0.3),
                           [0.5, NAN, INF]),
-    "mellin_k_closed lam": ("kernel exponent lam", lambda v: mellin_k_closed(v, 0.5, 0.3), [NAN]),
     "mellin_ibp_numeric lam": ("kernel exponent lam",
                                lambda v: mellin_ibp_numeric(v, 0, -0.5, 0.3, QuadratureSpec()),
                                [0.0, NAN]),
@@ -193,10 +218,7 @@ PARAMETER_ENTRIES = {
     "mellin_ibp_numeric xi": ("xi = cos(theta1)",
                               lambda v: mellin_ibp_numeric(1.5, 0, -0.5, v, QuadratureSpec()),
                               [2.5, -1.5, NAN]),
-    "gegenbauer lam": ("Gegenbauer exponent lam", lambda v: gegenbauer(v, 2, 0.3), [0.0, NAN]),
-    "gegenbauer j": ("Gegenbauer degree j", lambda v: gegenbauer(1.5, v, 0.3), [2.5, -1, NAN, INF]),
     "rising_ratio m": ("number of factors m", lambda v: rising_ratio(0.5, v), [2.5, -1, NAN, INF]),
-    "weierstrass_K t": ("mass radius t", lambda v: weierstrass_K(P35, 0.5, v, 0.3), [0.0, NAN, INF]),
     "tauberian_symbol v": ("imaginary shift v", lambda v: tauberian_symbol(P35, 0.3, v),
                            [NAN, INF, -INF]),
     "indicator_near_pi": ("theta1 of the asymptotic form", lambda v: indicator_near_pi(P35, v),
@@ -212,8 +234,6 @@ PARAMETER_ENTRIES = {
     "ProblemParams n pair": ("dimension n", lambda v: ProblemParams([3, v], 0.5), [4, 2.5]),
     "h_value q pair": ("subtraction degree q", lambda v: h_value(1.5, np.array([1, v]), 0.3, 0.3),
                        [2, -1]),
-    "gegenbauer j pair": ("Gegenbauer degree j", lambda v: gegenbauer(1.5, [2, v], 0.3),
-                          [3, NAN]),
     "rising_ratio m pair": ("number of factors m", lambda v: rising_ratio(0.5, np.array([2, v])),
                             [3, 2.5]),
     "QuadratureSpec max_level pair": ("max_level", lambda v: QuadratureSpec(max_level=[10, v]),
@@ -289,12 +309,6 @@ PARAMETER_ENTRIES = {
                                [-0.7, NAN]),
     "mellin_h_closed xi": ("xi = cos(theta1)", lambda v: mellin_h_closed(1.0, 0, -0.5, v),
                            [1.5, -1.0, -1.5, NAN]),
-    "mellin_k_closed s": ("transform variable s", lambda v: mellin_k_closed(1.0, v, 0.3),
-                          [NAN, INF]),
-    "mellin_k_closed s pair": ("transform variable s",
-                               lambda v: mellin_k_closed(1.0, np.array([0.5, v]), 0.3), [0.7, NAN]),
-    "mellin_k_closed xi": ("xi = cos(theta1)", lambda v: mellin_k_closed(1.0, 0.5, v),
-                           [1.5, -1.0, NAN]),
     "mellin_ibp_numeric s": ("transform variable s",
                              lambda v: mellin_ibp_numeric(1.5, 0, v, 0.3, QuadratureSpec()),
                              [NAN, INF]),
@@ -474,7 +488,6 @@ def _exp_integral(b):
 # checked part by part.
 SHAPE_ENTRIES = {
     "rising_ratio": (lambda x: rising_ratio(x, 3), 0.4, float),
-    "gegenbauer": (lambda x: gegenbauer(1.5, 3, x), 0.3, float),
     "hyp2f1": (lambda x: hyp2f1(0.3, 0.4, 0.5, x), 0.3, float),
     "hyp2f1 near one": (lambda x: hyp2f1(0.3, 0.4, 0.5, x), 0.9, float),
     "hyp2f1 complex": (lambda x: hyp2f1(0.3 + 0.2j, 0.4, 0.5, x), 0.3, complex),
@@ -485,13 +498,8 @@ SHAPE_ENTRIES = {
     "legendre_weighted next to one": (lambda x: legendre_weighted(12.5, -1.5, x), 0.999, float),
     "legendre_p_cut": (lambda x: legendre_p_cut(1.5, -0.5, x), 0.3, float),
     "legendre_p_cut integer order": (lambda x: legendre_p_cut(2.5, 1.0, x), 0.3, float),
-    "riesz_k": (lambda t: riesz_k(1.5, t, 0.3), 0.4, float),
-    "riesz_k xi": (lambda xi: riesz_k(1.5, 0.4, xi), 0.3, float),
     "h_value": (lambda u: h_value(1.5, 1, u, 0.3), 0.3, float),
     "h_value far": (lambda u: h_value(1.5, 1, u, 0.3), 2.0, float),
-    "weierstrass_K": (lambda r: weierstrass_K(P35, r, 2.0, 0.3), 0.5, float),
-    "weierstrass_K t": (lambda t: weierstrass_K(P35, 0.5, t, 0.3), 2.0, float),
-    "weierstrass_K theta1": (lambda th: weierstrass_K(P35, 0.5, 2.0, th), 0.3, float),
     "poisson_Pn": (lambda r: poisson_Pn(3, r, 2.0, 0.3), 1.0, float),
     "log_kernel": (lambda t: log_kernel(3, 0.3, t), 0.5, float),
     "integrate": (_exp_integral, 0.5, float),
@@ -596,11 +604,6 @@ class TestArrayEqualsOnePointCalls:
             self._check(lambda x: legendre_weighted(nu, mu, x), rng.uniform(0.0, 0.999, 6))
             self._check(lambda th: indicator_closed(ProblemParams(n, rho), th),
                         rng.uniform(0.0, 3.1, 6))
-            lam = float(rng.uniform(0.3, 6.0))
-            self._check(lambda t, xi: riesz_k(lam, t, xi), rng.uniform(0.0, 3.0, 6),
-                        rng.uniform(-0.9, 1.0, 6))
-            self._check(lambda r, th: weierstrass_K(ProblemParams(n, 0.5 + n % 3), r, 1.3, th),
-                        rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 3.1, 6))
 
     @pytest.mark.parametrize("model", [
         PowerLaw(1.3, 0.45), Perturbed(0.8, 0.6, "log"), SlowlyVarying(1.7, "loglog"),
@@ -654,7 +657,7 @@ class TestRieszKernel:
 
     def test_gegenbauer_series_oracle(self):
         lam, t, xi = 1.5, 0.2, 0.4
-        series = sum((-t) ** j * gegenbauer(lam, j, xi) for j in range(31))
+        series = sum((-t) ** j * g for j, g in zip(range(31), gegenbauer_terms(lam, xi)))
         assert riesz_k(lam, t, xi) == pytest.approx(series, abs=1e-10)
 
     def test_singular_point(self):
@@ -688,7 +691,7 @@ class TestSubtractedKernel:
         # |h| <= C u^{q+1} for u < 1, with C fitted from the first few tail
         # coefficients (the leading one alone can vanish, e.g. G^1_2(1/2)=0)
         lam, q, xi = 1.0, 1, 0.5
-        C = 1.0 + sum(abs(gegenbauer(lam, j, xi)) for j in range(q + 1, q + 7))
+        C = 1.0 + sum(abs(g) for g in itertools.islice(gegenbauer_terms(lam, xi), q + 1, q + 7))
         for u in (0.01, 0.003, 0.001):
             assert abs(h_value(lam, q, u, xi)) <= C * u ** (q + 1)
 
@@ -700,7 +703,7 @@ class TestSubtractedKernel:
                 for xi in (-0.8, 0.0, 0.7):
                     u = 0.4999
                     direct = -(1.0 + u * u + 2.0 * u * xi) ** (-lam) + sum(
-                        (-u) ** j * gegenbauer(lam, j, xi) for j in range(q + 1)
+                        (-u) ** j * g for j, g in zip(range(q + 1), gegenbauer_terms(lam, xi))
                     )
                     assert h_value(lam, q, u, xi) == pytest.approx(direct, rel=1e-10, abs=1e-13)
 

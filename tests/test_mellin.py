@@ -13,13 +13,29 @@ from raygrowth.mellin import (
     mellin_h_closed,
     mellin_hn_at_order,
     mellin_ibp_numeric,
-    mellin_k_closed,
     mellin_numeric,
     tauberian_symbol,
 )
-from raygrowth.specfun import legendre_p_cut
+from raygrowth.specfun import gamma, legendre_p_cut, legendre_weighted
 
 QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_level=12)
+
+
+def mellin_k_closed(lam, s, xi):
+    """Closed-form Mellin transform of the Riesz kernel (1 + t^2 + 2 t xi)^(-lam)
+    on 0 < Re s < 2 lam.
+
+    The classical table identity in its raw gamma-quotient shape, with order
+    mu = 1/2 - lam and degree nu = s - lam - 1/2 as given (mellin_h_closed
+    takes a real degree below -1/2 at its mirror), so agreement with the
+    quadrature exercises gamma and legendre_weighted at the unmirrored degree.
+    """
+    MellinStrip(0.0, 2.0 * lam).check(s)
+    mu, nu = 0.5 - lam, s - lam - 0.5
+    coef = gamma(1.0 - mu) * gamma(nu - mu + 1.0) * gamma(-mu - nu) / (
+        2.0 ** mu * gamma(1.0 - 2.0 * mu)
+    )
+    return coef * legendre_weighted(nu, mu, (1.0 - xi) / 2.0)
 
 
 def h_integrand(lam, q, xi):
@@ -296,6 +312,15 @@ class TestTauberianSymbol:
     def test_nonzero_for_nonreal_degree(self):
         p = ProblemParams(3, 0.5)
         assert abs(tauberian_symbol(p, math.pi / 2, 1.7)) > 1e-8
+
+    def test_zero_d_shift_gives_a_python_complex(self):
+        # the shift is read through its checked value, so a 0-d array gives
+        # the float call's value, as a Python complex
+        p = ProblemParams(4, 1.5)
+        for v in (2.0, 0.0):
+            got = tauberian_symbol(p, 0.3, np.array(v))
+            assert type(got) is complex
+            assert repr(got) == repr(tauberian_symbol(p, 0.3, v))
 
     def test_axis_direction_allowed(self):
         p = ProblemParams(4, 0.5)

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -19,7 +20,6 @@ from raygrowth.potential import (
     average_N,
     counterexample_u0,
     counting_n,
-    format_mass_model,
     laplacian_u0,
     parse_mass_model,
     ratio_probe,
@@ -30,6 +30,17 @@ from raygrowth.potential import (
 
 P35 = ProblemParams(3, 0.5)
 PW = PowerLaw(delta=1.0, rho=0.5)
+
+
+def format_mass_model(model):
+    """The text parse_mass_model reads back as ``model``: every key, t0
+    resolved, and atom lines in canonical spelling, atom t=<repr> mass=<repr>."""
+    if isinstance(model, Atomic):
+        return "".join(f"atom t={t!r} mass={m!r}\n" for t, m in model.atoms)
+    kind = next(k for k, cls in potential.DENSITY_MODELS.items() if type(model) is cls)
+    # str of a float is its repr, and str of a handle name is the name
+    keys = (f"{f.name}={getattr(model, f.name)}" for f in fields(model) if f.init)
+    return " ".join((kind, *keys)) + "\n"
 
 
 def discretize_power_law(model, n, t_max, count):
