@@ -124,8 +124,6 @@ class ZeroSet:
     one-angle value.
     """
 
-    n: int
-    rho: float
     roots: tuple
     residuals: tuple
 
@@ -299,8 +297,7 @@ def zero_set(params: ProblemParams) -> ZeroSet:
         )
     order = np.argsort(roots, kind="stable")
     residuals = np.abs(np.concatenate((values, vals[exact])))
-    return ZeroSet(n=n, rho=rho, roots=tuple(roots[order].tolist()),
-                   residuals=tuple(residuals[order].tolist()))
+    return ZeroSet(roots=tuple(roots[order].tolist()), residuals=tuple(residuals[order].tolist()))
 
 
 def _guarded_shape(params: ProblemParams, theta1, name: str) -> float:
@@ -471,20 +468,20 @@ def laplace_strip(n: int, theta1: float) -> MellinStrip:
     return MellinStrip(-1.0, n - 1.0)
 
 
-def laplace_log_kernel(n: int, theta1: float, s: float, quad: QuadratureSpec = QuadratureSpec(),
-                       full_output: bool = False):
+def laplace_log_kernel(n: int, theta1: float, s: float, full_output: bool = False):
     """Two-sided Laplace transform int e^{-s t} k(t) dt of the log kernel.
 
     For theta1 = 0 the closed value is Gamma(n-1-s) Gamma(1+s) / (n-2)!.
     With u = e^t the transform is the Mellin transform of k(log u) at -s,
     int_0^inf k(log u) u^{-s-1} du, taken by :func:`mellin_numeric` on the
-    mirrored strip.  Raises :class:`StripViolationError`, naming s, outside
-    the existence strip of :func:`laplace_strip`.
+    mirrored strip at the default :class:`QuadratureSpec`.  Raises
+    :class:`StripViolationError`, naming s, outside the existence strip of
+    :func:`laplace_strip`.
     """
     theta1 = check_one_angle(theta1, upper=math.pi / 2, closed=True)
     s = check_scalar(s, "transform variable s")
     strip = laplace_strip(n, theta1)
     strip.check(s)
-    res = mellin_numeric(lambda u: log_kernel(n, theta1, np.log(u)), -s, quad,
+    res = mellin_numeric(lambda u: log_kernel(n, theta1, np.log(u)), -s, QuadratureSpec(),
                          MellinStrip(-strip.upper, -strip.lower))
     return (res.value, res) if full_output else res.value

@@ -46,20 +46,20 @@ def check_dimension(n, lowest=3) -> int:
     return n
 
 
-def check_angle(theta, name="theta1", upper=math.pi, closed=False):
+def check_angle(theta, name="theta1", closed=False):
     """The angle theta as a float, or a float array for array input.
 
     Raises :class:`DomainError` naming the argument unless every value lies
-    in [0, upper), or in [0, upper] when ``closed`` is set; nan lies in
-    neither.
+    in [0, pi), or in [0, pi] when ``closed`` is set; nan lies in neither.
     """
-    return check_real(theta, name, 0.0, upper, "[]" if closed else "[)")
+    return check_real(theta, name, 0.0, math.pi, "[]" if closed else "[)")
 
 
 def check_one_angle(theta, name="theta1", upper=math.pi, closed=False) -> float:
-    """:func:`check_angle` for an entry point that takes one angle: the angle
-    as a float, and a list or an array of any shape but 0-d raises
-    :class:`DomainError` too (see :func:`check_scalar`)."""
+    """:func:`check_angle` for an entry point that takes one angle, in
+    [0, upper) or [0, upper]: the angle as a float, and a list or an array
+    of any shape but 0-d raises :class:`DomainError` too (see
+    :func:`check_scalar`)."""
     return check_scalar(theta, name, 0.0, upper, "[]" if closed else "[)")
 
 

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, PoleError, StripViolationError,
-                     check_integer, check_real, check_scalar, scalar_or_array)
+from .errors import (DomainError, PoleError, StripViolationError, check_integer, check_real,
+                     check_scalar, scalar_or_array)
 from .kernels import ProblemParams, check_one_angle
 from .specfun import _finite, _maybe_real, gamma, legendre_weighted, rising_ratio
 
@@ -132,12 +132,6 @@ class MellinResult:
     converged: bool
     message: str = ""
     evaluations: int = 0
-
-    def require(self):
-        """Return the value, or raise if the tolerance was not met."""
-        if not np.all(self.converged):
-            raise ConvergenceError(f"quadrature tolerance not met: {_join(np.ravel(self.message))}")
-        return self.value
 
     def __add__(self, other: "MellinResult") -> "MellinResult":
         """Row-by-row sum of two results of one shape; a row converged if it

@@ -542,7 +542,7 @@ def scaled_limit(model: MassModel, params: ProblemParams, theta1, r_grid,
 
 
 def ratio_probe(model: MassModel, params: ProblemParams, theta1, r_grid,
-                quad: QuadratureSpec = QuadratureSpec(), sweep_tol: float = 0.05) -> SweepResult:
+                sweep_tol: float = 0.05) -> SweepResult:
     """Sweep of u/n(r) and u/N(r) along a direction.
 
     Requires the counting function to be positive on the whole grid and,
@@ -555,7 +555,7 @@ def ratio_probe(model: MassModel, params: ProblemParams, theta1, r_grid,
     grid = _resolve_grid(r_grid)
     if counting_n(model, params.n, float(grid[0])) <= 0.0:
         raise DomainError("ratio probe needs a model with mass inside the smallest grid radius")
-    return scaled_limit(model, params, theta1, grid, quad, sweep_tol)
+    return scaled_limit(model, params, theta1, grid, sweep_tol=sweep_tol)
 
 
 def counterexample_u0(rho: float, r, theta1: float):

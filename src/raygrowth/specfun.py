@@ -1,10 +1,10 @@
 """Special-function core.
 
 Provides the gamma and digamma functions, the rising ratio (x+1)_m / m!,
-Gegenbauer polynomials, the Gauss hypergeometric series 2F1, and
-associated Legendre functions of the first kind on the cut -1 < x < 1 for
-general (possibly complex) degree and order, with their sine-weighted form
-that every closed form of the package uses.
+Gegenbauer polynomials, the Gauss hypergeometric series 2F1 on [0, 1), and
+the sine-weighted Ferrers function (1 - xi^2)^(mu/2) P^mu_nu(xi) at
+x = (1 - xi)/2 for general (possibly complex) degree and order, which every
+closed form of the package uses.
 
 Everything here is deterministic: plain series with explicit tolerances,
 no table interpolation.  A real scalar stays real: gamma of a real
@@ -90,17 +90,17 @@ def _finite(z, name="special-function argument"):
     raise DomainError(f"{name} must be finite, got {z}")
 
 
-def _is_nonpositive_integer(z, tol=1e-12):
-    """True at the poles of gamma; every gamma, rgamma, digamma and 2F1
-    parameter passes through here, so a non-finite one raises
+def _is_nonpositive_integer(z):
+    """True within 1e-12 of the poles of gamma; every gamma, rgamma, digamma
+    and 2F1 parameter passes through here, so a non-finite one raises
     :class:`DomainError`."""
     z = _finite(z)
     if isinstance(z, complex):
-        if abs(z.imag) > tol:
+        if abs(z.imag) > 1e-12:
             return False
         z = z.real
     k = round(z)
-    return k <= 0 and abs(z - k) <= tol
+    return k <= 0 and abs(z - k) <= 1e-12
 
 
 def _maybe_real(z):
@@ -305,10 +305,10 @@ def _ratio_blocks(rows):
 
 
 def _series_2f1(rows, row_of, x):
-    """Plain power series for 2F1 at the points x (|x| < 1), each with the
-    parameters (a, b, c) of its row of ``rows``."""
+    """Plain power series for 2F1 at the real points x (0 <= x < 1), each
+    with the parameters (a, b, c) of its row of ``rows``."""
     x = np.asarray(x)
-    cplx = any(isinstance(v, complex) for row in rows for v in row) or np.iscomplexobj(x)
+    cplx = any(isinstance(v, complex) for row in rows for v in row)
 
     def terms():
         term = np.ones(x.shape, dtype=complex if cplx else float)
@@ -437,14 +437,16 @@ def _rows(a, b, c, x):
 
 
 def hyp2f1(a, b, c, x):
-    """Gauss hypergeometric function 2F1(a, b; c; x) for real x in (-1, 1).
+    """Gauss hypergeometric function 2F1(a, b; c; x) for real x in [0, 1).
 
     Parameters a, b, c may be complex; c must not be a non-positive integer.
-    ``x`` may be a scalar or an ndarray.  The power series is used on the
-    central range, the Pfaff transformation for x < -1/2 and the standard
-    x -> 1-x connection formulas (including the logarithmic case for integer
-    c - a - b) near the right endpoint, so convergence stays geometric over
-    the whole open interval.
+    ``x`` may be a scalar or an ndarray.  The power series is used up to
+    x = 3/4 and the standard x -> 1-x connection formulas (including the
+    logarithmic case for integer c - a - b >= 0) past it, so convergence
+    stays geometric over the whole interval.  Unless a or b is a
+    non-positive integer, where the series terminates, c - a - b must not
+    be a negative integer: :class:`DomainError`.  Every caller of the
+    package passes x = sin^2(theta/2) or 1 - x with c = 1 - mu or 1 + mu.
 
     ``a`` and ``b`` may also be real flat arrays of x's size, for a flat x
     and a real c.  A run of points with one (a, b) is a row; all rows must
@@ -459,7 +461,7 @@ def hyp2f1(a, b, c, x):
     """
     if _is_nonpositive_integer(c):
         raise PoleError(f"2F1 parameter pole: c={c}")
-    x_arr = np.asarray(check_real(x, "2F1 argument x", -1.0, 1.0, "()"))
+    x_arr = np.asarray(check_real(x, "2F1 argument x", 0.0, 1.0, "[)"))
     c = _maybe_real(c)
     rows, row_of = _rows(a, b, c, x_arr)
     if not rows:  # no points, and so no row
@@ -484,30 +486,21 @@ def hyp2f1(a, b, c, x):
         out[...] = _series_2f1([(ai, bi, c) for ai, bi in rows], row_of, x_arr)
     else:
         a, b = rows[0]
-        lo = x_arr < -0.5
+        sc = complex(c - a - b)
+        m = round(sc.real) if abs(sc.imag) < 1e-12 and abs(sc.real - round(sc.real)) < 1e-12 else None
+        if m is not None and m < 0:
+            raise DomainError(f"2F1 c - a - b must not be a negative integer, got {m} "
+                              f"(a={a}, b={b}, c={c})")
         hi = x_arr > 0.75
-        mid = ~(lo | hi)
-        if np.any(mid):
-            out[mid] = _series_2f1([(ai, bi, c) for ai, bi in rows], sub(mid), x_arr[mid])
+        lo = ~hi
         if np.any(lo):
-            xl = x_arr[lo]
-            y = xl / (xl - 1.0)
-            pref = np.exp(-_per_row([ai for ai, _ in rows], sub(lo)) * np.log1p(-xl))
-            out[lo] = pref * _series_2f1([(ai, c - bi, c) for ai, bi in rows], sub(lo), y)
+            out[lo] = _series_2f1([(ai, bi, c) for ai, bi in rows], sub(lo), x_arr[lo])
         if np.any(hi):
             xh = x_arr[hi]
-            sc = complex(c - a - b)
-            if abs(sc.imag) < 1e-12 and abs(sc.real - round(sc.real)) < 1e-12:
-                m = int(round(sc.real))
-                if m >= 0:
-                    out[hi] = _2f1_near_one_logcase(rows, sub(hi), m, xh)
-                else:
-                    # Euler transformation flips c-a-b to -m > 0
-                    pref = np.exp(_per_row([c - ai - bi for ai, bi in rows], sub(hi)) * np.log1p(-xh))
-                    out[hi] = pref * _2f1_near_one_logcase(
-                        [(c - ai, c - bi) for ai, bi in rows], sub(hi), -m, xh)
-            else:
+            if m is None:
                 out[hi] = _2f1_near_one_nonint([(ai, bi, c) for ai, bi in rows], sub(hi), xh)
+            else:
+                out[hi] = _2f1_near_one_logcase(rows, sub(hi), m, xh)
 
     if not np.all(np.isfinite(out)):
         raise ConvergenceError("2F1 evaluation produced a non-finite value")
@@ -585,8 +578,8 @@ def legendre_weighted(nu, mu, x):
     x = 1 (see :func:`_legendre_f`).  Complex parameters, mu >= 1, m < 0
     and a non-integer degree at m <= 1 take the one series as it stands.
 
-    A positive integer mu is a pole of the 2F1 here; :func:`legendre_p_cut`
-    recurs in the order for those.  ``x`` may be a scalar or ndarray.
+    A positive integer mu is a pole of the 2F1 here and raises
+    :class:`PoleError`.  ``x`` may be a scalar or ndarray.
     """
     x = check_real(x, "legendre_weighted argument x", 0.0, 1.0, "[)")
     x1 = np.atleast_1d(x)
@@ -626,44 +619,3 @@ def _degree_recurrence(nu, mu, m, x):
     if not np.all(np.isfinite(g)):
         raise ConvergenceError("Legendre degree recurrence produced a non-finite value")
     return g
-
-
-def legendre_p_cut(nu, mu, xi):
-    """Associated Legendre function of the first kind P^mu_nu(xi) on the cut.
-
-    Standard representation
-
-        P^mu_nu(xi) = ((1+xi)/(1-xi))^(mu/2) / Gamma(1-mu)
-                      * 2F1(-nu, nu+1; 1-mu; (1-xi)/2),
-
-    valid for -1 < xi < 1, evaluated as (1 - xi^2)^(-mu/2) times
-    :func:`legendre_weighted`.  When 1-mu is a non-positive integer (mu a
-    positive integer) the prefactor degenerates and the value is obtained
-    instead through the order-raising recurrence from mu-1, which avoids the
-    0/0 limit.  Degree symmetry P^mu_nu = P^mu_{-nu-1} is inherited from the
-    symmetry of the hypergeometric series.
-
-    ``xi`` may be a scalar or ndarray strictly inside (-1, 1).
-    """
-    xi_arr = check_real(xi, "legendre_p_cut argument xi", -1.0, 1.0, "()")
-    xi_arr = np.atleast_1d(xi_arr)
-    _finite(nu)
-    _finite(mu)
-    nu = _maybe_real(nu)
-    mu = _maybe_real(mu)
-
-    muc = complex(mu)
-    if abs(muc.imag) < 1e-12 and muc.real >= 1.0 and abs(muc.real - round(muc.real)) < 1e-12:
-        # 1-mu hits a gamma pole; raise the order by recurrence instead:
-        # sqrt(1-xi^2) P^{m}_nu = (nu-m+2) P^{m-1}_{nu+1} - (nu+m) xi P^{m-1}_nu
-        m = round(muc.real)
-        p_up = legendre_p_cut(nu + 1.0, m - 1.0, xi_arr)
-        p_same = legendre_p_cut(nu, m - 1.0, xi_arr)
-        out = ((nu - m + 2.0) * p_up - (nu + m) * xi_arr * p_same) / np.sqrt(1.0 - xi_arr**2)
-    else:
-        weight = ((1.0 - xi_arr) * (1.0 + xi_arr)) ** (-mu / 2.0)
-        out = weight * legendre_weighted(nu, mu, (1.0 - xi_arr) / 2.0)
-
-    if not np.all(np.isfinite(out)):
-        raise ConvergenceError("legendre_p_cut produced a non-finite value")
-    return _maybe_real(scalar_or_array(out, xi))

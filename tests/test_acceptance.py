@@ -10,11 +10,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from raygrowth import indicator
 from raygrowth.indicator import (
-    angular_shape,
     indicator_closed,
     indicator_integral,
     laplace_log_kernel,
@@ -35,7 +33,7 @@ from raygrowth.potential import (
     u_canonical,
     u_poisson,
 )
-from raygrowth.specfun import gamma, legendre_p_cut
+from raygrowth.specfun import gamma, legendre_weighted
 
 
 def report(num, name, ok, detail):
@@ -124,13 +122,19 @@ def test_criterion_04_indicator_oracle_agreement():
            f"(tol 1e-9), H(0) anchor closed={anchor_c:.10f} integral={anchor_i:.10f}")
 
 
+def legendre_p(nu, mu, xi):
+    """P^mu_nu(xi) on the cut -1 < xi < 1, as (1 - xi^2)^(-mu/2) times the
+    weighted form at x = (1 - xi)/2 (DLMF 14.3.1)."""
+    return ((1.0 - xi) * (1.0 + xi)) ** (-mu / 2.0) * legendre_weighted(nu, mu, (1.0 - xi) / 2.0)
+
+
 def test_criterion_05_legendre_cross_checks():
     # plane-case reduction
     worst_plane = 0.0
     for rho in (0.3, 0.7, 1.6):
         for alpha in np.arange(0.2, 2.95, 0.3):
             a = float(alpha)
-            lhs = legendre_p_cut(-rho - 0.5, 0.5, math.cos(a))
+            lhs = legendre_p(-rho - 0.5, 0.5, math.cos(a))
             rhs = math.sqrt(2.0 / (math.pi * math.sin(a))) * math.cos(rho * a)
             worst_plane = max(worst_plane, abs(lhs - rhs) / (1.0 + abs(rhs)))
     # degree symmetry and order recurrence over 10^3 random samples
@@ -141,12 +145,12 @@ def test_criterion_05_legendre_cross_checks():
         nu = float(rng.uniform(-4.0, 4.0))
         mu = float(rng.uniform(-2.5, 0.9))
         xi = float(rng.uniform(-0.98, 0.98))
-        a = legendre_p_cut(nu, mu, xi)
-        b = legendre_p_cut(-nu - 1.0, mu, xi)
+        a = legendre_p(nu, mu, xi)
+        b = legendre_p(-nu - 1.0, mu, xi)
         worst_sym = max(worst_sym, abs(a - b) / (1.0 + abs(a)))
-        lhs = (nu - mu + 1.0) * legendre_p_cut(nu + 1.0, mu, xi) \
+        lhs = (nu - mu + 1.0) * legendre_p(nu + 1.0, mu, xi) \
             - (nu + mu + 1.0) * xi * a
-        rhs = math.sqrt(1.0 - xi * xi) * legendre_p_cut(nu, mu + 1.0, xi)
+        rhs = math.sqrt(1.0 - xi * xi) * legendre_p(nu, mu + 1.0, xi)
         worst_rec = max(worst_rec, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
     ok = worst_plane <= 1e-10 and worst_sym <= 1e-9 and worst_rec <= 1e-9
     report(5, "Legendre cross-checks", ok,

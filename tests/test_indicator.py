@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np

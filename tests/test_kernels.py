@@ -10,6 +10,7 @@ from raygrowth.errors import (ConvergenceError, DomainError, check_integer, chec
                               check_scalar, scalar_or_array)
 from raygrowth.indicator import (
     angular_shape,
+    guarded_indicator,
     indicator_closed,
     indicator_integral,
     indicator_near_pi,
@@ -56,7 +57,6 @@ from raygrowth.specfun import (
     gamma,
     gegenbauer_terms,
     hyp2f1,
-    legendre_p_cut,
     legendre_weighted,
     rgamma,
     rising_ratio,
@@ -132,6 +132,7 @@ ANGLE_ENTRIES = {
     "angular_shape array": ("theta", math.pi, False,
                             lambda th: angular_shape(3, 0.5, np.array([0.3, th]))),
     "indicator_integral": ("theta1", math.pi, False, lambda th: indicator_integral(P35, th)),
+    "guarded_indicator": ("theta1", math.pi, False, lambda th: guarded_indicator(P35, th)),
     "tauberian_constant": ("phi", math.pi, False, lambda th: tauberian_constant(P35, th)),
     "laplace_log_kernel": ("theta1", math.pi / 2, True, lambda th: laplace_log_kernel(3, th, 0.2)),
     # at pi, k ~ -(n-1) |t|^-n at t = 0: no strip exists
@@ -147,6 +148,8 @@ ANGLE_ENTRIES = {
                                  lambda th: indicator_integral(P35, np.array([0.3, th]))),
     "tauberian_constant pair": ("phi", math.pi, False,
                                 lambda th: tauberian_constant(P35, np.array([0.3, th]))),
+    "guarded_indicator pair": ("theta1", math.pi, False,
+                               lambda th: guarded_indicator(P35, np.array([0.3, th]))),
     "laplace_log_kernel pair": ("theta1", math.pi / 2, True,
                                 lambda th: laplace_log_kernel(3, np.array([0.3, th]), 0.2)),
     "laplace_strip pair": ("theta1", math.pi, False,
@@ -266,18 +269,16 @@ PARAMETER_ENTRIES = {
                                     lambda v: scaled_limit(PW, P35, 0.3, (1e2, 1e4, 5),
                                                            sweep_tol=np.array([0.05, v])),
                                     [0.05, 0.0]),
-    "hyp2f1 x": ("2F1 argument x", lambda v: hyp2f1(0.3, 0.4, 0.5, v), [1.0, -1.0, NAN, INF]),
+    "hyp2f1 x": ("2F1 argument x", lambda v: hyp2f1(0.3, 0.4, 0.5, v), [1.0, -0.3, NAN, INF]),
     "hyp2f1 a": ("special-function argument", lambda v: hyp2f1(v, 0.4, 0.5, 0.3), [NAN, INF]),
+    # c - a - b = c - 0.7: -1 and -2, at a point of the series and one past x = 3/4
+    "hyp2f1 c - a - b": ("2F1 c - a - b", lambda v: hyp2f1(0.3, 0.4, v, [0.3, 0.9]), [-0.3, -1.3]),
     "legendre_weighted x": ("legendre_weighted argument x",
                             lambda v: legendre_weighted(0.5, -0.5, v), [-1e-300, 1.0, NAN]),
     "legendre_weighted nu": ("special-function argument",
                              lambda v: legendre_weighted(v, -1.0, 0.3), [NAN, INF]),
-    "legendre_p_cut xi": ("legendre_p_cut argument xi", lambda v: legendre_p_cut(0.5, -0.5, v),
-                          [1.0, -1.0, NAN, INF]),
-    "legendre_p_cut nu": ("special-function argument",
-                          lambda v: legendre_p_cut(v, -0.5, 0.3), [NAN, INF]),
-    "legendre_p_cut mu": ("special-function argument",
-                          lambda v: legendre_p_cut(0.5, v, 0.3), [NAN, -INF]),
+    "legendre_weighted mu": ("special-function argument",
+                             lambda v: legendre_weighted(0.5, v, 0.3), [NAN, -INF]),
     "gamma": ("special-function argument", gamma, [NAN, INF, -INF]),
     "rgamma": ("special-function argument", rgamma, [NAN, INF]),
     "digamma": ("special-function argument", digamma, [NAN, INF, complex(0.5, INF)]),
@@ -293,8 +294,6 @@ PARAMETER_ENTRIES = {
     "legendre_weighted mu pair": ("special-function argument",
                                   lambda v: legendre_weighted(0.5, np.array([-0.5, v]), 0.3),
                                   [-0.7, NAN]),
-    "legendre_p_cut nu pair": ("special-function argument",
-                               lambda v: legendre_p_cut(np.array([0.5, v]), -0.5, 0.3), [0.7, NAN]),
     # the transforms check s before the strip or the pole test reads it
     "mellin_numeric s": ("transform variable s",
                          lambda v: mellin_numeric(np.exp, v, QuadratureSpec(), MellinStrip(0.0, 5.0)),
@@ -366,7 +365,7 @@ class TestEnvelope:
 
     def test_check_angle_types(self):
         assert type(check_angle(np.float64(0.5))) is float
-        assert check_angle(math.pi / 2, upper=math.pi / 2, closed=True) == math.pi / 2
+        assert check_angle(math.pi, closed=True) == math.pi
         arr = check_angle([0.0, 1.0], name="theta")
         assert isinstance(arr, np.ndarray) and arr.tolist() == [0.0, 1.0]
 
@@ -496,8 +495,6 @@ SHAPE_ENTRIES = {
     # from nu + mu = 2 on, the degree recurrence, and next to x = 1 the series at nu
     "legendre_weighted recurrence": (lambda x: legendre_weighted(12.5, -1.5, x), 0.3, float),
     "legendre_weighted next to one": (lambda x: legendre_weighted(12.5, -1.5, x), 0.999, float),
-    "legendre_p_cut": (lambda x: legendre_p_cut(1.5, -0.5, x), 0.3, float),
-    "legendre_p_cut integer order": (lambda x: legendre_p_cut(2.5, 1.0, x), 0.3, float),
     "h_value": (lambda u: h_value(1.5, 1, u, 0.3), 0.3, float),
     "h_value far": (lambda u: h_value(1.5, 1, u, 0.3), 2.0, float),
     "poisson_Pn": (lambda r: poisson_Pn(3, r, 2.0, 0.3), 1.0, float),
@@ -556,13 +553,11 @@ class TestShapeRule:
 def _hyp2f1_draw(rng, branch):
     a, b, c = (float(v) for v in (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.1, 4)))
     if branch == "central":
-        return (a, b, c), rng.uniform(-0.5, 0.75, 6)
-    if branch == "Pfaff":
-        return (a, b, c), rng.uniform(-0.999, -0.5, 6)
+        return (a, b, c), rng.uniform(0.0, 0.75, 6)
     if branch == "nonint connection":
         return (a, b, c), rng.uniform(0.75, 0.999, 6)
-    b = abs(b) + 0.1  # log case: c - a - b an integer, of either sign
-    return (a, b, a + b + int(rng.integers(-3, 4))), rng.uniform(0.75, 0.999, 6)
+    b = abs(b) + 0.1  # log case: c - a - b a non-negative integer
+    return (a, b, a + b + int(rng.integers(0, 4))), rng.uniform(0.75, 0.999, 6)
 
 
 class TestArrayEqualsOnePointCalls:
@@ -575,7 +570,7 @@ class TestArrayEqualsOnePointCalls:
         for k in range(len(points[0])):
             assert repr(float(whole[k])) == repr(f(*(float(p[k]) for p in points)))
 
-    @pytest.mark.parametrize("branch", ["central", "Pfaff", "nonint connection", "log case"])
+    @pytest.mark.parametrize("branch", ["central", "nonint connection", "log case"])
     def test_hyp2f1(self, branch):
         rng = np.random.default_rng(19)
         for _ in range(60):
