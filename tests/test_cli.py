@@ -214,21 +214,21 @@ class TestIndicatorCommand:
         assert [float(r[0]) for r in rows] == [*zero_set(calls[0]).roots, 1.0]
 
     def test_series_failure_exit_code(self, capsys):
-        # at n = 172 the tail series of h stops at its term cap: a tolerance
-        # failure, not a domain error
-        code, err = _failed_run(capsys, "indicator", "--n", "172", "--theta", "0.1")
+        # at n = 172 and genus 1 the tail series of h stops at its term cap: a
+        # tolerance failure, not a domain error
+        code, err = _failed_run(capsys, "indicator", "--n", "172", "--rho", "1.5", "--theta", "0.1")
         assert code == 2
         assert err.startswith("raygrowth: tolerance not reached: h tail series did not converge")
 
     def test_closed_form_finite_at_large_dimension(self, tmp_path, capsys):
         # H(0.1) at n = 130, rho = 1/2 is 5135.77058370969 (mpmath, 40 digits);
-        # the integral side is still flagged there, so the run exits 2
+        # both sides hold it, so the run exits 0
         code, text = run_cli(tmp_path, "indicator", "--n", "130", "--theta", "0.1")
-        assert code == 2
-        assert "quadrature flagged" in capsys.readouterr().err
+        assert code == 0 and capsys.readouterr().err == ""
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["H_closed"]) == pytest.approx(5135.770583709690, rel=1e-13, abs=0)
+        assert float(row["H_integral"]) == pytest.approx(5135.770583709690, rel=1e-12, abs=0)
 
     def test_large_delta_in_range(self, tmp_path, capsys):
         # the coefficient times delta overflows, H at 2.0 does not; the last

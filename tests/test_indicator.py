@@ -172,6 +172,31 @@ class TestIndicatorIntegral:
                 assert res.converged
                 assert val == pytest.approx(indicator_closed(p, th), rel=1e-10)
 
+    def test_genus_zero_up_to_max_dimension(self):
+        # seeded (n, rho, theta) over n = 3..MAX_DIMENSION and rho < 1, each
+        # angle at least 0.05 from a root of S.  The reference is taken at
+        # the angle whose cosine is the double xi the integral sees: next to
+        # pi at large n, the rounding of cos(theta) alone moves H by up to
+        # 1.2e-12 on these draws
+        rng = np.random.default_rng(34)
+        checked = 0
+        while checked < 60:
+            n, rho = int(rng.integers(3, MAX_DIMENSION + 1)), float(rng.uniform(0.05, 0.95))
+            theta = float(rng.uniform(0.0, 3.1))
+            with mpmath.workdps(40):
+                r = mpmath.mpf(rho)
+                coef = (mpmath.pi * mpmath.mpf(2) ** (mpmath.mpf(n - 3) / 2)
+                        * mpmath.gamma(mpmath.mpf(n - 1) / 2) * mpmath.rf(r + 1, n - 2)
+                        / (mpmath.factorial(n - 3) * mpmath.sinpi(r)))
+                s = [shape_mpmath(n, rho, theta + d) for d in (-0.05, 0.0, 0.05)]
+                if s[0] * s[1] <= 0 or s[1] * s[2] <= 0:
+                    continue
+                want = float(coef * shape_mpmath(n, rho, mpmath.acos(math.cos(theta))))
+            val, res = indicator_integral(ProblemParams(n, rho), theta, full_output=True)
+            assert res.converged
+            assert val == pytest.approx(want, rel=1e-12, abs=0)
+            checked += 1
+
     def test_scalar_angle_gives_scalars(self):
         val, res = indicator_integral(P35, np.float64(1.0), full_output=True)
         assert type(val) is float and val == res.value

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -497,6 +498,9 @@ SHAPE_ENTRIES = {
     "legendre_weighted next to one": (lambda x: legendre_weighted(12.5, -1.5, x), 0.999, float),
     "h_value": (lambda u: h_value(1.5, 1, u, 0.3), 0.3, float),
     "h_value far": (lambda u: h_value(1.5, 1, u, 0.3), 2.0, float),
+    "h_value genus 0": (lambda u: h_value(1.5, 0, u, 0.3), 0.3, float),
+    "h_value genus 0 far": (lambda u: h_value(1.5, 0, u, 0.3), 2.0, float),
+    "h_value genus 0 past 1e154": (lambda u: h_value(1.5, 0, u, 0.3), 1e200, float),
     "poisson_Pn": (lambda r: poisson_Pn(3, r, 2.0, 0.3), 1.0, float),
     "log_kernel": (lambda t: log_kernel(3, 0.3, t), 0.5, float),
     "integrate": (_exp_integral, 0.5, float),
@@ -538,6 +542,16 @@ class TestShapeRule:
         f, x, _ = SHAPE_ENTRIES[entry]
         for listed, block in zip(_parts(f([x])), _parts(f(np.full((2, 1), x)))):
             assert block.shape == (2, 1) and np.all(block == listed[0])
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_h_value_xi_column(self, q):
+        # an xi column against a row of nodes, as an array of angles meets
+        # the quadrature nodes; each entry is its one-point call
+        u, xi = np.array([0.0, 0.3, 2.0, 1e200]), np.array([[-0.7], [0.2], [1.0]])
+        block = h_value(2.5, q, u, xi)
+        assert block.shape == (3, 4)
+        for (i, j), value in np.ndenumerate(block):
+            assert repr(float(value)) == repr(h_value(2.5, q, float(u[j]), float(xi[i, 0])))
 
     def test_helper(self):
         assert type(scalar_or_array(np.float64(2.5))) is float
@@ -703,12 +717,13 @@ class TestSubtractedKernel:
                     assert h_value(lam, q, u, xi) == pytest.approx(direct, rel=1e-10, abs=1e-13)
 
     def test_truncated_tail_series_raises(self):
-        # at lam = 85 the tail series at u = 0.49 has not converged after its
-        # 400 terms; the partial sum is -2.9e32, the true value 1.0
+        # at lam = 85 and q = 1 the tail series at u = 0.49 has not converged
+        # after its 400 terms; the true value is 1 - 0.49 * 170 - 1.49^-170.
+        # At q = 0 there is no series: see TestGenusZeroKernel
         with pytest.raises(ConvergenceError, match="did not converge within 400 terms"):
-            h_value(85.0, 0, 0.49, 1.0)
+            h_value(85.0, 1, 0.49, 1.0)
         with pytest.raises(ConvergenceError):
-            h_value(85.0, 0, np.array([0.1, 0.49]), 1.0)
+            h_value(85.0, 1, np.array([0.1, 0.49]), 1.0)
 
     def test_riesz_term_past_the_square_root_of_the_double_range(self):
         # from u ~ 1.3e154 on, 1 + u^2 + 2 u xi overflows (and at xi < 0 and
@@ -738,6 +753,62 @@ class TestSubtractedKernel:
                 sup = max(sup, float(np.max(vals / np.minimum(u**q, u ** (q + 1)))))
             assert np.isfinite(sup)
             assert sup < 1e4
+
+
+def _h_genus0_mpmath(lam, u, xi):
+    """1 - (1 + u^2 + 2 u xi)^(-lam) at the given doubles, as the defining
+    difference, with enough digits that 1 + u^2 keeps u down to 1e-300."""
+    with mpmath.workdps(650):
+        u, xi, lam = mpmath.mpf(u), mpmath.mpf(xi), mpmath.mpf(lam)
+        base = 1 + u * u + 2 * u * xi
+        return float(1 - base ** (-lam)), float(abs(lam * mpmath.log(base)))
+
+
+class TestGenusZeroKernel:
+    """At q = 0, h = -expm1(-lam log1p(u (2 xi + u))) at every u."""
+
+    def test_against_mpmath(self):
+        # n from 3 to MAX_DIMENSION, u log-uniform over the whole double range
+        # and over [1e-3, 1e3], xi in [-1, 1] with both ends among the draws;
+        # the bound grows with lam ln(1 + u^2 + 2 u xi), the condition number
+        # of the power where it is large
+        rng = np.random.default_rng(34)
+        worst = 0.0
+        for k in range(400):
+            lam = 0.5 * (int(rng.integers(3, MAX_DIMENSION + 1)) - 2)
+            u = float(10.0 ** rng.uniform(*((-300, 300) if k % 2 else (-3, 3))))
+            xi = float(rng.choice([-1.0, 1.0])) if k % 10 == 0 else float(rng.uniform(-1.0, 1.0))
+            want, cond = _h_genus0_mpmath(lam, u, xi)
+            got = h_value(lam, 0, u, xi)
+            worst = max(worst, abs(got - want) / (abs(want) * max(1.0, cond)))
+        assert worst <= 1e-14
+
+    def test_array_against_mpmath(self):
+        # one array call, u = 0 and 1e-300 among the nodes; u = 1 is left
+        # out at xi = -1, the singular point, where 1 + u^2 + 2 u xi is 1e-6
+        # at u = 0.999 (past lam = 51 h overflows there)
+        for lam in (0.5, 7.5, 42.0):
+            for xi in (-1.0, -0.3, 0.0, 0.999, 1.0):
+                u = [0.0, 1e-300, 1e-8, 0.49, 0.5, 0.999, 1.0, 3.0, 1e154, 1e300]
+                u = np.array([v for v in u if xi > -1.0 or v != 1.0])
+                got = h_value(lam, 0, u, xi)
+                assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0
+                for k in range(1, len(u)):
+                    want, cond = _h_genus0_mpmath(lam, u[k], xi)
+                    assert got[k] == pytest.approx(want, rel=1e-14 * max(1.0, cond), abs=0)
+
+    def test_singular_point(self):
+        message = re.escape("kernel singular: 1 + u^2 + 2 u xi <= 0 (u=1, xi=-1)")
+        with pytest.raises(DomainError, match=message):
+            h_value(1.0, 0, 1.0, -1.0)
+        with pytest.raises(DomainError, match=message):
+            h_value(1.0, 0, np.array([0.3, 1.0]), -1.0)
+
+    def test_small_angle_at_large_dimension(self):
+        # xi = 1 and u just below 1/2, where a Gegenbauer tail series of h
+        # loses its digits at large lam; the true values are 1 - 1.49^(-2 lam)
+        assert h_value(30.0, 0, 0.49, 1.0) == pytest.approx(1.0 - 1.49 ** -60, rel=1e-15)
+        assert h_value(85.0, 0, 0.49, 1.0) == pytest.approx(1.0 - 1.49 ** -170, rel=1e-15)
 
 
 class TestDimensionalKernel:

@@ -206,11 +206,11 @@ class TestSeriesStoppingRule:
         assert legendre_weighted(1.0, 0.0, []).shape == (0,)
 
     def test_term_cap_message(self, monkeypatch):
-        # at lam = 85 the tail series at u = 0.49 has not converged after its
-        # 400 terms
+        # at lam = 85 and q = 1 the tail series at u = 0.49 has not converged
+        # after its 400 terms
         with pytest.raises(ConvergenceError, match=re.escape(
-                "h tail series did not converge within 400 terms (lam=85.0, q=0, worst u=0.49)")):
-            h_value(85.0, 0, np.array([0.1, 0.49]), 1.0)
+                "h tail series did not converge within 400 terms (lam=85.0, q=1, worst u=0.49)")):
+            h_value(85.0, 1, np.array([0.1, 0.49]), 1.0)
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 16)
         with pytest.raises(ConvergenceError, match=re.escape(
                 "2F1 series did not converge within 16 terms "
