@@ -10,6 +10,7 @@ noted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,9 +20,10 @@ from .errors import DomainError, check_integer, check_real, check_scalar, scalar
 from .specfun import gegenbauer_terms, sum_series
 
 # For q >= 1, below this radial ratio the subtracted kernel is evaluated
-# through its polynomial tail series instead of the direct difference, which
-# would lose all significant digits to cancellation (h = O(u^{q+1}) while the
-# terms being subtracted are O(1)).  At q = 0 h_value needs neither.
+# through its polynomial tail series instead of its direct form, whose
+# section would lose all significant digits to cancellation (h = O(u^{q+1})
+# while the section's terms are O(u)).  At q = 0 the direct form holds at
+# every u.
 _TAIL_SWITCH = 0.5
 _TAIL_RTOL = 1e-15
 _TAIL_MAX_TERMS = 400
@@ -107,56 +109,42 @@ def h_value(lam, q, u, xi):
     """Subtracted kernel h(lam, q, u, xi); u scalar or ndarray >= 0, xi in [-1, 1].
 
     Difference of the Riesz kernel and its degree-q Gegenbauer polynomial
-    section, with the bound |h| <= C min(u^q, u^{q+1}).  At q = 0 the section
-    is 1, and h = -expm1(-lam log1p(u (2 xi + u))) at every u: nothing
-    cancels.  For q >= 1 and u below 1/2 the value is computed from the tail
-    series to avoid cancellation.  An array xi broadcasts against u, and the
+    section, with the bound |h| <= C min(u^q, u^{q+1}).  Its one direct form
+    is h = -expm1(-lam ln(1 + v)) + sum_{j=1..q} (-u)^j G_j(xi), with
+    v = u (2 xi + u): the section's constant term 1 goes into the expm1, so
+    nothing cancels there, and at q = 0 this is h at every u.  For q >= 1
+    and u below 1/2 the value is computed from the tail series instead,
+    where the section cancels.  An overflow gives a value that is not
+    finite, with no warning.  An array xi broadcasts against u, and the
     result takes their common shape.
     """
     lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
     q = check_integer(q, "subtraction degree q")
     xi = check_real(xi, "xi = cos(theta1)", -1.0, 1.0)
     u_arr, xi = np.broadcast_arrays(check_real(u, "radial ratio u", 0.0), xi)
-    if q == 0:  # the section is 1: h = 1 - (1 + v)^(-lam), v = u (2 xi + u)
-        with np.errstate(over="ignore"):
-            v = u_arr * (2.0 * xi + u_arr)
+    # each point keeps the value of its own form, and the caller sees an overflow's inf
+    with np.errstate(all="ignore"):
+        v = u_arr * (2.0 * xi + u_arr)
         low, huge = v < -0.5, np.isinf(v)
         if low.any() or huge.any():
-            with np.errstate(all="ignore"):  # each point keeps the value of its own form
-                # where 1 + v < 1/2, it is (u + xi)^2 + (1 - xi)(1 + xi): two
-                # terms >= 0, so nothing cancels next to u = 1, xi = -1
-                s = u_arr + xi
-                base = s * s + (1.0 - xi) * (1.0 + xi)
-                # past u ~ 1.3e154, where v overflows, u^2 factored out
-                far = 2.0 * np.log(u_arr) + np.log1p((2.0 * xi + 1.0 / u_arr) / u_arr)
-                ln_base = np.where(low, np.log(base), np.where(huge, far, np.log1p(v)))
+            # where 1 + v < 1/2, it is (u + xi)^2 + (1 - xi)(1 + xi): two
+            # terms >= 0, so nothing cancels next to u = 1, xi = -1
+            s = u_arr + xi
+            base = s * s + (1.0 - xi) * (1.0 + xi)
             if (low & (base <= 0.0)).any():
                 raise DomainError("kernel singular: 1 + u^2 + 2 u xi <= 0 (u=1, xi=-1)")
+            # past u ~ 1.3e154, where v overflows, u^2 factored out
+            far = 2.0 * np.log(u_arr) + np.log1p((2.0 * xi + 1.0 / u_arr) / u_arr)
+            ln_base = np.where(low, np.log(base), np.where(huge, far, np.log1p(v)))
         else:
             ln_base = np.log1p(v)
-        return scalar_or_array(0.0 - np.expm1(-lam * ln_base))  # 0.0 - x: +0.0, not -0.0, at u = 0
-    out = np.zeros(u_arr.shape)
-    near = u_arr < _TAIL_SWITCH
-    if np.any(near):
-        un = u_arr[near]
+        out = 0.0 - np.expm1(-lam * ln_base)  # 0.0 - x: +0.0, not -0.0, at u = 0
+        for j, g in zip(range(1, q + 1), itertools.islice(gegenbauer_terms(lam, xi), 1, None)):
+            out = out + (-u_arr) ** j * g
+    if q and (near := u_arr < _TAIL_SWITCH).any():
+        un, out = u_arr[near], np.array(out)
         out[near] = sum_series(_h_tail_terms(lam, q, un, xi[near]), "h tail series", lambda: (
             f"lam={lam}, q={q}, worst u={float(np.max(un))}"), _TAIL_RTOL, _TAIL_MAX_TERMS, q + 1)
-    far = ~near
-    if np.any(far):
-        uf, xf = u_arr[far], xi[far]
-        with np.errstate(over="ignore", invalid="ignore"):
-            base = 1.0 + uf * uf + 2.0 * uf * xf
-            # the section overflows with u^q; the caller sees the inf
-            poly = np.zeros_like(uf)
-            for j, g in zip(range(q + 1), gegenbauer_terms(lam, xf)):
-                poly += (-uf) ** j * g
-        if np.any(base <= 0.0):
-            raise DomainError("kernel singular: 1 + u^2 + 2 u xi <= 0 (u=1, xi=-1)")
-        riesz, huge = base ** (-lam), ~np.isfinite(base)
-        if huge.any():  # u^2 overflowed, past u ~ 1.3e154: factor it out
-            uh, w = uf[huge], 1.0 / uf[huge]
-            riesz[huge] = uh ** (-2.0 * lam) * (1.0 + 2.0 * xf[huge] * w + w * w) ** (-lam)
-        out[far] = -riesz + poly
     return scalar_or_array(out)
 
 

@@ -572,23 +572,26 @@ def legendre_weighted(nu, mu, x):
     mu^2 - 1/4, the low degrees lie before the turning point of Legendre's
     equation and the recurrence through them loses digits; there F_nu is
     summed itself, by the connection formula, in few terms.  Both start
-    degrees and those points go in one :func:`hyp2f1` call.  For
-    2 <= m < RECURRENCE_FROM, and for an integer degree from m = 0 on,
-    F_nu is summed itself at every point, an integer degree in 1 - x near
-    x = 1 (see :func:`_legendre_f`).  Complex parameters, mu >= 1, m < 0
-    and a non-integer degree at m <= 1 take the one series as it stands.
+    degrees and those points go in one :func:`hyp2f1` call.  Below
+    RECURRENCE_FROM an integer degree from m = 0 on is summed itself, in
+    1 - x near x = 1 (see :func:`_legendre_f`).  Complex parameters,
+    mu >= 1, m < 0 and a non-integer degree below RECURRENCE_FROM take the
+    one series as it stands.
 
     A positive integer mu is a pole of the 2F1 here and raises
-    :class:`PoleError`.  ``x`` may be a scalar or ndarray.
+    :class:`PoleError`.  Next to x = 1 the weight overflows at a large
+    negative mu, with no warning, and the value there is not finite.
+    ``x`` may be a scalar or ndarray.
     """
     x = check_real(x, "legendre_weighted argument x", 0.0, 1.0, "[)")
     x1 = np.atleast_1d(x)
     _finite(nu)
     _finite(mu)
-    weight = rgamma(1.0 - mu) * (2.0 * (1.0 - x1)) ** mu
+    with np.errstate(over="ignore"):
+        weight = rgamma(1.0 - mu) * (2.0 * (1.0 - x1)) ** mu
     real = not (isinstance(nu, complex) or isinstance(mu, complex))
     m = math.floor(nu + mu) if real and mu < 1.0 else -1
-    if not (0 if real and nu == round(nu) else 2) <= m <= SERIES_MAX_TERMS:
+    if not (0 if real and nu == round(nu) else RECURRENCE_FROM) <= m <= SERIES_MAX_TERMS:
         return scalar_or_array(weight * hyp2f1(-nu, nu + 1.0, 1.0 - mu, x1), x)
     x1 = x1.reshape(-1)  # scalar_or_array gives the result x's shape
     if m < RECURRENCE_FROM:

@@ -101,10 +101,13 @@ class TestIndicatorClosed:
     @pytest.mark.parametrize("params,theta,bad", [
         (ProblemParams(3, 0.5, 1e308), 1.0, "1"),
         (ProblemParams(5, 0.5, 1e300), [0.3, 3.1415], "3.1415000000000002"),
+        (ProblemParams(60, 0.5), 3.1415926, "3.1415926000000001"),
     ])
     def test_overflow_is_domain_error(self, params, theta, bad):
         # a large delta carries H past the double range, to inf (the
-        # coefficient alone, at n = 3) or -inf (S, large next to pi, at n = 5)
+        # coefficient alone, at n = 3) or -inf (S, large next to pi, at n = 5);
+        # at n = 60 next to pi the weight (2 (1 - x))^mu of S overflows alone,
+        # with no numpy warning (the suite turns one into an error)
         message = f"the indicator at theta1={bad} overflows the double range"
         with pytest.raises(DomainError, match=message):
             indicator_closed(params, theta)

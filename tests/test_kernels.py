@@ -736,6 +736,30 @@ class TestSubtractedKernel:
         # at a small exponent the term is far from 0: 1e-4 at lam = 0.01
         assert h_value(0.01, 0, 1e200, 0.3) == pytest.approx(1.0 - 1e-4, rel=1e-15)
 
+    def test_direct_part_against_mpmath(self):
+        # q = 1 to 5 at u >= 1/2, where h is -expm1(-lam ln(1 + v)) plus the
+        # section past its constant term; every tenth draw, and the fixed
+        # points, lie next to the singular point u = 1, xi = -1
+        rng = np.random.default_rng(35)
+        draws = [(1.5, q, u, -1.0) for q in range(1, 6) for u in (1 - 1e-8, 1 + 1e-8, 1 - 1e-6)]
+        for k in range(300):
+            lam, q = 0.5 * (int(rng.integers(3, 13)) - 2), int(rng.integers(1, 6))
+            if k % 10 == 0:
+                u, xi = 1.0 + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-10, -2), -1.0
+            else:
+                u, xi = float(10.0 ** rng.uniform(math.log10(0.5), 3.0)), float(rng.uniform(-1.0, 1.0))
+            draws.append((lam, q, u, xi))
+        for lam, q, u, xi in draws:
+            want, cond = _h_mpmath(lam, q, u, xi)
+            assert h_value(lam, q, u, xi) == pytest.approx(want, rel=1e-14 * max(1.0, cond), abs=0), (
+                lam, q, u, xi)
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_overflow_next_to_the_singular_point(self, q):
+        # 1 + u^2 + 2 u xi is 1e-6 and the Riesz term about 1e510: h is
+        # -inf, with no numpy warning (the suite turns one into an error)
+        assert h_value(85.0, q, 0.999, -1.0) == -math.inf
+
     def test_vectorized(self):
         u = np.logspace(-4, 2, 25)
         vec = h_value(1.5, 1, u, -0.3)
@@ -753,6 +777,23 @@ class TestSubtractedKernel:
                 sup = max(sup, float(np.max(vals / np.minimum(u**q, u ** (q + 1)))))
             assert np.isfinite(sup)
             assert sup < 1e4
+
+
+def _h_mpmath(lam, q, u, xi):
+    """h at the given doubles as the defining difference, and its condition:
+    the power's, max(1, |lam ln(1 + u^2 + 2 u xi)|), on 1 + the Riesz term,
+    plus the section's terms at their largest, xi = 1, all over |h|."""
+    with mpmath.workdps(60):
+        u, xi, lam = mpmath.mpf(u), mpmath.mpf(xi), mpmath.mpf(lam)
+        base = 1 + u * u + 2 * u * xi
+        g = [mpmath.mpf(1), 2 * lam * xi]
+        for k in range(2, q + 1):
+            g.append((2 * (k + lam - 1) * xi * g[-1] - (k + 2 * lam - 2) * g[-2]) / k)
+        riesz = base ** (-lam)
+        h = 1 - riesz + sum((-u) ** j * g[j] for j in range(1, q + 1))
+        scale = max(1, abs(lam * mpmath.log(base))) * (1 + riesz) + sum(
+            u ** j * mpmath.rf(2 * lam, j) / mpmath.factorial(j) for j in range(1, q + 1))
+        return float(h), float(scale / abs(h))
 
 
 def _h_genus0_mpmath(lam, u, xi):
