@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     ExceptionalAngleError,
     OutOfRangeError,
+    RayGrowthError,
     check_real,
     check_scalar,
     scalar_or_array,
@@ -31,9 +32,19 @@ from .kernels import (ProblemParams, check_angle, check_dimension, check_one_ang
 from .mellin import MellinStrip, QuadratureSpec, mellin_numeric
 from .specfun import EULER_GAMMA, digamma, gamma, legendre_weighted, rising_ratio
 
-# scan step (radians) for root bracketing and the guard band around each root
+# scan step (radians) for root bracketing and the guard band around each root.
+# zero_set brackets each root between two nodes of the scan grid.  Up to
+# n = _STRIDE_MAX_N it takes S first on every _SCAN_STRIDE-th node and the
+# last one, then on the nodes inside each subgrid interval whose ends change
+# sign.  It takes S on every node instead where the subgrid's sign changes
+# are not floor(rho)+1, an interval's fine nodes do not change sign exactly
+# once, a node is exactly 0, or a call raises.  Past the n bound it always
+# does: from about n = 33 on S loses digits, and its spurious sign changes
+# can hide inside one subgrid interval
 ROOT_SCAN_RESOLUTION = 1e-3
 ROOT_BRACKET_WIDTH = 1e-6
+_SCAN_STRIDE = 16
+_STRIDE_MAX_N = 21
 
 # ends of the open interval (0, 1) on which the order equation is solved
 _ORDER_EDGE = 1e-9
@@ -263,33 +274,75 @@ def indicator_near_pi(params: ProblemParams, theta1):
     )
 
 
+def _sign_changes(vals):
+    """Indices i where vals[i] and vals[i + 1] have opposite signs; a nan
+    node changes sign with neither neighbour."""
+    sgn = np.sign(vals)
+    return np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+
+
+def _scan(n: int, rho: float, grid, expected: int):
+    """S at the nodes of ``grid`` that bracket its roots, nan at the rest.
+
+    S is taken on every _SCAN_STRIDE-th node and the last one, then, in a
+    second call, on the nodes inside each subgrid interval whose ends change
+    sign.  If the subgrid changes sign ``expected`` times, each of those
+    intervals once on its fine nodes, and no node is exactly 0, these are
+    the brackets and end values of S on every node, unless S changes sign
+    twice between two subgrid nodes of one sign.  That would put more than
+    ``expected`` roots in (0, pi), against the zero-count law, which S
+    keeps up to n = _STRIDE_MAX_N.  Otherwise, if a call raises
+    :class:`RayGrowthError`, or past the n bound, S is taken on every node,
+    and zero_set refuses a count that is not ``expected``.
+    """
+    if n <= _STRIDE_MAX_N:
+        vals = np.full(grid.size, np.nan)
+        coarse = np.append(np.arange(0, grid.size - 1, _SCAN_STRIDE), grid.size - 1)
+        try:
+            vals[coarse] = angular_shape(n, rho, grid[coarse])
+            hit = _sign_changes(vals[coarse])
+            if hit.size == expected and vals[coarse].all():
+                fine = coarse[hit, None] + np.arange(1, _SCAN_STRIDE)
+                fine = fine[fine < coarse[hit + 1, None]]  # the last interval is shorter
+                vals[fine] = angular_shape(n, rho, grid[fine])
+                if _sign_changes(vals).size == expected and vals[fine].all():
+                    return vals
+        except RayGrowthError:
+            pass
+    return angular_shape(n, rho, grid)
+
+
 def zero_set(params: ProblemParams) -> ZeroSet:
     """All zeros of the indicator's angular factor in (0, pi).
 
-    A vectorized sign scan of the angular factor at ROOT_SCAN_RESOLUTION
-    brackets each root; one bracketed solve (Chandrupatla's method, one
-    array evaluation of the factor per iteration) refines all of them
-    together to full double precision (a scan node where the factor is
-    exactly zero is a root as it stands).  It starts from the scan's values
-    at the bracket ends and keeps |S| at each root where it ended, as
-    ``residuals``: an array call gives each angle its one-angle value.
-    The count must equal floor(rho)+1; a different count raises
-    :class:`CountMismatchError` (that would mean either a special-function
-    defect or a genuine violation of the zero-count law, and is surfaced
-    rather than repaired).
+    A sign scan of the angular factor on a grid of step
+    ROOT_SCAN_RESOLUTION brackets each root between two neighbouring nodes.
+    Up to n = _STRIDE_MAX_N it evaluates S on a subgrid of every
+    _SCAN_STRIDE-th node and then inside the subgrid's sign changes: 198
+    nodes and 15 a root of the 3141 at the default step.  Where that cannot
+    vouch for the count, and past the n bound, it evaluates S on every node
+    (see :func:`_scan`).  One
+    bracketed solve (Chandrupatla's method, one array evaluation of the
+    factor per iteration) refines all roots together to full double
+    precision (a scan node where the factor is exactly zero is a root as it
+    stands).  It starts from the scan's values at the bracket ends and keeps
+    |S| at each root where it ended, as ``residuals``: an array call gives
+    each angle its one-angle value.  The count must equal floor(rho)+1; a
+    different count raises :class:`CountMismatchError` (that would mean
+    either a special-function defect or a genuine violation of the
+    zero-count law, and is surfaced rather than repaired).
     """
     n, rho = params.n, params.rho
     lo, hi = ROOT_SCAN_RESOLUTION, math.pi - ROOT_SCAN_RESOLUTION
     grid = np.linspace(lo, hi, int(math.ceil((hi - lo) / ROOT_SCAN_RESOLUTION)) + 1)
-    vals = angular_shape(n, rho, grid)
-    sgn = np.sign(vals)
-    left = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+    expected = params.q + 1
+    vals = _scan(n, rho, grid, expected)
+    left = _sign_changes(vals)
     roots, values = _refine_roots(lambda t: angular_shape(n, rho, t), grid[left], grid[left + 1],
                                   (vals[left], vals[left + 1]), full_output=True)
     # exact zeros on grid nodes would be missed by the strict sign test
     exact = np.nonzero(vals == 0.0)[0]
     roots = np.concatenate((roots, grid[exact]))
-    expected = params.q + 1
     if len(roots) != expected:
         raise CountMismatchError(
             f"found {len(roots)} angular roots for n={n}, rho={rho}; "

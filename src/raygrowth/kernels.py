@@ -105,6 +105,26 @@ def _h_tail_terms(lam, q, u, xi):
         pw = pw * step
 
 
+def _overflowed_section(lam, q, u, xi, lead, top):
+    """h at the flat points u, xi where the section of its direct form
+    overflowed to nan, given there -expm1(-lam ln(1 + v)) and the section's
+    top term (-u)^q G_q(xi).  Where that term is infinite, it is h.
+    Elsewhere the section is summed again without the terms whose G_j(xi)
+    is 0 (inf * 0 there), and where infinite terms still cancel, h is the
+    signed infinity of the highest-degree one.  Called with numpy's
+    warnings off."""
+    rest = ~np.isinf(top)
+    if rest.any():
+        u, xi, out = u[rest], xi[rest], lead[rest]
+        sign = np.zeros_like(out)
+        for j, g in zip(range(1, q + 1), itertools.islice(gegenbauer_terms(lam, xi), 1, None)):
+            term = np.where(g == 0.0, 0.0, (-u) ** j * g)
+            out = out + term
+            sign = np.where(np.isinf(term), np.sign(term), sign)
+        top[rest] = np.where(np.isnan(out), sign * np.inf, out)
+    return top
+
+
 def h_value(lam, q, u, xi):
     """Subtracted kernel h(lam, q, u, xi); u scalar or ndarray >= 0, xi in [-1, 1].
 
@@ -115,8 +135,9 @@ def h_value(lam, q, u, xi):
     nothing cancels there, and at q = 0 this is h at every u.  For q >= 1
     and u below 1/2 the value is computed from the tail series instead,
     where the section cancels.  An overflow gives a value that is not
-    finite, with no warning.  An array xi broadcasts against u, and the
-    result takes their common shape.
+    finite, with no warning; where overflowing section terms of both signs
+    meet, h is the signed infinity of the highest-degree one.  An array xi
+    broadcasts against u, and the result takes their common shape.
     """
     lam = check_real(lam, "kernel exponent lam", 0.0, math.inf, "()")
     q = check_integer(q, "subtraction degree q")
@@ -141,6 +162,12 @@ def h_value(lam, q, u, xi):
         out = 0.0 - np.expm1(-lam * ln_base)  # 0.0 - x: +0.0, not -0.0, at u = 0
         for j, g in zip(range(1, q + 1), itertools.islice(gegenbauer_terms(lam, xi), 1, None)):
             out = out + (-u_arr) ** j * g
+        # a nan takes two infinite section terms, or an infinite u^j, j >= 2;
+        # g is G_q(xi) here
+        if q > 1 and (lost := np.isnan(out)).any():
+            out, ul = np.asarray(out), u_arr[lost]  # out is this call's own array
+            lead = 0.0 - np.expm1(-lam * ln_base[lost])
+            out[lost] = _overflowed_section(lam, q, ul, xi[lost], lead, (-ul) ** q * g[lost])
     if q and (near := u_arr < _TAIL_SWITCH).any():
         un, out = u_arr[near], np.array(out)
         out[near] = sum_series(_h_tail_terms(lam, q, un, xi[near]), "h tail series", lambda: (

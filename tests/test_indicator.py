@@ -353,6 +353,58 @@ class TestZeroSet:
                     b, fb = c, fc
                 assert abs(beta - c) <= 1e-7 * abs(c)
 
+    def test_subgrid_scan_equals_the_full_scan(self, monkeypatch):
+        # the subgrid gives the roots and residuals of the scan of every
+        # node bit for bit, or falls back to that scan and its error text; a
+        # third of the orders lie within 1e-6 to 0.05 of an integer.  At
+        # (3, 0.07) the root lies in the last subgrid interval, 4 nodes wide
+        def outcome(p):
+            try:
+                return repr(zero_set(p))
+            except (CountMismatchError, ConvergenceError, DomainError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        rng = np.random.default_rng(36)
+        draws = [(3, 0.07)]
+        for k in range(300):
+            n = int(rng.integers(3, 22))
+            if k % 3:
+                rho = float(rng.uniform(0.01, 40.0))
+            else:
+                rho = int(rng.integers(1, 40)) + float(rng.choice([-1.0, 1.0])) * float(
+                    10.0 ** rng.uniform(-6, math.log10(0.05)))
+            draws.append((n, rho))
+        got = [outcome(ProblemParams(n, rho)) for n, rho in draws]
+        monkeypatch.setattr(indicator, "_STRIDE_MAX_N", 0)
+        assert got == [outcome(ProblemParams(n, rho)) for n, rho in draws]
+        assert sum(g.startswith("ZeroSet") for g in got) > 250
+
+    def test_three_fine_sign_changes_fall_back_to_the_full_scan(self, monkeypatch):
+        # three roots inside one subgrid interval: the subgrid sees one sign
+        # change, the fine nodes three, and the scan of every node refuses
+        grid = np.linspace(1e-3, math.pi - 1e-3, 3141)
+        a, b, c = (0.5 * (grid[k] + grid[k + 1]) for k in (1601, 1605, 1609))
+        calls = []
+
+        def cubic(n, rho, theta):
+            calls.append(np.size(theta))
+            return (np.asarray(theta) - a) * (np.asarray(theta) - b) * (np.asarray(theta) - c)
+
+        monkeypatch.setattr(indicator, "angular_shape", cubic)
+        with pytest.raises(CountMismatchError, match="found 3 angular roots for n=3, rho=0.5"):
+            zero_set(P35)
+        assert calls[:3] == [198, 15, 3141]
+
+    def test_no_subgrid_past_its_dimension_bound(self, monkeypatch):
+        # at n = 45, S has spurious sign changes that one subgrid interval
+        # hides: the scan of every node counts 3 roots and refuses, where a
+        # subgrid would give one plausible root
+        p = ProblemParams(45, 0.6008)
+        with pytest.raises(CountMismatchError, match="found 3 angular roots"):
+            zero_set(p)
+        monkeypatch.setattr(indicator, "_STRIDE_MAX_N", 45)
+        assert len(zero_set(p).roots) == 1
+
     def test_gamma_overflow_is_domain_error(self):
         # S carries 1/Gamma((n-1)/2), and Gamma(199.5) overflows
         with pytest.raises(DomainError, match="overflows"):
@@ -406,7 +458,9 @@ class TestDegreeRecurrence:
         monkeypatch.setattr(indicator, "angular_shape", counted)
         zset = zero_set(ProblemParams(6, 12.587281517922548))
         assert len(zset.roots) == 13
-        assert calls[0] == 3141 and len(calls) - 1 <= 10
+        # the scan is two calls: the 198-node subgrid, then the 15 fine
+        # nodes inside each of its 13 intervals that change sign
+        assert calls[:2] == [198, 13 * 15] and len(calls) - 2 <= 10
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_against_mpmath(self, n):
@@ -470,7 +524,8 @@ class TestRefineRoots:
     @pytest.mark.parametrize("n,rho", [(3, 0.5), (4, 2.7), (6, 12.5)])
     def test_refinement_starts_from_the_scan_values(self, monkeypatch, n, rho):
         # the bracket ends are scan nodes, whose values the scan already
-        # has: no call of S after the scan evaluates one of them again
+        # has: no call of S after the scan's two calls, the subgrid of every
+        # 16th node and the fine nodes between, evaluates one of them again
         calls = []
         real = indicator.angular_shape
 
@@ -480,8 +535,11 @@ class TestRefineRoots:
 
         monkeypatch.setattr(indicator, "angular_shape", recorded)
         assert len(zero_set(ProblemParams(n, rho)).roots) == math.floor(rho) + 1
-        scan, refinement = calls[0], calls[1:]
-        assert scan.size == 3141 and refinement
+        grid = np.linspace(1e-3, math.pi - 1e-3, 3141)
+        assert np.array_equal(calls[0], np.append(grid[::16], grid[-1]))
+        assert np.isin(calls[1], grid).all()
+        scan, refinement = np.concatenate(calls[:2]), calls[2:]
+        assert refinement and len(refinement) <= 10
         for theta in refinement:
             assert not np.isin(theta, scan).any()
 

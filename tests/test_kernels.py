@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import eval_gegenbauer
 
 from raygrowth.errors import (ConvergenceError, DomainError, check_integer, check_real,
                               check_scalar, scalar_or_array)
@@ -759,6 +760,22 @@ class TestSubtractedKernel:
         # 1 + u^2 + 2 u xi is 1e-6 and the Riesz term about 1e510: h is
         # -inf, with no numpy warning (the suite turns one into an error)
         assert h_value(85.0, q, 0.999, -1.0) == -math.inf
+
+    @pytest.mark.parametrize("q", range(2, 6))
+    def test_section_overflow_takes_its_top_term(self, q):
+        # at u = 1e200, u^2 G_2 and every section term past it overflows,
+        # and terms of both signs sum to nan (from q = 3 on).  h there is
+        # the signed infinity of the top term -(-u)^q G_q, and at xi = 0,
+        # where G_j is 0 at odd j, of the highest-degree term that is not 0
+        for xi in (0.4, -0.65, 0.0):
+            top = max(j for j in range(1, q + 1) if eval_gegenbauer(j, 1.5, xi) != 0.0)
+            want = math.copysign(math.inf, (-1.0) ** top * eval_gegenbauer(top, 1.5, xi))
+            assert h_value(1.5, q, 1e200, xi) == want, xi
+            got = h_value(1.5, q, np.array([1e200, 3.0]), xi)
+            assert got[0] == want and got[1] == h_value(1.5, q, 3.0, xi)
+        # at u = 1e120 only u^3 overflows, and G_3(0) = 0: the finite sum
+        # of the other terms, 1 - u^2 lam at q = 3
+        assert h_value(1.5, 3, 1e120, 0.0) == 1.0 - 1e240 * 1.5
 
     def test_vectorized(self):
         u = np.logspace(-4, 2, 25)
